@@ -15,14 +15,12 @@ from .core import (
     conjectured_weight,
     enumerate_mlqs,
     enumerate_words,
-    inverse_ringing_transitions,
     parse_queue,
     parse_word,
     ringing_path,
     ringing_transition,
     single_first_class_weight,
     three_species_weight,
-    z_stats,
 )
 from .poly import LaurentPoly, complete_homogeneous, parse_poly, q_int, q_int_derivative
 

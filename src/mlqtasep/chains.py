@@ -46,9 +46,6 @@ class ChainGraph:
     transitions: tuple[TransitionRecord, ...]
     nvars: int
 
-    def index(self) -> dict:
-        return {state: i for i, state in enumerate(self.states)}
-
     def state_label(self, i: int) -> str:
         state = self.states[i]
         if state and isinstance(state[0], tuple):

@@ -33,7 +33,7 @@ from .sim import (
     to_csv,
 )
 from .solve import ReducibleChainError, stationary_solve
-from .verify import DEFAULT_MAX_N, DEFAULT_SEED, run_suites
+from .verify import DEFAULT_MAX_N, DEFAULT_SEED, SUITES, run_suites
 
 
 def _parse_m(text: str) -> tuple[int, ...]:
@@ -95,10 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--solve", metavar="x1=2,x2=1")
 
     verify = sub.add_parser("verify", help="run verification suites")
-    verify.add_argument(
-        "suite",
-        choices=("fm3", "fm1", "zpart", "main", "lw", "identity", "uniform", "coupe", "all"),
-    )
+    verify.add_argument("suite", choices=(*SUITES, "all"))
     verify.add_argument("--max-N", type=int, default=DEFAULT_MAX_N, dest="max_n")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .poly import LaurentPoly
 
@@ -85,16 +85,6 @@ def enumerate_words(c: Composition) -> list[Word]:
     return words
 
 
-def validate_word(c: Composition, word: Sequence[int]) -> Word:
-    word = tuple(word)
-    if len(word) != c.N:
-        raise ValueError(f"word length {len(word)} does not match ring size {c.N}")
-    for cls in range(1, c.n + 1):
-        if word.count(cls) != c.m[cls - 1]:
-            raise ValueError(f"word has {word.count(cls)} particles of class {cls}, expected {c.m[cls - 1]}")
-    return word
-
-
 def _row_patterns(N: int, k: int) -> list[tuple[int, ...]]:
     patterns = [
         tuple(1 if i in ones else 0 for i in range(N))
@@ -117,23 +107,20 @@ def composition_of_queue(q: Queue) -> Composition:
     if any(len(row) != N for row in q):
         raise ValueError("rows must have equal length")
     sums = [sum(row) for row in q]
+    if sums[0] == 0:
+        raise ValueError("row 1 is empty; the top row must hold a particle")
     m = [sums[0]]
-    for prev, cur in zip(sums, sums[1:]):
+    for row, (prev, cur) in enumerate(zip(sums, sums[1:]), start=2):
+        if cur <= prev:
+            raise ValueError(
+                f"row {row} holds {cur} particles and row {row - 1} holds {prev}; "
+                "each row must hold more particles than the row above"
+            )
         m.append(cur - prev)
+    if sums[-1] == N:
+        raise ValueError(f"row {len(q)} is full; the bottom row must keep a vacancy")
     m.append(N - sums[-1])
     return build_composition(m)
-
-
-def validate_queue(c: Composition, q: Queue) -> Queue:
-    q = tuple(tuple(int(bool(x)) for x in row) for row in q)
-    if len(q) != c.n - 1:
-        raise ValueError(f"queue has {len(q)} rows, expected {c.n - 1}")
-    for r, row in enumerate(q):
-        if len(row) != c.N:
-            raise ValueError(f"row {r + 1} has length {len(row)}, expected {c.N}")
-        if sum(row) != c.M[r]:
-            raise ValueError(f"row {r + 1} holds {sum(row)} particles, expected {c.M[r]}")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -185,68 +172,6 @@ def ringing_transition(q: Queue, i: int) -> Queue:
         else:
             new_rows.append(row)
     return tuple(new_rows)
-
-
-def inverse_ringing_transitions(q: Queue) -> list[tuple[Queue, int]]:
-    """All (predecessor, start column) pairs with a nontrivial ring into q.
-
-    Search-based: candidate predecessors are generated by walking the ring
-    column constraints upward (each row either kept or un-swapped), then
-    validated through the forward transition, so correctness rests only on
-    the forward dynamics.
-    """
-    nrows, N = len(q), len(q[0])
-    found: list[tuple[Queue, int]] = []
-    for start in range(N):
-        # states: partial (column at current row, rows swapped so far)
-        partial: list[tuple[int, list[int]]] = [(start, [])]
-        for r in range(nrows - 1, 0, -1):
-            nxt: list[tuple[int, list[int]]] = []
-            for col, swapped in partial:
-                left = (col - 1) % N
-                # Row r was swapped: predecessor had (left, col) = (0, 1),
-                # so q shows (1, 0) there and the path stays on col.
-                if q[r][left] and not q[r][col]:
-                    nxt.append((col, swapped + [r]))
-                # Row r untouched: predecessor row equals q's row and the
-                # swap condition must have failed there.
-                if not (q[r][col] and not q[r][left]):
-                    up = col if q[r][col] else (col + 1) % N
-                    nxt.append((up, swapped))
-            partial = nxt
-        for col, swapped in partial:
-            left = (col - 1) % N
-            candidates = []
-            if q[0][left] and not q[0][col]:
-                candidates.append(swapped + [0])
-            if not (q[0][col] and not q[0][left]):
-                candidates.append(swapped)
-            for rows_swapped in candidates:
-                if not rows_swapped:
-                    continue  # trivial ring, predecessor would equal q
-                pred = _unswap(q, start, rows_swapped)
-                if pred is not None and ringing_transition(pred, start) == q:
-                    found.append((pred, start))
-    unique = sorted(set(found), key=lambda item: (item[1], item[0]))
-    return unique
-
-
-def _unswap(q: Queue, start: int, rows_swapped: list[int]) -> Queue | None:
-    """Rebuild a candidate predecessor by undoing swaps along its ring path."""
-    nrows, N = len(q), len(q[0])
-    rows = [list(row) for row in q]
-    col = start
-    for r in range(nrows - 1, -1, -1):
-        left = (col - 1) % N
-        if r in rows_swapped:
-            if not (rows[r][left] and not rows[r][col]):
-                return None
-            rows[r][left], rows[r][col] = 0, 1
-            up = col  # predecessor cell at col is occupied
-        else:
-            up = col if rows[r][col] else (col + 1) % N
-        col = up
-    return tuple(tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +267,6 @@ def bully_projection(q: Queue, order_fn: OrderFn | None = None) -> BullyLabeling
         word=word,
         z=z,
     )
-
-
-def truncate_queue(q: Queue, rows: int) -> Queue:
-    """Top `rows` rows of q, a queue for (m_1, ..., m_rows, N - M_rows)."""
-    if not 1 <= rows < len(q) + 1:
-        raise ValueError(f"cannot keep {rows} rows of a {len(q)}-row queue")
-    return q[:rows]
-
-
-def z_stats(labeling: BullyLabeling) -> tuple[dict[tuple[int, int], int], int, int | None]:
-    """The covering counts of a labeling: (z matrix, z_1, covered-3 count).
-
-    The z matrix maps 1-based (row, class) pairs to counts; the covered-3
-    count is None unless the system has exactly three species.
-    """
-    covered3 = (
-        labeling.covered_three_count() if labeling.composition.n == 3 else None
-    )
-    return dict(labeling.z), labeling.z1(), covered3
 
 
 # ---------------------------------------------------------------------------

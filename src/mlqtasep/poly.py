@@ -80,21 +80,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * self.nvars}
-
-    def constant_value(self) -> int:
-        if not self.terms:
-            return 0
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.terms[(0,) * self.nvars]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.constant(other, self.nvars)

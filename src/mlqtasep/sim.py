@@ -54,7 +54,6 @@ class SimConfig:
     seed: int = 1
     events: int = 1_000_000
     burn_in: float = 0.1
-    time_limit: float | None = None
 
     def composition(self) -> Composition:
         return build_composition(self.m)
@@ -81,6 +80,8 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalD
         raise ValueError("rates must be positive")
     if cfg.events <= 0:
         raise ValueError("event horizon must be positive")
+    if not 0 <= cfg.burn_in < 1:
+        raise ValueError(f"burn-in must lie in [0, 1), got {cfg.burn_in}")
     targets: list[list[int]] = [[] for _ in chain.states]
     cumulative: list[list[float]] = [[] for _ in chain.states]
     for sid, records in enumerate(chain.out_records()):
@@ -105,8 +106,6 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalD
         draw = rng.random() * total
         state = targets[state][min(bisect_right(sums, draw), len(sums) - 1)]
         done += 1
-        if cfg.time_limit is not None and clock >= cfg.time_limit:
-            break
     if clock <= 0.0:
         raise AbsorbingStateError("no simulated time accumulated after burn-in")
     fractions = [t / clock for t in occupation]

@@ -18,11 +18,16 @@ from .poly import LaurentPoly
 
 
 class ReducibleChainError(Exception):
-    """Raised when the nullspace of the generator is not one dimensional."""
+    """Raised when a chain has no unique positive stationary vector.
 
-    def __init__(self, dimension: int):
+    dimension is that of the generator's nullspace at the rate point, 0 when
+    none was computed; reason, when given, names the failure in place of the
+    default dimension message.
+    """
+
+    def __init__(self, dimension: int, reason: str | None = None):
         self.dimension = dimension
-        super().__init__(f"stationary space has dimension {dimension}, expected 1")
+        super().__init__(reason or f"stationary space has dimension {dimension}, expected 1")
 
 
 def master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[LaurentPoly]:
@@ -132,8 +137,13 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     negatives = sum(1 for value in ints if value < 0)
     if negatives == n:
         ints = [-value for value in ints]
-    if any(value <= 0 for value in ints):
-        raise ReducibleChainError(1)  # mixed signs: not a positive eigenvector
+    bad = next((i for i, value in enumerate(ints) if value <= 0), None)
+    if bad is not None:
+        raise ReducibleChainError(
+            1,
+            f"stationary vector is not positive: state {g.state_label(bad)} gets "
+            f"weight {ints[bad]}, so the chain is not irreducible",
+        )
     return ints
 
 

@@ -55,9 +55,6 @@ DEFAULT_SEED = 20240
 DEFAULT_MAX_N = 5
 SOLVE_CAP = 300  # direct dense elimination above this size is not worth it
 
-THEOREM_SUITES = ("fm3", "fm3-lemma", "fm1", "zpart", "uniform", "coupe")
-CONJECTURE_SUITES = ("main", "lw", "identity")
-
 
 @dataclass
 class SuiteReport:
@@ -111,11 +108,11 @@ def rate_points(nvars: int, count: int, seed: int) -> list[tuple[Fraction, ...]]
 
 
 def iter_compositions(
-    max_total: int, min_parts: int = 2, pred: Callable[[tuple[int, ...]], bool] | None = None
+    max_total: int, pred: Callable[[tuple[int, ...]], bool] | None = None
 ) -> Iterable[Composition]:
-    """All positive compositions with at least min_parts parts, N ascending."""
-    for total in range(min_parts, max_total + 1):
-        for parts in range(min_parts, total + 1):
+    """All positive compositions with at least two parts, N ascending."""
+    for total in range(2, max_total + 1):
+        for parts in range(2, total + 1):
             for cuts in itertools.combinations(range(1, total), parts - 1):
                 bounds = (0,) + cuts + (total,)
                 m = tuple(b - a for a, b in zip(bounds, bounds[1:]))
@@ -136,8 +133,16 @@ def _rotation_partition(chain: ChainGraph) -> list[int]:
     return blocks
 
 
-def solve_exact(chain: ChainGraph, point: Sequence[Fraction], cap: int = SOLVE_CAP) -> list[int]:
-    """stationary_solve, routed through the rotation quotient for big chains.
+def solve_exact(chain: ChainGraph, point: Sequence[Fraction]) -> list[int]:
+    """stationary_solve, routed through the rotation quotient for word
+    chains above SOLVE_CAP states."""
+    if len(chain.states) <= SOLVE_CAP or chain.kind != "tasep":
+        return stationary_solve(chain, point)
+    return _rotation_solve(chain, point)
+
+
+def _rotation_solve(chain: ChainGraph, point: Sequence[Fraction]) -> list[int]:
+    """Stationary vector of a word chain solved on its rotation quotient.
 
     Rotating a word is an automorphism of the word process (rates depend on
     classes only), so the orbit partition is lumpable; the lifted solution
@@ -145,12 +150,7 @@ def solve_exact(chain: ChainGraph, point: Sequence[Fraction], cap: int = SOLVE_C
     re-certified against the full master equation at the same point, which
     keeps the fast path exactly as trustworthy as direct elimination.
     """
-    if len(chain.states) <= cap or chain.kind != "tasep":
-        return stationary_solve(chain, point)
     blocks = _rotation_partition(chain)
-    ok, _ = check_lumpability(chain, blocks)
-    if not ok:
-        return stationary_solve(chain, point)
     block_sizes: dict[int, int] = {}
     for b in blocks:
         block_sizes[b] = block_sizes.get(b, 0) + 1
@@ -158,7 +158,9 @@ def solve_exact(chain: ChainGraph, point: Sequence[Fraction], cap: int = SOLVE_C
     lifted = [Fraction(coarse[b], block_sizes[b]) for b in blocks]
     residues = residual_at_point(chain, lifted, point)
     if any(residues):
-        raise ReducibleChainError(0)
+        raise ReducibleChainError(
+            0, "rotation-quotient solution lifted to the full chain fails its master equation"
+        )
     return normalize_rationals(lifted)
 
 
@@ -166,6 +168,39 @@ def _proportional(u: Sequence[Fraction], v: Sequence[int]) -> bool:
     if len(u) != len(v) or not u:
         return False
     return all(u[i] * v[0] == u[0] * v[i] for i in range(len(u)))
+
+
+def _residual_failure(
+    chain: ChainGraph,
+    weights: Sequence[LaurentPoly],
+    check: str = "residual",
+    show_residual: bool = True,
+) -> dict | None:
+    """Counterexample at the first state whose master equation fails, or None."""
+    residuals = master_residual(chain, weights)
+    bad = next((i for i, r in enumerate(residuals) if not r.is_zero()), None)
+    if bad is None:
+        return None
+    at = "word" if chain.kind == "tasep" else "state"
+    failure = {"check": check, at: chain.state_label(bad)}
+    if show_residual:
+        failure["residual"] = str(residuals[bad])
+    return failure
+
+
+def _word_lumping(
+    chain: ChainGraph, word_chain: ChainGraph
+) -> tuple[list[int], list, dict | None]:
+    """Bully partition of a queue chain and the counterexample, if any, to
+    its lumping onto the word process."""
+    blocks, words = bully_partition(chain)
+    ok, counterexample = check_lumpability(chain, blocks)
+    failure = None
+    if not ok:
+        failure = {"check": "lumpability", **counterexample}
+    elif not same_rate_graph(lump(chain, blocks, block_states=words), word_chain):
+        failure = {"check": "lumped-graph"}
+    return blocks, words, failure
 
 
 # ---------------------------------------------------------------------------
@@ -182,40 +217,26 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     labelings = [bully_projection(q) for q in chain.states]
     weights = [three_species_weight(lab) for lab in labelings]
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
-    failure = None
-
-    residuals = master_residual(chain, weights)
-    bad = next((i for i, r in enumerate(residuals) if not r.is_zero()), None)
-    if bad is not None:
-        failure = {"check": "residual", "state": chain.state_label(bad), "residual": str(residuals[bad])}
+    failure = _residual_failure(chain, weights)
 
     if failure is None:
-        blocks, words = bully_partition(chain)
-        ok, counterexample = check_lumpability(chain, blocks)
-        if not ok:
-            failure = {"check": "lumpability", **counterexample}
-        else:
-            word_chain = build_tasep_chain(c)
-            if not same_rate_graph(lump(chain, blocks, block_states=words), word_chain):
-                failure = {"check": "lumped-graph"}
-            else:
-                sums = [LaurentPoly.zero(2)] * len(words)
-                for state, block in enumerate(blocks):
-                    sums[block] = sums[block] + weights[state]
-                details["block_sums"] = [str(w) for w in sums]
-                word_residuals = master_residual(word_chain, sums)
-                bad = next((i for i, r in enumerate(word_residuals) if not r.is_zero()), None)
-                if bad is not None:
-                    failure = {"check": "block-sum-residual", "word": word_label(words[bad])}
-                elif c.N == 6:
-                    # large ring: confirm the block sums really solve the word
-                    # process at random positive rational rate points too
-                    for point in rate_points(2, 5, seed):
-                        values = [w.eval(point) for w in sums]
-                        solved = solve_exact(word_chain, point)
-                        if not _proportional(values, solved):
-                            failure = {"check": "point-solve", "point": [str(x) for x in point]}
-                            break
+        word_chain = build_tasep_chain(c)
+        blocks, words, failure = _word_lumping(chain, word_chain)
+        if failure is None:
+            sums = [LaurentPoly.zero(2)] * len(words)
+            for state, block in enumerate(blocks):
+                sums[block] = sums[block] + weights[state]
+            details["block_sums"] = [str(w) for w in sums]
+            failure = _residual_failure(word_chain, sums, "block-sum-residual", False)
+            if failure is None and c.N == 6:
+                # large ring: confirm the block sums really solve the word
+                # process at random positive rational rate points too
+                for point in rate_points(2, 5, seed):
+                    values = [w.eval(point) for w in sums]
+                    solved = solve_exact(word_chain, point)
+                    if not _proportional(values, solved):
+                        failure = {"check": "point-solve", "point": [str(x) for x in point]}
+                        break
     return _report("fm3", c, "theorem", started, failure, details)
 
 
@@ -286,7 +307,7 @@ def _three_blocks(word) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def check_fm1_theorem(c: Composition, cap: int = SOLVE_CAP) -> SuiteReport:
+def check_fm1_theorem(c: Composition) -> SuiteReport:
     """Weights x1^(V1 - z1) are stationary when m_1 = 1 and x_i = 1 for i >= 2."""
     started = time.perf_counter()
     if c.m[0] != 1 or c.n < 3:
@@ -294,14 +315,10 @@ def check_fm1_theorem(c: Composition, cap: int = SOLVE_CAP) -> SuiteReport:
     chain = build_fm_chain(c, "one_first_class")
     weights = [single_first_class_weight(bully_projection(q)) for q in chain.states]
     details: dict = {"states": len(chain.states)}
-    failure = None
-    residuals = master_residual(chain, weights)
-    bad = next((i for i, r in enumerate(residuals) if not r.is_zero()), None)
-    if bad is not None:
-        failure = {"check": "residual", "state": chain.state_label(bad), "residual": str(residuals[bad])}
+    failure = _residual_failure(chain, weights)
     if failure is None and not irreducible(chain):
         failure = {"check": "irreducible"}
-    if failure is None and len(chain.states) <= cap:
+    if failure is None and len(chain.states) <= SOLVE_CAP:
         for x1 in (Fraction(2), Fraction(3), Fraction(5, 2)):
             point = (x1,) + (Fraction(1),) * (c.n - 2)
             values = [w.eval(point) for w in weights]
@@ -378,9 +395,7 @@ def _aggregated_weights(c: Composition) -> tuple[list[LaurentPoly], list]:
     return sums, words
 
 
-def check_main_conjecture(
-    c: Composition, seed: int = DEFAULT_SEED, cap: int = SOLVE_CAP
-) -> SuiteReport:
+def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Aggregated monomial queue weights against the exact word solution."""
     started = time.perf_counter()
     sums, words = _aggregated_weights(c)
@@ -391,19 +406,12 @@ def check_main_conjecture(
         failure = {"check": "projection-misses-word", "word": word_label(words[empty])}
     chain = build_tasep_chain(c)
     if failure is None and c.N <= 5:
-        residuals = master_residual(chain, sums)
-        bad = next((i for i, r in enumerate(residuals) if not r.is_zero()), None)
-        if bad is not None:
-            failure = {
-                "check": "symbolic-residual",
-                "word": word_label(words[bad]),
-                "residual": str(residuals[bad]),
-            }
-        details["symbolic_residual"] = "zero" if bad is None else "nonzero"
+        failure = _residual_failure(chain, sums, "symbolic-residual")
+        details["symbolic_residual"] = "zero" if failure is None else "nonzero"
     if failure is None:
         for point in rate_points(c.n - 1, 5, seed):
             values = [s.eval(point) for s in sums]
-            solved = solve_exact(chain, point, cap)
+            solved = solve_exact(chain, point)
             if not _proportional(values, solved):
                 failure = {
                     "check": "point-proportionality",
@@ -414,7 +422,7 @@ def check_main_conjecture(
     return _report("main", c, "conjecture", started, failure, details)
 
 
-def check_lw_normalization_and_positivity(n: int, cap: int = SOLVE_CAP) -> SuiteReport:
+def check_lw_normalization_and_positivity(n: int) -> SuiteReport:
     """Normalized stationary weights of the permutation system are positive.
 
     For n = 3 the symbolic weights come from the proved three-species block
@@ -436,8 +444,7 @@ def check_lw_normalization_and_positivity(n: int, cap: int = SOLVE_CAP) -> Suite
     else:
         sums, words = _aggregated_weights(c)
     word_chain = build_tasep_chain(c)
-    residuals = master_residual(word_chain, sums)
-    if any(not r.is_zero() for r in residuals):
+    if _residual_failure(word_chain, sums) is not None:
         failure = {"check": "weights-not-stationary"}
     if failure is None:
         w0 = tuple(range(n, 0, -1))
@@ -465,7 +472,7 @@ def check_lw_normalization_and_positivity(n: int, cap: int = SOLVE_CAP) -> Suite
             details["normalized_weights"] = len(sums)
     if failure is None:
         ones = (Fraction(1),) * (n - 1)
-        solved = solve_exact(word_chain, ones, cap)
+        solved = solve_exact(word_chain, ones)
         base = solved[w0_index]
         if any(value % base for value in solved):
             failure = {"check": "integrality-at-ones"}
@@ -499,7 +506,7 @@ def check_identity_count(n: int) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def check_uniform_stationarity(c: Composition, cap: int = SOLVE_CAP) -> SuiteReport:
+def check_uniform_stationarity(c: Composition) -> SuiteReport:
     """Strong connectivity, degree balance, and the uniform stationary law."""
     started = time.perf_counter()
     chain = build_fm_chain(c, "uniform")
@@ -519,7 +526,7 @@ def check_uniform_stationarity(c: Composition, cap: int = SOLVE_CAP) -> SuiteRep
                 "in": ins[bad],
             }
     if failure is None:
-        if len(chain.states) <= cap:
+        if len(chain.states) <= SOLVE_CAP:
             point = (Fraction(1),) * chain.nvars
             solved = stationary_solve(chain, point)
             if solved != [1] * len(chain.states):
@@ -563,24 +570,10 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
 
     if failure is None:
         weights = [three_species_weight(lab) for lab in labelings]
-        residuals = master_residual(chain, weights)
-        bad = next((i for i, r in enumerate(residuals) if not r.is_zero()), None)
-        if bad is not None:
-            failure = {
-                "check": "residual",
-                "state": chain.state_label(bad),
-                "residual": str(residuals[bad]),
-            }
+        failure = _residual_failure(chain, weights)
 
     if failure is None:
-        blocks, block_words = bully_partition(chain)
-        ok, counterexample = check_lumpability(chain, blocks)
-        if not ok:
-            failure = {"check": "lumpability", **counterexample}
-        elif not same_rate_graph(
-            lump(chain, blocks, block_states=block_words), build_tasep_chain(c)
-        ):
-            failure = {"check": "lumped-graph"}
+        failure = _word_lumping(chain, build_tasep_chain(c))[2]
     return _report("coupe", c, "theorem", started, failure, details)
 
 
@@ -633,46 +626,58 @@ def _check_seat_bookkeeping(chain: ChainGraph, words) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Suite driver
+# Suite registry
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("fm3", "fm1", "zpart", "main", "lw", "identity", "uniform", "coupe")
+
+def _three_species(max_n: int) -> Iterable[Composition]:
+    return iter_compositions(max_n, lambda m: len(m) == 3)
+
+
+def _single_first_class(max_n: int) -> Iterable[Composition]:
+    return iter_compositions(max_n, lambda m: m[0] == 1 and len(m) >= 3)
+
+
+# suite -> (its inputs up to ring size max_n, the reports on one input at a
+# seed).  The lambdas look the check functions up at call time, so a rebound
+# module-level check_* (a tracing wrapper, say) is the one that runs.
+# run_suites reports in this order.
+SUITES: dict[str, tuple[Callable[[int], Iterable], Callable[..., list[SuiteReport]]]] = {
+    "fm3": (
+        _three_species,
+        lambda c, seed: [check_fm3_theorem(c, seed), check_three_species_lemma(c)],
+    ),
+    "fm1": (_single_first_class, lambda c, seed: [check_fm1_theorem(c)]),
+    "zpart": (_single_first_class, lambda c, seed: [check_partition_function(c)]),
+    "main": (iter_compositions, lambda c, seed: [check_main_conjecture(c, seed)]),
+    "lw": (
+        lambda max_n: range(3, min(max_n, 5) + 1),
+        lambda n, seed: [check_lw_normalization_and_positivity(n)],
+    ),
+    "identity": (
+        lambda max_n: range(2, min(max_n, 6) + 1),
+        lambda n, seed: [check_identity_count(n)],
+    ),
+    "uniform": (iter_compositions, lambda c, seed: [check_uniform_stationarity(c)]),
+    "coupe": (_three_species, lambda c, seed: [check_coupe_theorem(c)]),
+}
 
 
 def run_suites(
-    names: Sequence[str],
-    max_n: int = DEFAULT_MAX_N,
-    seed: int = DEFAULT_SEED,
-    cap: int = SOLVE_CAP,
+    names: Sequence[str], max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED
 ) -> list[SuiteReport]:
-    reports: list[SuiteReport] = []
-    chosen = list(SUITE_NAMES) if "all" in names else list(names)
-    unknown = [name for name in chosen if name not in SUITE_NAMES]
+    """Reports of the named suites, or of every suite for "all", in SUITES order."""
+    unknown = [name for name in names if name not in SUITES and name != "all"]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    if "fm3" in chosen:
-        for c in iter_compositions(max_n, pred=lambda m: len(m) == 3):
-            reports.append(check_fm3_theorem(c, seed))
-            reports.append(check_three_species_lemma(c))
-    if "fm1" in chosen:
-        for c in iter_compositions(max_n, pred=lambda m: m[0] == 1 and len(m) >= 3):
-            reports.append(check_fm1_theorem(c, cap))
-    if "zpart" in chosen:
-        for c in iter_compositions(max_n, pred=lambda m: m[0] == 1 and len(m) >= 3):
-            reports.append(check_partition_function(c))
-    if "main" in chosen:
-        for c in iter_compositions(max_n):
-            reports.append(check_main_conjecture(c, seed, cap))
-    if "lw" in chosen:
-        for n in range(3, min(max_n, 5) + 1):
-            reports.append(check_lw_normalization_and_positivity(n, cap))
-    if "identity" in chosen:
-        for n in range(2, min(max_n, 6) + 1):
-            reports.append(check_identity_count(n))
-    if "uniform" in chosen:
-        for c in iter_compositions(max_n):
-            reports.append(check_uniform_stationarity(c, cap))
-    if "coupe" in chosen:
-        for c in iter_compositions(max_n, pred=lambda m: len(m) == 3):
-            reports.append(check_coupe_theorem(c))
+    reports: list[SuiteReport] = []
+    for name, (inputs, check) in SUITES.items():
+        if name in names or "all" in names:
+            for item in inputs(max_n):
+                reports.extend(check(item, seed))
+    if not reports:
+        raise ValueError(
+            f"nothing to check: no input of {' '.join(names)} has N <= {max_n}; "
+            "suites start at N = 2 or 3"
+        )
     return reports

@@ -1,8 +1,10 @@
+import io
 import json
 
 import pytest
 
 from mlqtasep.cli import main
+from mlqtasep.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,20 @@ def test_project_tiny_grid(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "project", str(grid))
     assert code == 0
     assert "word: 1 2" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("111\n011\n", "row 2 holds 2 particles and row 1 holds 3"),
+        ("100\n111\n", "row 2 is full; the bottom row must keep a vacancy"),
+    ],
+)
+def test_project_bad_rows(monkeypatch, capsys, text, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, _, err = run_cli(capsys, "project", "-")
+    assert code == 2
+    assert message in err
 
 
 def test_project_malformed_grid(tmp_path, capsys):
@@ -140,6 +156,29 @@ def test_verify_all_tiny(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-N", "3")
     assert code == 0
     assert all(json.loads(line)["status"] in ("pass", "agree") for line in out.splitlines())
+
+
+def test_verify_choices_are_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "{" + ",".join([*SUITES, "all"]) + "}" in capsys.readouterr().out
+
+
+def test_verify_nothing_to_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--max-N", "1")
+    assert code == 2
+    assert out == ""
+    assert "no input of all has N <= 1; suites start at N = 2" in err
+
+
+@pytest.mark.parametrize("burn_in", ["1.5", "-0.5", "1"])
+def test_simulate_bad_burn_in(capsys, burn_in):
+    code, _, err = run_cli(
+        capsys, "simulate", "tasep", "-m", "1,1,1", "--rates", "2,1",
+        "--events", "10", "--burn-in", burn_in,
+    )
+    assert code == 2
+    assert "burn-in must lie in [0, 1)" in err
 
 
 def test_simulate_deterministic_csv(capsys):

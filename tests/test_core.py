@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from mlqtasep.chains import build_fm_chain
 from mlqtasep.core import (
     build_composition,
     bully_projection,
@@ -10,7 +11,6 @@ from mlqtasep.core import (
     conjectured_weight,
     enumerate_mlqs,
     enumerate_words,
-    inverse_ringing_transitions,
     multinomial,
     parse_queue,
     parse_word,
@@ -19,9 +19,7 @@ from mlqtasep.core import (
     ringing_transition,
     single_first_class_weight,
     three_species_weight,
-    truncate_queue,
     word_to_text,
-    z_stats,
 )
 from mlqtasep.poly import LaurentPoly
 
@@ -105,6 +103,17 @@ def test_row_sums_enforced():
     assert composition_of_queue(WIDE_QUEUE).m == (1, 1, 2, 2, 2)
 
 
+def test_bad_queue_rows_are_named():
+    with pytest.raises(ValueError, match="row 2 holds 1 particles and row 1 holds 3"):
+        parse_queue("111\n010")
+    with pytest.raises(ValueError, match="row 3 holds 2 particles and row 2 holds 2"):
+        parse_queue("1000\n1100\n1100")
+    with pytest.raises(ValueError, match="row 2 is full; the bottom row must keep a vacancy"):
+        parse_queue("100\n111")
+    with pytest.raises(ValueError, match="row 1 is empty"):
+        parse_queue("000\n011")
+
+
 # ---------------------------------------------------------------------------
 # Ringing paths and transitions
 # ---------------------------------------------------------------------------
@@ -165,25 +174,28 @@ def _forward_edges(c):
 
 @pytest.mark.parametrize("m", [(1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1, 1)])
 def test_inverse_matches_exhaustive_forward_sweep(m):
+    # the chain's in-records are exactly the nontrivial rings into each queue
     c = build_composition(m)
     truth = _forward_edges(c)
-    for q in enumerate_mlqs(c):
-        assert set(inverse_ringing_transitions(q)) == truth.get(q, set())
+    chain = build_fm_chain(c)
+    for q, incoming in zip(chain.states, chain.in_records()):
+        preds = [
+            (chain.states[rec.src], int(rec.mechanism[len("ringing(") : -1]) - 1)
+            for rec in incoming
+        ]
+        assert len(preds) == len(set(preds))
+        assert set(preds) == truth.get(q, set())
 
 
 @pytest.mark.parametrize("m", [(1, 1, 1), (1, 1, 2), (2, 1, 1)])
 def test_degree_balance(m):
     c = build_composition(m)
-    for q in enumerate_mlqs(c):
+    chain = build_fm_chain(c)
+    for q, incoming in zip(chain.states, chain.in_records()):
         successors = sum(
             1 for i in range(c.N) if ringing_transition(q, i) != q
         )
-        assert len(inverse_ringing_transitions(q)) == successors
-
-
-def test_inverse_contains_wide_queue_ring():
-    preds = inverse_ringing_transitions(WIDE_QUEUE_AFTER_RING_AT_5)
-    assert (WIDE_QUEUE, 4) in preds
+        assert len(incoming) == successors
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +222,15 @@ def test_projection_single_row():
 
 
 def test_z_stats_summary():
-    z, z1, covered3 = z_stats(bully_projection(PERMUTATION_QUEUE))
-    assert z == {(3, 1): 2, (4, 1): 1, (5, 1): 1, (3, 2): 1}
-    assert z1 == 4
-    assert covered3 is None  # six species
-    _, _, k = z_stats(bully_projection(parse_queue("100\n011")))
-    assert k == 1
+    lab = bully_projection(PERMUTATION_QUEUE)
+    assert lab.z == {(3, 1): 2, (4, 1): 1, (5, 1): 1, (3, 2): 1}
+    assert lab.z1() == 4
+    with pytest.raises(ValueError, match="three species"):
+        lab.covered_three_count()  # six species
+    assert bully_projection(parse_queue("100\n011")).covered_three_count() == 1
     # paths that never queue over a vacancy leave the matrix empty
-    z_empty, z1_empty, k_empty = z_stats(bully_projection(parse_queue("001\n011")))
-    assert z_empty == {} and z1_empty == 0 and k_empty == 0
+    empty = bully_projection(parse_queue("001\n011"))
+    assert empty.z == {} and empty.z1() == 0 and empty.covered_three_count() == 0
 
 
 def test_projection_class_counts_per_row():
@@ -292,7 +304,7 @@ def test_truncated_projection_consistency(m):
     for q in enumerate_mlqs(c)[::5]:
         full = bully_projection(q)
         for rows in range(1, c.n - 1):
-            sub = truncate_queue(q, rows)
+            sub = q[:rows]
             sub_c = composition_of_queue(sub)
             assert sub_c.m == c.m[:rows] + (c.N - c.M[rows - 1],)
             sub_lab = bully_projection(sub)

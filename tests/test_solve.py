@@ -109,6 +109,21 @@ def test_stationary_solve_detects_disconnected():
     assert err.value.dimension == 2
 
 
+def test_stationary_solve_names_a_non_positive_vector():
+    # one edge 1 -> 2: the nullspace is one dimensional but state 1 is transient
+    one_way = ChainGraph(
+        kind="custom",
+        composition=build_composition((1, 1)),
+        states=((1,), (2,)),
+        transitions=(TransitionRecord(0, 1, ONE, "a"),),
+        nvars=2,
+    )
+    with pytest.raises(ReducibleChainError, match="not positive: state 1 gets weight 0") as err:
+        stationary_solve(one_way, (1, 1))
+    assert err.value.dimension == 1
+    assert "dimension 1, expected 1" not in str(err.value)
+
+
 def test_stationary_solve_rotation_invariance():
     c = build_composition((1, 1, 2))
     g = build_tasep_chain(c)

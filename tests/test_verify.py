@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from mlqtasep.chains import build_fm_chain, build_tasep_chain
 from mlqtasep.core import build_composition
+from mlqtasep.poly import LaurentPoly
+from mlqtasep.solve import stationary_solve
 from mlqtasep.verify import (
     check_coupe_theorem,
     check_fm1_theorem,
@@ -11,10 +16,12 @@ from mlqtasep.verify import (
     check_partition_function,
     check_three_species_lemma,
     check_uniform_stationarity,
+    _residual_failure,
+    _rotation_solve,
+    _word_lumping,
     iter_compositions,
     rate_points,
     run_suites,
-    solve_exact,
 )
 
 
@@ -146,9 +153,10 @@ def test_uniform_stationarity(m):
 
 
 def test_uniform_stationarity_certificate_path():
-    report = check_uniform_stationarity(build_composition((1, 1, 2)), cap=10)
+    # 5 * 10 * 10 = 500 queues, above the direct-solve cap
+    report = check_uniform_stationarity(build_composition((1, 1, 1, 2)))
     assert report.ok
-    assert report.details["method"] == "balance-certificate"
+    assert report.details == {"states": 500, "method": "balance-certificate"}
 
 
 @pytest.mark.parametrize("m", [(1, 1, 1), (1, 1, 2), (2, 2, 2), (1, 2, 1)])
@@ -163,14 +171,53 @@ def test_coupe_theorem(m):
 
 
 def test_solve_exact_quotient_matches_direct():
-    from mlqtasep.chains import build_tasep_chain
-    from mlqtasep.verify import rate_points
+    for m in [(1, 1, 2), (2, 1, 2), (1, 1, 1, 2)]:
+        chain = build_tasep_chain(build_composition(m))
+        for point in rate_points(chain.nvars, 3, 5):
+            assert _rotation_solve(chain, point) == stationary_solve(chain, point)
 
-    chain = build_tasep_chain(build_composition((1, 1, 2)))
-    for point in rate_points(2, 3, 5):
-        direct = solve_exact(chain, point, cap=10_000)
-        routed = solve_exact(chain, point, cap=1)
-        assert direct == routed
+
+def test_solve_exact_routes_large_word_chains(monkeypatch):
+    import mlqtasep.verify as verify
+
+    routed = []
+    monkeypatch.setattr(verify, "_rotation_solve", lambda chain, point: routed.append(chain))
+    small = build_tasep_chain(build_composition((1, 1, 2)))
+    verify.solve_exact(small, (1, 1))
+    assert routed == []
+    big = build_tasep_chain(build_composition((1, 1, 1, 1, 2)))  # 360 words
+    assert len(big.states) > verify.SOLVE_CAP
+    verify.solve_exact(big, (1, 1, 1, 1))
+    assert routed == [big]
+
+
+def test_failure_helpers_counterexamples():
+    c = build_composition((1, 1, 1))
+    words = build_tasep_chain(c)
+    queues = build_fm_chain(c, "three_species")
+    one = LaurentPoly.one(2)
+    assert _residual_failure(words, [one] * 6) == {
+        "check": "residual", "word": "123", "residual": "x2"
+    }
+    assert _residual_failure(words, [one] * 6, "block-sum-residual", False) == {
+        "check": "block-sum-residual", "word": "123"
+    }
+    assert _residual_failure(queues, [one] * 9) == {
+        "check": "residual", "state": "001/011", "residual": "x1 - x2"
+    }
+    assert _word_lumping(queues, words)[2] is None
+    assert _word_lumping(build_fm_chain(c, "uniform"), words)[2] == {"check": "lumped-graph"}
+    bent = list(queues.transitions)
+    bent[3] = replace(bent[3], rate=LaurentPoly.variable(0, 2) * LaurentPoly.variable(1, 2))
+    assert _word_lumping(replace(queues, transitions=tuple(bent)), words)[2] == {
+        "check": "lumpability",
+        "block": 3,
+        "state": "010/101",
+        "other": "001/101",
+        "target_block": 2,
+        "rate": "x1",
+        "other_rate": "x1*x2",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +250,8 @@ def test_run_suites_all_small():
 def test_run_suites_rejects_unknown():
     with pytest.raises(ValueError):
         run_suites(["nonsense"])
+
+
+def test_run_suites_rejects_empty_run():
+    with pytest.raises(ValueError, match="nothing to check"):
+        run_suites(["lw"], max_n=2)
