@@ -10,7 +10,8 @@ zero.  No floating point is used anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .chains import ChainGraph, TransitionRecord
@@ -20,9 +21,9 @@ from .poly import LaurentPoly
 class ReducibleChainError(Exception):
     """Raised when a chain has no unique positive stationary vector.
 
-    dimension is that of the generator's nullspace at the rate point, 0 when
-    none was computed; reason, when given, names the failure in place of the
-    default dimension message.
+    dimension is the generator's nullity at the rate point, as
+    stationary_solve finds it modulo a prime; reason, when given, names the
+    failure in place of the default dimension message.
     """
 
     def __init__(self, dimension: int, reason: str | None = None):
@@ -65,86 +66,121 @@ def transition_matrix(g: ChainGraph) -> list[list[LaurentPoly]]:
     return matrix
 
 
-def _bareiss_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns echelon rows and pivot cols."""
-    rows = [row[:] for row in matrix]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, n_rows):
-            factor = rows[i][col]
-            if factor == 0 and pivot == prev:
-                continue
-            row_i, row_r = rows[i], rows[r]
-            for j in range(col, n_cols):
-                row_i[j] = (row_i[j] * pivot - factor * row_r[j]) // prev
-        pivots.append(col)
-        prev = pivot
-        r += 1
-        if r == n_rows:
-            break
-    return rows[: len(pivots)], pivots
+# the Mersenne primes 2^k - 1 of the modular solve, in the order they are tried
+_MERSENNE_EXPONENTS = (127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+
+def _null_vector_mod(rows: Sequence[dict[int, int]], n: int, p: int) -> tuple[int, list[int]]:
+    """Nullity mod p of sparse integer rows in n unknowns, and a null vector
+    when it is 1.  Each step pivots on the sparsest live row, at its column
+    shared by the fewest live rows, and clears that column from the others.
+    """
+    rows = [{col: v % p for col, v in row.items() if v % p} for row in rows]
+    col_rows: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        for col in row:
+            col_rows.setdefault(col, set()).add(r)
+    heap = [(len(row), r) for r, row in enumerate(rows)]
+    heapify(heap)
+    pivots: list[tuple[int, dict[int, int]]] = []  # (column, rest of its row)
+    while heap:
+        size, r = heappop(heap)
+        pivot = rows[r]
+        if not size or pivot is None or size != len(pivot):
+            continue  # an empty row, or a stale heap entry
+        rows[r] = None
+        col = min(pivot, key=lambda j: len(col_rows[j]))
+        inverse = pow(pivot.pop(col), -1, p)
+        for j in pivot:
+            pivot[j] = pivot[j] * inverse % p
+            col_rows[j].discard(r)
+        for i in col_rows.pop(col) - {r}:
+            row = rows[i]
+            factor = row.pop(col)
+            for j, v in pivot.items():
+                value = (row.get(j, 0) - factor * v) % p
+                if value:
+                    row[j] = value
+                    col_rows[j].add(i)
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            heappush(heap, (len(row), i))
+        pivots.append((col, pivot))
+    vector = [0] * n
+    if n - len(pivots) == 1:
+        vector[(set(range(n)) - {col for col, _ in pivots}).pop()] = 1
+        for col, rest in reversed(pivots):
+            vector[col] = -sum(v * vector[j] for j, v in rest.items()) % p
+    return n - len(pivots), vector
+
+
+def _reconstruct(residue: int, modulus: int) -> Fraction | None:
+    """The fraction a/b = residue (mod modulus) with |a|, b <= sqrt(modulus/2),
+    if there is one (Wang's rational reconstruction)."""
+    bound = isqrt(modulus >> 1)
+    r0, r1, s0, s1 = modulus, residue, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """Exact stationary vector at a rate point, as coprime positive integers.
 
-    Builds the evaluated generator, clears denominators, and extracts the
-    one-dimensional nullspace by fraction-free elimination followed by
-    rational back substitution.  Raises ReducibleChainError when the
-    nullspace dimension differs from one.
+    Eliminates the evaluated generator (denominators cleared, one row
+    dropped: the rows sum to zero) mod 2^127 - 1 with sparse pivots, and
+    CRT-combines further Mersenne primes only while rational reconstruction
+    fails.  The result is certified, not trusted: it is returned only when
+    residual_at_point is exactly zero, and it is unique because the nullity
+    over Q is at least 1 and at most the nullity mod p, which must be 1.
+    ReducibleChainError carries that nullity mod p as .dimension, or 1 when
+    the certified vector is not positive; ArithmeticError means no listed
+    prime led to a certified vector.
     """
     n = len(g.states)
     point = [Fraction(v) for v in point]
-    rates = [Fraction(0)] * n  # total outgoing rate per state
-    entries: dict[tuple[int, int], Fraction] = {}
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for rec in g.transitions:
         value = rec.rate.eval(point)
-        entries[(rec.dst, rec.src)] = entries.get((rec.dst, rec.src), Fraction(0)) + value
-        rates[rec.src] += value
-    denominator = 1
-    for value in list(entries.values()) + rates:
-        denominator = lcm(denominator, value.denominator)
-    matrix = [[0] * n for _ in range(n)]
-    for (dst, src), value in entries.items():
-        matrix[dst][src] = int(value * denominator)
-    for state, total in enumerate(rates):
-        matrix[state][state] -= int(total * denominator)
-    echelon, pivots = _bareiss_echelon(matrix)
-    free_cols = [c for c in range(n) if c not in set(pivots)]
-    if len(free_cols) != 1:
-        raise ReducibleChainError(len(free_cols))
-    solution = [Fraction(0)] * n
-    solution[free_cols[0]] = Fraction(1)
-    for row, pivot_col in reversed(list(zip(echelon, pivots))):
-        acc = Fraction(0)
-        for col in range(pivot_col + 1, n):
-            if row[col]:
-                acc += row[col] * solution[col]
-        solution[pivot_col] = -acc / row[pivot_col]
-    scale = lcm(*[value.denominator for value in solution])
-    ints = [int(value * scale) for value in solution]
-    common = gcd(*ints)
-    ints = [value // common for value in ints]
-    negatives = sum(1 for value in ints if value < 0)
-    if negatives == n:
-        ints = [-value for value in ints]
-    bad = next((i for i, value in enumerate(ints) if value <= 0), None)
-    if bad is not None:
-        raise ReducibleChainError(
-            1,
-            f"stationary vector is not positive: state {g.state_label(bad)} gets "
-            f"weight {ints[bad]}, so the chain is not irreducible",
-        )
-    return ints
+        rows[rec.dst][rec.src] = rows[rec.dst].get(rec.src, 0) + value
+        rows[rec.src][rec.src] = rows[rec.src].get(rec.src, 0) - value
+    denominator = lcm(*(v.denominator for row in rows for v in row.values()))
+    # the rows sum to zero, so the first is redundant
+    rows = [{col: int(v * denominator) for col, v in row.items() if v} for row in rows[1:]]
+    modulus, residues = 1, [0] * n
+    for exponent in _MERSENNE_EXPONENTS:
+        p = (1 << exponent) - 1
+        nullity, vector = _null_vector_mod(rows, n, p)
+        if nullity != 1:
+            if modulus == 1:
+                raise ReducibleChainError(nullity)
+            continue  # the nullity over Q is already proved 1: an unlucky prime
+        total = sum(vector) % p
+        if not total:
+            continue
+        # CRT onto the null vector scaled to sum 1, the same vector mod every prime
+        inverse = pow(total * modulus, -1, p)
+        residues = [r + modulus * ((v - r * total) * inverse % p) for r, v in zip(residues, vector)]
+        modulus *= p
+        candidate = [_reconstruct(r, modulus) for r in residues]
+        if None in candidate:
+            continue
+        ints = normalize_rationals(candidate)
+        if any(residual_at_point(g, ints, point)):
+            continue
+        bad = next((i for i, value in enumerate(ints) if value <= 0), None)
+        if bad is not None:
+            raise ReducibleChainError(
+                1,
+                f"stationary vector is not positive: state {g.state_label(bad)} gets "
+                f"weight {ints[bad]}, so the chain is not irreducible",
+            )
+        return ints
+    raise ArithmeticError("no certified stationary vector modulo the listed Mersenne primes")
 
 
 def normalize_rationals(values: Sequence[Fraction]) -> list[int]:
@@ -215,6 +251,13 @@ def lump(
     ok, counterexample = check_lumpability(g, partition)
     if not ok:
         raise ValueError(f"partition is not lumpable: {counterexample}")
+    return _quotient_chain(g, partition, block_states)
+
+
+def _quotient_chain(
+    g: ChainGraph, partition: Sequence[int], block_states: Sequence | None = None
+) -> ChainGraph:
+    """lump without its lumpability check, for a partition already checked."""
     blocks = sorted(set(partition))
     if blocks != list(range(len(blocks))):
         raise ValueError("block ids must be 0..B-1")

@@ -40,20 +40,20 @@ from .core import (
 )
 from .poly import LaurentPoly, complete_homogeneous, q_int_derivative
 from .solve import (
-    ReducibleChainError,
+    _quotient_chain,
     check_lumpability,
     irreducible,
-    lump,
     master_residual,
     normalize_rationals,
-    residual_at_point,
     same_rate_graph,
     stationary_solve,
 )
 
 DEFAULT_SEED = 20240
 DEFAULT_MAX_N = 5
-SOLVE_CAP = 300  # direct dense elimination above this size is not worth it
+# report policy, not a solver limit: fm1's solver_points and uniform's method
+# change above this many states, and perfbench/golden/*.json pins both fields
+SOLVE_CAP = 300
 
 
 @dataclass
@@ -120,50 +120,6 @@ def iter_compositions(
                     yield build_composition(m)
 
 
-def _rotation_partition(chain: ChainGraph) -> list[int]:
-    """Blocks of mutually rotated words, ids in order of first appearance."""
-    canon: dict = {}
-    blocks = []
-    for state in chain.states:
-        rotations = {state[k:] + state[:k] for k in range(len(state))}
-        key = min(rotations)
-        if key not in canon:
-            canon[key] = len(canon)
-        blocks.append(canon[key])
-    return blocks
-
-
-def solve_exact(chain: ChainGraph, point: Sequence[Fraction]) -> list[int]:
-    """stationary_solve, routed through the rotation quotient for word
-    chains above SOLVE_CAP states."""
-    if len(chain.states) <= SOLVE_CAP or chain.kind != "tasep":
-        return stationary_solve(chain, point)
-    return _rotation_solve(chain, point)
-
-
-def _rotation_solve(chain: ChainGraph, point: Sequence[Fraction]) -> list[int]:
-    """Stationary vector of a word chain solved on its rotation quotient.
-
-    Rotating a word is an automorphism of the word process (rates depend on
-    classes only), so the orbit partition is lumpable; the lifted solution
-    spreads each block weight evenly over its orbit.  The lift is then
-    re-certified against the full master equation at the same point, which
-    keeps the fast path exactly as trustworthy as direct elimination.
-    """
-    blocks = _rotation_partition(chain)
-    block_sizes: dict[int, int] = {}
-    for b in blocks:
-        block_sizes[b] = block_sizes.get(b, 0) + 1
-    coarse = stationary_solve(lump(chain, blocks), point)
-    lifted = [Fraction(coarse[b], block_sizes[b]) for b in blocks]
-    residues = residual_at_point(chain, lifted, point)
-    if any(residues):
-        raise ReducibleChainError(
-            0, "rotation-quotient solution lifted to the full chain fails its master equation"
-        )
-    return normalize_rationals(lifted)
-
-
 def _proportional(u: Sequence[Fraction], v: Sequence[int]) -> bool:
     if len(u) != len(v) or not u:
         return False
@@ -198,7 +154,7 @@ def _word_lumping(
     failure = None
     if not ok:
         failure = {"check": "lumpability", **counterexample}
-    elif not same_rate_graph(lump(chain, blocks, block_states=words), word_chain):
+    elif not same_rate_graph(_quotient_chain(chain, blocks, words), word_chain):
         failure = {"check": "lumped-graph"}
     return blocks, words, failure
 
@@ -233,7 +189,7 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
                 # process at random positive rational rate points too
                 for point in rate_points(2, 5, seed):
                     values = [w.eval(point) for w in sums]
-                    solved = solve_exact(word_chain, point)
+                    solved = stationary_solve(word_chain, point)
                     if not _proportional(values, solved):
                         failure = {"check": "point-solve", "point": [str(x) for x in point]}
                         break
@@ -411,7 +367,7 @@ def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteRepo
     if failure is None:
         for point in rate_points(c.n - 1, 5, seed):
             values = [s.eval(point) for s in sums]
-            solved = solve_exact(chain, point)
+            solved = stationary_solve(chain, point)
             if not _proportional(values, solved):
                 failure = {
                     "check": "point-proportionality",
@@ -472,7 +428,7 @@ def check_lw_normalization_and_positivity(n: int) -> SuiteReport:
             details["normalized_weights"] = len(sums)
     if failure is None:
         ones = (Fraction(1),) * (n - 1)
-        solved = solve_exact(word_chain, ones)
+        solved = stationary_solve(word_chain, ones)
         base = solved[w0_index]
         if any(value % base for value in solved):
             failure = {"check": "integrality-at-ones"}

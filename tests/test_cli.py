@@ -101,6 +101,13 @@ def test_chain_solve_golden(capsys):
     assert out.strip() == "123:3 132:2 213:2 231:3 312:3 321:2"
 
 
+def test_chain_solve_above_300_states(capsys):
+    code, out, _ = run_cli(capsys, "chain", "fm", "-m", "1,1,1,2", "--solve", "x1=1,x2=1")
+    assert code == 0
+    weights = [entry.rpartition(":")[2] for entry in out.split()]
+    assert weights == ["1"] * 500
+
+
 def test_chain_dot_export(capsys):
     code, out, _ = run_cli(capsys, "chain", "fm3", "-m", "1,1,1", "--export", "dot")
     assert code == 0

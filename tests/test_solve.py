@@ -125,13 +125,14 @@ def test_stationary_solve_names_a_non_positive_vector():
 
 
 def test_stationary_solve_rotation_invariance():
-    c = build_composition((1, 1, 2))
-    g = build_tasep_chain(c)
-    words = enumerate_words(c)
-    solution = dict(zip(words, stationary_solve(g, (2, 1))))
-    for word in words:
-        rotated = (word[-1],) + word[:-1]
-        assert solution[word] == solution[rotated]
+    # (1,1,1,1,2) has 360 words
+    for m, point in [((1, 1, 2), (2, 1)), ((1, 1, 1, 1, 2), (2, 1, 3, Fraction(1, 2)))]:
+        c = build_composition(m)
+        words = enumerate_words(c)
+        solution = dict(zip(words, stationary_solve(build_tasep_chain(c), point)))
+        for word in words:
+            rotated = (word[-1],) + word[:-1]
+            assert solution[word] == solution[rotated]
 
 
 # ---------------------------------------------------------------------------

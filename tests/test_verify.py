@@ -5,7 +5,6 @@ import pytest
 from mlqtasep.chains import build_fm_chain, build_tasep_chain
 from mlqtasep.core import build_composition
 from mlqtasep.poly import LaurentPoly
-from mlqtasep.solve import stationary_solve
 from mlqtasep.verify import (
     check_coupe_theorem,
     check_fm1_theorem,
@@ -17,7 +16,6 @@ from mlqtasep.verify import (
     check_three_species_lemma,
     check_uniform_stationarity,
     _residual_failure,
-    _rotation_solve,
     _word_lumping,
     iter_compositions,
     rate_points,
@@ -165,30 +163,22 @@ def test_coupe_theorem(m):
     assert report.ok, report.counterexample
 
 
-# ---------------------------------------------------------------------------
-# Rotation-quotient solver route
-# ---------------------------------------------------------------------------
-
-
-def test_solve_exact_quotient_matches_direct():
-    for m in [(1, 1, 2), (2, 1, 2), (1, 1, 1, 2)]:
-        chain = build_tasep_chain(build_composition(m))
-        for point in rate_points(chain.nvars, 3, 5):
-            assert _rotation_solve(chain, point) == stationary_solve(chain, point)
-
-
-def test_solve_exact_routes_large_word_chains(monkeypatch):
+@pytest.mark.parametrize("check", [check_coupe_theorem, check_fm3_theorem])
+def test_lumpability_checked_once_per_report(monkeypatch, check):
+    import mlqtasep.solve as solve
     import mlqtasep.verify as verify
 
-    routed = []
-    monkeypatch.setattr(verify, "_rotation_solve", lambda chain, point: routed.append(chain))
-    small = build_tasep_chain(build_composition((1, 1, 2)))
-    verify.solve_exact(small, (1, 1))
-    assert routed == []
-    big = build_tasep_chain(build_composition((1, 1, 1, 1, 2)))  # 360 words
-    assert len(big.states) > verify.SOLVE_CAP
-    verify.solve_exact(big, (1, 1, 1, 1))
-    assert routed == [big]
+    calls = []
+    original = solve.check_lumpability
+
+    def spy(g, partition):
+        calls.append(g.kind)
+        return original(g, partition)
+
+    monkeypatch.setattr(verify, "check_lumpability", spy)
+    monkeypatch.setattr(solve, "check_lumpability", spy)
+    assert check(build_composition((1, 2, 2))).ok
+    assert len(calls) == 1
 
 
 def test_failure_helpers_counterexamples():
