@@ -3,6 +3,9 @@
 Each chain stores one TransitionRecord per state-changing event; loops are
 never stored and the diagonal of the generator is implied by column sums.
 Rates are exact polynomials in the per-class jump parameters x1..x_{n-1}.
+Each builder makes those rates once per chain (x1..x_{n-1}, and 1 for the
+ringing rules), so the records of a chain share its rate polynomials;
+LaurentPoly is immutable, which makes the sharing safe.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .core import (
     ringing_transition,
     word_label,
 )
-from .poly import LaurentPoly, parse_poly
+from .poly import LaurentPoly, parse_poly, x_vars
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,6 @@ class ChainGraph:
         return acc
 
 
-def _x(index: int, nvars: int) -> LaurentPoly:
-    return LaurentPoly.variable(index, nvars)
-
-
 # ---------------------------------------------------------------------------
 # Word process
 # ---------------------------------------------------------------------------
@@ -87,6 +86,7 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
     states = enumerate_words(c)
     index = {w: i for i, w in enumerate(states)}
     nvars = c.n - 1
+    x = x_vars(nvars)
     records = []
     for sid, word in enumerate(states):
         for i in range(c.N):
@@ -99,7 +99,7 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
                     TransitionRecord(
                         src=sid,
                         dst=index[tuple(swapped)],
-                        rate=_x(b - 1, nvars),
+                        rate=x[b - 1],
                         mechanism=f"tasep-swap({i + 1})",
                     )
                 )
@@ -113,17 +113,15 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
 RATE_RULES = ("uniform", "three_species", "one_first_class")
 
 
-def _ringing_rate(rule: str, lab: BullyLabeling, col: int, nvars: int) -> LaurentPoly:
-    if rule == "uniform":
-        return LaurentPoly.one(nvars)
+def _ringing_rate(
+    rule: str, lab: BullyLabeling, col: int, x: list[LaurentPoly], one: LaurentPoly
+) -> LaurentPoly:
+    """Rate of a ring at col under three_species, else one_first_class; x and
+    one are the chain's own polynomials."""
     cls = lab.word[col]
     if rule == "three_species":
-        if cls == 1 or (cls == 3 and lab.is_covered_site(col)):
-            return _x(0, nvars)
-        return _x(1, nvars)
-    if rule == "one_first_class":
-        return _x(0, nvars) if cls == 1 else LaurentPoly.one(nvars)
-    raise ValueError(f"unknown rate rule {rule!r}")
+        return x[0] if cls == 1 or (cls == 3 and lab.is_covered_site(col)) else x[1]
+    return x[0] if cls == 1 else one
 
 
 def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
@@ -144,6 +142,7 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
     states = enumerate_mlqs(c)
     index = {q: i for i, q in enumerate(states)}
     nvars = c.n - 1
+    x, one = x_vars(nvars), LaurentPoly.one(nvars)
     records = []
     for sid, q in enumerate(states):
         lab = bully_projection(q) if rate_rule != "uniform" else None
@@ -151,11 +150,7 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
             successor = ringing_transition(q, i)
             if successor == q:
                 continue
-            rate = (
-                LaurentPoly.one(nvars)
-                if lab is None
-                else _ringing_rate(rate_rule, lab, i, nvars)
-            )
+            rate = one if lab is None else _ringing_rate(rate_rule, lab, i, x, one)
             records.append(
                 TransitionRecord(
                     src=sid,
@@ -288,6 +283,7 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
     states = enumerate_mlqs(c)
     index = {q: i for i, q in enumerate(states)}
     nvars = 2
+    x = x_vars(nvars)
     records = []
     for sid, q in enumerate(states):
         word = bully_projection(q).word
@@ -310,7 +306,7 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
                 TransitionRecord(
                     src=sid,
                     dst=index[successor],
-                    rate=_x(coupe.seat_class - 1, nvars),
+                    rate=x[coupe.seat_class - 1],
                     mechanism=mechanism,
                 )
             )

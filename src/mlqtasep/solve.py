@@ -38,18 +38,23 @@ def master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[Laure
     zero = LaurentPoly.zero(g.nvars)
     residuals = [zero] * len(g.states)
     for rec in g.transitions:
-        residuals[rec.dst] = residuals[rec.dst] + rec.rate * weights[rec.src]
-        residuals[rec.src] = residuals[rec.src] - rec.rate * weights[rec.src]
+        flow = rec.rate * weights[rec.src]
+        residuals[rec.dst] = residuals[rec.dst] + flow
+        residuals[rec.src] = residuals[rec.src] - flow
     return residuals
 
 
 def residual_at_point(
-    g: ChainGraph, values: Sequence[Fraction], point: Sequence[Fraction]
+    g: ChainGraph, values: Sequence[Fraction], rates: Sequence[Fraction]
 ) -> list[Fraction]:
-    """Numeric twin of master_residual for an already evaluated weight vector."""
+    """Numeric twin of master_residual for an already evaluated weight vector.
+
+    rates holds each transition's rate evaluated at the point, in the order
+    of g.transitions.
+    """
     residuals = [Fraction(0)] * len(g.states)
-    for rec in g.transitions:
-        flow = rec.rate.eval(point) * values[rec.src]
+    for rec, rate in zip(g.transitions, rates, strict=True):
+        flow = rate * values[rec.src]
         residuals[rec.dst] += flow
         residuals[rec.src] -= flow
     return residuals
@@ -143,9 +148,9 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """
     n = len(g.states)
     point = [Fraction(v) for v in point]
+    rates = [rec.rate.eval(point) for rec in g.transitions]
     rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for rec in g.transitions:
-        value = rec.rate.eval(point)
+    for rec, value in zip(g.transitions, rates):
         rows[rec.dst][rec.src] = rows[rec.dst].get(rec.src, 0) + value
         rows[rec.src][rec.src] = rows[rec.src].get(rec.src, 0) - value
     denominator = lcm(*(v.denominator for row in rows for v in row.values()))
@@ -170,7 +175,7 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
         if None in candidate:
             continue
         ints = normalize_rationals(candidate)
-        if any(residual_at_point(g, ints, point)):
+        if any(residual_at_point(g, ints, rates)):
             continue
         bad = next((i for i, value in enumerate(ints) if value <= 0), None)
         if bad is not None:

@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Sequence
 
 from .chains import (
     ChainGraph,
-    bully_partition,
     build_coupe_chain,
     build_fm_chain,
     build_tasep_chain,
@@ -145,18 +144,20 @@ def _residual_failure(
 
 
 def _word_lumping(
-    chain: ChainGraph, word_chain: ChainGraph
-) -> tuple[list[int], list, dict | None]:
+    chain: ChainGraph, word_chain: ChainGraph, words: Sequence
+) -> tuple[list[int], dict | None]:
     """Bully partition of a queue chain and the counterexample, if any, to
-    its lumping onto the word process."""
-    blocks, words = bully_partition(chain)
+    its lumping onto the word process.  words[i] is the word that state i
+    projects to; block ids index word_chain.states."""
+    index = {w: i for i, w in enumerate(word_chain.states)}
+    blocks = [index[w] for w in words]
     ok, counterexample = check_lumpability(chain, blocks)
     failure = None
     if not ok:
         failure = {"check": "lumpability", **counterexample}
-    elif not same_rate_graph(_quotient_chain(chain, blocks, words), word_chain):
+    elif not same_rate_graph(_quotient_chain(chain, blocks, word_chain.states), word_chain):
         failure = {"check": "lumped-graph"}
-    return blocks, words, failure
+    return blocks, failure
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +178,9 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
 
     if failure is None:
         word_chain = build_tasep_chain(c)
-        blocks, words, failure = _word_lumping(chain, word_chain)
+        blocks, failure = _word_lumping(chain, word_chain, [lab.word for lab in labelings])
         if failure is None:
-            sums = [LaurentPoly.zero(2)] * len(words)
+            sums = [LaurentPoly.zero(2)] * len(word_chain.states)
             for state, block in enumerate(blocks):
                 sums[block] = sums[block] + weights[state]
             details["block_sums"] = [str(w) for w in sums]
@@ -381,8 +382,8 @@ def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteRepo
 def check_lw_normalization_and_positivity(n: int) -> SuiteReport:
     """Normalized stationary weights of the permutation system are positive.
 
-    For n = 3 the symbolic weights come from the proved three-species block
-    sums; for n = 4, 5 from the aggregated monomial weights, certified
+    The symbolic weights are the aggregated monomial weights for every n
+    (for n = 3 they equal the proved three-species block sums), certified
     stationary through the symbolic master equation before use.
     """
     started = time.perf_counter()
@@ -391,14 +392,7 @@ def check_lw_normalization_and_positivity(n: int) -> SuiteReport:
     c = build_composition((1,) * n)
     failure = None
     details: dict = {}
-    if n == 3:
-        chain = build_fm_chain(c, "three_species")
-        blocks, words = bully_partition(chain)
-        sums = [LaurentPoly.zero(2)] * len(words)
-        for state, block in enumerate(blocks):
-            sums[block] = sums[block] + three_species_weight(bully_projection(chain.states[state]))
-    else:
-        sums, words = _aggregated_weights(c)
+    sums, words = _aggregated_weights(c)
     word_chain = build_tasep_chain(c)
     if _residual_failure(word_chain, sums) is not None:
         failure = {"check": "weights-not-stationary"}
@@ -529,7 +523,7 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
         failure = _residual_failure(chain, weights)
 
     if failure is None:
-        failure = _word_lumping(chain, build_tasep_chain(c))[2]
+        failure = _word_lumping(chain, build_tasep_chain(c), words)[1]
     return _report("coupe", c, "theorem", started, failure, details)
 
 

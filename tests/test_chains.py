@@ -146,6 +146,24 @@ def test_rate_rule_preconditions():
         build_fm_chain(build_composition((1, 1, 1)), "nonsense")
 
 
+@pytest.mark.parametrize(
+    "build, m",
+    [
+        (build_tasep_chain, (1, 1, 2, 1)),
+        (lambda c: build_fm_chain(c, "uniform"), (1, 1, 2)),
+        (lambda c: build_fm_chain(c, "three_species"), (1, 2, 2)),
+        (lambda c: build_fm_chain(c, "one_first_class"), (1, 1, 1, 1)),
+        (build_coupe_chain, (1, 2, 2)),
+    ],
+)
+def test_records_share_rate_polynomials(build, m):
+    # a chain's records reference its x1..x_{n-1} and 1, one object per value
+    g = build(build_composition(m))
+    objects = {id(rec.rate): rec.rate for rec in g.transitions}
+    assert len(objects) <= g.nvars + 1
+    assert len(objects) == len(set(objects.values()))
+
+
 # ---------------------------------------------------------------------------
 # Coupe decomposition
 # ---------------------------------------------------------------------------

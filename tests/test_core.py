@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlqtasep.chains import build_fm_chain
 from mlqtasep.core import (
@@ -296,6 +298,42 @@ def test_projection_commutes_with_ringing(m):
                 assert new_word == tuple(expected)
             else:
                 assert new_word == word
+
+
+@st.composite
+def queues_up_to_six(draw):
+    """A composition with N <= 6 and at least two species, and a multiline
+    queue of it with uniformly drawn row patterns."""
+    N = draw(st.integers(2, 6))
+    cuts = sorted(draw(st.sets(st.integers(1, N - 1), min_size=1)))
+    c = build_composition(b - a for a, b in zip([0, *cuts], [*cuts, N]))
+    rows = [draw(st.permutations(range(N)))[:k] for k in c.M[:-1]]
+    return c, tuple(tuple(1 if col in ones else 0 for col in range(N)) for ones in rows)
+
+
+def _rotate(cells, k):
+    """Move every column k steps right around the ring."""
+    return cells[-k:] + cells[:-k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(queues_up_to_six(), st.integers(0, 5), st.integers(0, 5))
+def test_rotation_commutes_with_projection_and_ringing(case, k, i):
+    c, q = case
+    k, i = k % c.N, i % c.N
+    rotated = tuple(_rotate(row, k) for row in q)
+    assert bully_projection(rotated).word == _rotate(bully_projection(q).word, k)
+    assert ringing_transition(rotated, (i + k) % c.N) == tuple(
+        _rotate(row, k) for row in ringing_transition(q, i)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(queues_up_to_six())
+def test_projected_word_has_the_composition(case):
+    c, q = case
+    word = bully_projection(q).word
+    assert tuple(word.count(cls) for cls in range(1, c.n + 1)) == c.m
 
 
 @pytest.mark.parametrize("m", [(1, 1, 2), (1, 1, 1, 1), (2, 1, 1, 1)])

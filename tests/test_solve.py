@@ -255,5 +255,6 @@ def test_consistency_triangle():
     for _ in range(5):
         point = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(2)]
         values = [w.eval(point) for w in weights]
-        assert all(r == 0 for r in residual_at_point(g, values, point))
+        rates = [rec.rate.eval(point) for rec in g.transitions]
+        assert all(r == 0 for r in residual_at_point(g, values, rates))
         assert stationary_solve(g, point) == normalize_rationals(values)

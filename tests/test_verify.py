@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from mlqtasep.chains import build_fm_chain, build_tasep_chain
-from mlqtasep.core import build_composition
+from mlqtasep.core import build_composition, bully_projection
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.verify import (
     check_coupe_theorem,
@@ -181,6 +183,33 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "check, arg, calls",
+    [
+        (check_fm3_theorem, build_composition((1, 2, 2)), 100),
+        (check_coupe_theorem, build_composition((1, 2, 2)), 100),
+        (check_lw_normalization_and_positivity, 3, 9),
+    ],
+)
+def test_each_queue_projected_once_per_use(monkeypatch, check, arg, calls):
+    # fm3 and coupe: 50 queues, projected by the builder and once more for
+    # the weights and the lumping together; lw(3): 9 queues, projected once
+    import mlqtasep.chains as chains
+    import mlqtasep.verify as verify
+
+    seen = []
+    original = verify.bully_projection
+
+    def spy(q):
+        seen.append(q)
+        return original(q)
+
+    monkeypatch.setattr(verify, "bully_projection", spy)
+    monkeypatch.setattr(chains, "bully_projection", spy)
+    assert check(arg).ok
+    assert len(seen) == calls
+
+
 def test_failure_helpers_counterexamples():
     c = build_composition((1, 1, 1))
     words = build_tasep_chain(c)
@@ -195,11 +224,14 @@ def test_failure_helpers_counterexamples():
     assert _residual_failure(queues, [one] * 9) == {
         "check": "residual", "state": "001/011", "residual": "x1 - x2"
     }
-    assert _word_lumping(queues, words)[2] is None
-    assert _word_lumping(build_fm_chain(c, "uniform"), words)[2] == {"check": "lumped-graph"}
+    # the uniform chain has the same queues, so the same projected words
+    projected = [bully_projection(q).word for q in queues.states]
+    assert _word_lumping(queues, words, projected)[1] is None
+    uniform = build_fm_chain(c, "uniform")
+    assert _word_lumping(uniform, words, projected)[1] == {"check": "lumped-graph"}
     bent = list(queues.transitions)
     bent[3] = replace(bent[3], rate=LaurentPoly.variable(0, 2) * LaurentPoly.variable(1, 2))
-    assert _word_lumping(replace(queues, transitions=tuple(bent)), words)[2] == {
+    assert _word_lumping(replace(queues, transitions=tuple(bent)), words, projected)[1] == {
         "check": "lumpability",
         "block": 3,
         "state": "010/101",
@@ -235,6 +267,20 @@ def test_run_suites_all_small():
     }
     payload = reports[0].to_dict()
     assert {"suite", "composition", "kind", "status", "elapsed", "details"} <= set(payload)
+
+
+def test_all_reports_match_the_golden_sweep():
+    # the benchmark's golden reports of `verify all --max-N 5`; read, never written
+    golden_file = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep.json"
+    golden = json.loads(golden_file.read_text(encoding="utf-8"))["reports"]
+    reports = run_suites(["all"], max_n=5)
+    produced = {}
+    for report in reports:
+        payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+        del payload["elapsed"]
+        produced[f"{report.suite}:{','.join(map(str, report.composition))}"] = payload
+    assert len(produced) == len(reports)
+    assert produced == golden
 
 
 def test_run_suites_rejects_unknown():
