@@ -10,6 +10,7 @@ LaurentPoly is immutable, which makes the sharing safe.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -145,7 +146,7 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
     records = []
     for sid, q in enumerate(states):
-        lab = bully_projection(q) if rate_rule != "uniform" else None
+        lab = bully_projection(q, c) if rate_rule != "uniform" else None
         for i in range(c.N):
             successor = ringing_transition(q, i)
             if successor == q:
@@ -286,7 +287,7 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
     x = x_vars(nvars)
     records = []
     for sid, q in enumerate(states):
-        word = bully_projection(q).word
+        word = bully_projection(q, c).word
         coupes = decompose_coupes(word)
         for which, coupe in enumerate(coupes):
             if coupe.seat_class == 2 and coupe.full:
@@ -360,11 +361,13 @@ def from_json(text: str) -> ChainGraph:
             states.append(parse_word(label))
         else:
             states.append(tuple(int(ch) for ch in label))
+    # one polynomial per distinct rate text, shared like a built chain's
+    rate = functools.cache(functools.partial(parse_poly, nvars=nvars))
     records = tuple(
         TransitionRecord(
             src=item["from"],
             dst=item["to"],
-            rate=parse_poly(item["rate"], nvars),
+            rate=rate(item["rate"]),
             mechanism=item["mechanism"],
         )
         for item in payload["transitions"]
@@ -376,5 +379,5 @@ def bully_partition(g: ChainGraph) -> tuple[list[int], list[Word]]:
     """Block id per queue state, blocks ordered like enumerate_words."""
     words = enumerate_words(g.composition)
     word_index = {w: i for i, w in enumerate(words)}
-    blocks = [word_index[bully_projection(q).word] for q in g.states]
+    blocks = [word_index[bully_projection(q, g.composition).word] for q in g.states]
     return blocks, words

@@ -213,8 +213,15 @@ class BullyLabeling:
         return (1, col) in self.cover
 
 
-def bully_projection(q: Queue, order_fn: OrderFn | None = None) -> BullyLabeling:
+def bully_projection(
+    q: Queue, comp: Composition | None = None, order_fn: OrderFn | None = None
+) -> BullyLabeling:
     """Assign classes to all occupied cells, top row down.
+
+    comp is the queue's composition when the caller already has it (every
+    chain builder and suite does); the queue is then checked against its
+    shape and row sums, which raises ValueError on a mismatch.  Without it
+    the composition is recovered, and the queue validated, from the rows.
 
     Row 0 is all class 1.  To label grid row r+1, every already-classified
     particle on row r (classes ascending, columns left to right unless
@@ -225,7 +232,10 @@ def bully_projection(q: Queue, order_fn: OrderFn | None = None) -> BullyLabeling
     m_{r+2} leftovers on row r+1 become the next class, and bottom-row
     vacancies read as class n.
     """
-    comp = composition_of_queue(q)
+    if comp is None:
+        comp = composition_of_queue(q)
+    elif tuple(map(len, q)) != (comp.N,) * (comp.n - 1) or tuple(map(sum, q)) != comp.M[:-1]:
+        raise ValueError(f"queue {queue_label(q)} is not a queue of m = {comp.m}")
     nrows, N = comp.n - 1, comp.N
     classes = [[0] * N for _ in range(nrows)]
     cover: dict[tuple[int, int], int] = {}
@@ -253,7 +263,7 @@ def bully_projection(q: Queue, order_fn: OrderFn | None = None) -> BullyLabeling
             if q[lower][col] and not classes[lower][col]:
                 classes[lower][col] = lower + 1
     word = tuple(
-        classes[nrows - 1][col] if q[nrows - 1][col] else comp.n for col in range(N)
+        classes[nrows - 1][col] if q[nrows - 1][col] else nrows + 1 for col in range(N)
     )
     z: dict[tuple[int, int], int] = {}
     for (row, _col), cls in cover.items():
@@ -274,17 +284,21 @@ def bully_projection(q: Queue, order_fn: OrderFn | None = None) -> BullyLabeling
 # ---------------------------------------------------------------------------
 
 
-def conjectured_weight(labeling: BullyLabeling) -> LaurentPoly:
-    """Monomial x_1^V_1 ... x_{n-2}^V_{n-2} * prod (x_row / x_class)^z."""
+def conjectured_exponents(labeling: BullyLabeling) -> tuple[int, ...]:
+    """Exponents of x_1^V_1 ... x_{n-2}^V_{n-2} * prod (x_row / x_class)^z."""
     comp = labeling.composition
-    nvars = comp.n - 1
-    exps = [0] * nvars
+    exps = [0] * (comp.n - 1)
     for r in range(1, comp.n - 1):
         exps[r - 1] += comp.V[r - 1]
     for (row, cls), count in labeling.z.items():
         exps[row - 1] += count
         exps[cls - 1] -= count
-    return LaurentPoly.monomial(1, exps)
+    return tuple(exps)
+
+
+def conjectured_weight(labeling: BullyLabeling) -> LaurentPoly:
+    """The monomial of conjectured_exponents, coefficient 1."""
+    return LaurentPoly.monomial(1, conjectured_exponents(labeling))
 
 
 def three_species_weight(labeling: BullyLabeling) -> LaurentPoly:

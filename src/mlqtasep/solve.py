@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
+from operator import add
 from typing import Sequence
 
 from .chains import ChainGraph, TransitionRecord
@@ -32,16 +33,37 @@ class ReducibleChainError(Exception):
 
 
 def master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[LaurentPoly]:
-    """Per-state balance: sum of incoming rate * weight minus outgoing."""
+    """Per-state balance: sum of incoming rate * weight minus outgoing.
+
+    Each state's residual is summed in one exponent -> coefficient dict,
+    every term of rate * weight added at the destination and subtracted at
+    the source, and a term is dropped as soon as it cancels to 0 (the last
+    one by clear(), which also frees the table an emptied dict keeps).
+    """
     if len(weights) != len(g.states):
         raise ValueError("need one weight per state")
-    zero = LaurentPoly.zero(g.nvars)
-    residuals = [zero] * len(g.states)
+    sums: list[dict[tuple[int, ...], int]] = [{} for _ in g.states]
     for rec in g.transitions:
-        flow = rec.rate * weights[rec.src]
-        residuals[rec.dst] = residuals[rec.dst] + flow
-        residuals[rec.src] = residuals[rec.src] - flow
-    return residuals
+        into, out = sums[rec.dst], sums[rec.src]
+        for e1, c1 in rec.rate.terms.items():
+            for e2, c2 in weights[rec.src].terms.items():
+                exps, coeff = tuple(map(add, e1, e2)), c1 * c2
+                total = into.get(exps, 0) + coeff
+                if total:
+                    into[exps] = total
+                elif len(into) > 1:
+                    del into[exps]
+                else:
+                    into.clear()
+                total = out.get(exps, 0) - coeff
+                if total:
+                    out[exps] = total
+                elif len(out) > 1:
+                    del out[exps]
+                else:
+                    out.clear()
+    zero = LaurentPoly.zero(g.nvars)
+    return [LaurentPoly(g.nvars, terms) if terms else zero for terms in sums]
 
 
 def residual_at_point(

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Sequence
 
 from .chains import (
@@ -28,7 +29,7 @@ from .core import (
     Composition,
     build_composition,
     bully_projection,
-    conjectured_weight,
+    conjectured_exponents,
     enumerate_mlqs,
     enumerate_words,
     queue_label,
@@ -171,7 +172,7 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     if c.n != 3:
         raise ValueError("three-species suite needs n = 3")
     chain = build_fm_chain(c, "three_species")
-    labelings = [bully_projection(q) for q in chain.states]
+    labelings = [bully_projection(q, c) for q in chain.states]
     weights = [three_species_weight(lab) for lab in labelings]
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
     failure = _residual_failure(chain, weights)
@@ -205,7 +206,7 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
     failure = None
     checked = 0
     for q in enumerate_mlqs(c):
-        lab = bully_projection(q)
+        lab = bully_projection(q, c)
         word = lab.word
         covered = {i for i in range(c.N) if word[i] == 3 and lab.is_covered_site(i)}
         k = len(covered)
@@ -219,7 +220,7 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
                 failure = {"part": 2, "site": i + 1}
                 break
             if successors[i] != q:
-                k_next = bully_projection(successors[i]).covered_three_count()
+                k_next = bully_projection(successors[i], c).covered_three_count()
                 if k_next > k and not (word[i] == 3 and i not in covered):
                     failure = {"part": 4, "direction": "increase", "site": i + 1}
                     break
@@ -270,7 +271,7 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     if c.m[0] != 1 or c.n < 3:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
     chain = build_fm_chain(c, "one_first_class")
-    weights = [single_first_class_weight(bully_projection(q)) for q in chain.states]
+    weights = [single_first_class_weight(bully_projection(q, c)) for q in chain.states]
     details: dict = {"states": len(chain.states)}
     failure = _residual_failure(chain, weights)
     if failure is None and not irreducible(chain):
@@ -298,12 +299,8 @@ def check_partition_function(c: Composition) -> SuiteReport:
     if c.m[0] != 1:
         raise ValueError("partition function suite needs m_1 = 1")
     a_name = ("a",)
-    enumerated = LaurentPoly.zero(1, a_name)
-    for q in enumerate_mlqs(c):
-        lab = bully_projection(q)
-        enumerated = enumerated + LaurentPoly.monomial(
-            1, (c.V[0] - lab.z1(),), a_name
-        )
+    exponents = Counter((c.V[0] - bully_projection(q, c).z1(),) for q in enumerate_mlqs(c))
+    enumerated = LaurentPoly(1, exponents, a_name)
     explicit = LaurentPoly.constant(c.N, 1, a_name)
     for r in range(2, c.n):
         factor = LaurentPoly(
@@ -342,21 +339,21 @@ def check_partition_function(c: Composition) -> SuiteReport:
 
 
 def _aggregated_weights(c: Composition) -> tuple[list[LaurentPoly], list]:
+    """Per word, the sum of the conjectured monomials of the queues that
+    project to it, counted by exponent."""
     words = enumerate_words(c)
-    index = {w: i for i, w in enumerate(words)}
-    sums = [LaurentPoly.zero(c.n - 1)] * len(words)
+    exponents = {w: Counter() for w in words}
     for q in enumerate_mlqs(c):
-        lab = bully_projection(q)
-        block = index[lab.word]
-        sums[block] = sums[block] + conjectured_weight(lab)
-    return sums, words
+        lab = bully_projection(q, c)
+        exponents[lab.word][conjectured_exponents(lab)] += 1
+    return [LaurentPoly(c.n - 1, exponents[w]) for w in words], words
 
 
 def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Aggregated monomial queue weights against the exact word solution."""
     started = time.perf_counter()
     sums, words = _aggregated_weights(c)
-    details: dict = {"words": len(words), "queues": len(enumerate_mlqs(c))}
+    details: dict = {"words": len(words), "queues": prod(comb(c.N, M) for M in c.M[:-1])}
     failure = None
     empty = next((i for i, s in enumerate(sums) if s.is_zero()), None)
     if empty is not None:
@@ -438,7 +435,7 @@ def check_identity_count(n: int) -> SuiteReport:
         raise ValueError("identity count needs n >= 2")
     c = build_composition((1,) * n)
     identity = tuple(range(1, n + 1))
-    count = sum(1 for q in enumerate_mlqs(c) if bully_projection(q).word == identity)
+    count = sum(1 for q in enumerate_mlqs(c) if bully_projection(q, c).word == identity)
     formula = 1
     for i in range(1, n):
         formula *= comb(n - 1, i)
@@ -500,7 +497,7 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
     if c.n != 3:
         raise ValueError("coupe suite needs n = 3")
     chain = build_coupe_chain(c)
-    labelings = [bully_projection(q) for q in chain.states]
+    labelings = [bully_projection(q, c) for q in chain.states]
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
     failure = None
 

@@ -146,6 +146,11 @@ def test_rate_rule_preconditions():
         build_fm_chain(build_composition((1, 1, 1)), "nonsense")
 
 
+def _rate_objects(g):
+    """The distinct rate objects of a chain's records, by identity."""
+    return {id(rec.rate): rec.rate for rec in g.transitions}
+
+
 @pytest.mark.parametrize(
     "build, m",
     [
@@ -159,9 +164,30 @@ def test_rate_rule_preconditions():
 def test_records_share_rate_polynomials(build, m):
     # a chain's records reference its x1..x_{n-1} and 1, one object per value
     g = build(build_composition(m))
-    objects = {id(rec.rate): rec.rate for rec in g.transitions}
+    objects = _rate_objects(g)
     assert len(objects) <= g.nvars + 1
     assert len(objects) == len(set(objects.values()))
+
+
+@pytest.mark.parametrize(
+    "build, m",
+    [
+        (build_tasep_chain, (1, 1, 2, 1)),
+        (lambda c: build_fm_chain(c, "uniform"), (1, 1, 2)),
+        (lambda c: build_fm_chain(c, "three_species"), (1, 2, 2)),
+        (lambda c: build_fm_chain(c, "one_first_class"), (1, 1, 2, 1)),
+        (build_coupe_chain, (1, 2, 2)),
+    ],
+)
+def test_imported_chain_shares_rate_polynomials(build, m):
+    # from_json parses each distinct rate text once, so an imported chain
+    # holds one rate object per value, as the built one does (2 for the 690
+    # records of one_first_class on (1,1,2,1))
+    g = build(build_composition(m))
+    back = from_json(to_json(g))
+    objects = _rate_objects(back)
+    assert len(objects) == len(set(objects.values())) == len(_rate_objects(g))
+    assert [rec.rate for rec in back.transitions] == [rec.rate for rec in g.transitions]
 
 
 # ---------------------------------------------------------------------------

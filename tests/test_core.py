@@ -301,14 +301,20 @@ def test_projection_commutes_with_ringing(m):
 
 
 @st.composite
+def compositions_up_to_six(draw):
+    """A composition with N <= 6 and at least two species."""
+    N = draw(st.integers(2, 6))
+    cuts = sorted(draw(st.sets(st.integers(1, N - 1), min_size=1)))
+    return build_composition(b - a for a, b in zip([0, *cuts], [*cuts, N]))
+
+
+@st.composite
 def queues_up_to_six(draw):
     """A composition with N <= 6 and at least two species, and a multiline
     queue of it with uniformly drawn row patterns."""
-    N = draw(st.integers(2, 6))
-    cuts = sorted(draw(st.sets(st.integers(1, N - 1), min_size=1)))
-    c = build_composition(b - a for a, b in zip([0, *cuts], [*cuts, N]))
-    rows = [draw(st.permutations(range(N)))[:k] for k in c.M[:-1]]
-    return c, tuple(tuple(1 if col in ones else 0 for col in range(N)) for ones in rows)
+    c = draw(compositions_up_to_six())
+    rows = [draw(st.permutations(range(c.N)))[:k] for k in c.M[:-1]]
+    return c, tuple(tuple(1 if col in ones else 0 for col in range(c.N)) for ones in rows)
 
 
 def _rotate(cells, k):
@@ -334,6 +340,32 @@ def test_projected_word_has_the_composition(case):
     c, q = case
     word = bully_projection(q).word
     assert tuple(word.count(cls) for cls in range(1, c.n + 1)) == c.m
+
+
+@settings(max_examples=150, deadline=None)
+@given(queues_up_to_six(), compositions_up_to_six())
+def test_projection_with_the_known_composition(case, other):
+    # the composition a caller passes gives the recovered one's labeling,
+    # and any other composition is refused
+    c, q = case
+    assert bully_projection(q, c) == bully_projection(q)
+    if other != c:
+        with pytest.raises(ValueError, match="is not a queue of m ="):
+            bully_projection(q, other)
+
+
+def test_projection_refuses_a_queue_of_another_shape():
+    # too few rows, a short row, too many rows, and the right shape with
+    # the wrong row sums
+    c = build_composition((1, 1, 1))
+    for q in [
+        ((1, 0, 0),),
+        ((1, 0, 0), (1, 1)),
+        ((1, 0, 0), (1, 1, 0), (1, 1, 0)),
+        ((1, 1, 0), (1, 1, 0)),
+    ]:
+        with pytest.raises(ValueError, match=r"is not a queue of m = \(1, 1, 1\)"):
+            bully_projection(q, c)
 
 
 @pytest.mark.parametrize("m", [(1, 1, 2), (1, 1, 1, 1), (2, 1, 1, 1)])

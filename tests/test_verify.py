@@ -193,21 +193,23 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
 )
 def test_each_queue_projected_once_per_use(monkeypatch, check, arg, calls):
     # fm3 and coupe: 50 queues, projected by the builder and once more for
-    # the weights and the lumping together; lw(3): 9 queues, projected once
+    # the weights and the lumping together; lw(3): 9 queues, projected once.
+    # Every builder and suite passes the composition it already holds.
     import mlqtasep.chains as chains
     import mlqtasep.verify as verify
 
     seen = []
     original = verify.bully_projection
 
-    def spy(q):
-        seen.append(q)
-        return original(q)
+    def spy(q, comp=None, order_fn=None):
+        seen.append((q, comp))
+        return original(q, comp, order_fn)
 
     monkeypatch.setattr(verify, "bully_projection", spy)
     monkeypatch.setattr(chains, "bully_projection", spy)
     assert check(arg).ok
     assert len(seen) == calls
+    assert all(comp is not None for _, comp in seen)
 
 
 def test_failure_helpers_counterexamples():
