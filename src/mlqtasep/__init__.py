@@ -9,7 +9,6 @@ against an exact rational nullspace solver and a Monte-Carlo sampler.
 from .core import (
     BullyLabeling,
     Composition,
-    RingingPath,
     build_composition,
     bully_projection,
     conjectured_weight,
@@ -19,9 +18,7 @@ from .core import (
     parse_word,
     ringing_path,
     ringing_transition,
-    single_first_class_weight,
-    three_species_weight,
 )
-from .poly import LaurentPoly, complete_homogeneous, parse_poly, q_int, q_int_derivative
+from .poly import LaurentPoly, complete_homogeneous, parse_poly, q_int_derivative
 
 __version__ = "0.1.0"

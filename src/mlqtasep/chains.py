@@ -374,10 +374,3 @@ def from_json(text: str) -> ChainGraph:
     )
     return ChainGraph(payload["kind"], comp, tuple(states), records, nvars)
 
-
-def bully_partition(g: ChainGraph) -> tuple[list[int], list[Word]]:
-    """Block id per queue state, blocks ordered like enumerate_words."""
-    words = enumerate_words(g.composition)
-    word_index = {w: i for i, w in enumerate(words)}
-    blocks = [word_index[bully_projection(q, g.composition).word] for q in g.states]
-    return blocks, words

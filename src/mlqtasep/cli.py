@@ -112,9 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_enumerate(args) -> int:
-    from .core import enumerate_mlqs, enumerate_words
+    from .core import enumerate_mlqs, enumerate_words, mlq_count
 
     comp = build_composition(_parse_m(args.composition))
+    if args.kind == "mlqs" and args.count_only:
+        print(mlq_count(comp))
+        return 0
     if args.kind == "words":
         items = enumerate_words(comp)
         texts = [word_to_text(w) for w in items]

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import comb, prod
 from typing import Callable, Iterable
 
 from .poly import LaurentPoly
@@ -54,16 +55,6 @@ def build_composition(m: Iterable[int]) -> Composition:
     return Composition(m=m, N=N, M=M, v=v, V=V)
 
 
-def multinomial(c: Composition) -> int:
-    from math import comb
-
-    total, result = c.N, 1
-    for part in c.m:
-        result *= comb(total, part)
-        total -= part
-    return result
-
-
 def enumerate_words(c: Composition) -> list[Word]:
     """All arrangements of the multiset {1^m_1, ..., n^m_n}, lex ascending."""
     words: list[Word] = []
@@ -93,8 +84,28 @@ def _row_patterns(N: int, k: int) -> list[tuple[int, ...]]:
     return sorted(patterns)
 
 
+# enumerate_mlqs refuses a queue space larger than this; the largest in use,
+# m = (1^6), has 162,000 queues, and fm1 on it peaks at 326 MiB
+MAX_QUEUES = 1_000_000
+
+
+def mlq_count(c: Composition) -> int:
+    """Number of multiline queues of c: the product of comb(N, M_r) over the rows."""
+    return prod(comb(c.N, M) for M in c.M[:-1])
+
+
 def enumerate_mlqs(c: Composition) -> list[Queue]:
-    """All multiline queues, row-major over per-row bit patterns (smallest first)."""
+    """All multiline queues, row-major over per-row bit patterns (smallest first).
+
+    Raises ValueError, before building any queue, when there are more than
+    MAX_QUEUES of them.
+    """
+    count = mlq_count(c)
+    if count > MAX_QUEUES:
+        raise ValueError(
+            f"m = {c.m} has {count} multiline queues, above the limit of "
+            f"{MAX_QUEUES} held in memory"
+        )
     rows = [_row_patterns(c.N, c.M[r]) for r in range(c.n - 1)]
     return [tuple(choice) for choice in itertools.product(*rows)]
 
@@ -128,22 +139,9 @@ def composition_of_queue(q: Queue) -> Composition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingingPath:
-    """Column trajectory of one clock ring, bottom row upward.
-
-    cols lists the visited column per grid row, top row first; start is the
-    bottom-row column where the clock rang (0-based).
-    """
-
-    start: int
-    cols: tuple[int, ...]
-
-    def display(self) -> tuple[int, ...]:
-        return tuple(col + 1 for col in self.cols)
-
-
-def ringing_path(q: Queue, i: int) -> RingingPath:
+def ringing_path(q: Queue, i: int) -> tuple[int, ...]:
+    """Columns (0-based) that one ring at bottom-row column i visits, one per
+    grid row, top row first."""
     nrows, N = len(q), len(q[0])
     cols = [0] * nrows
     cols[nrows - 1] = i % N
@@ -154,7 +152,7 @@ def ringing_path(q: Queue, i: int) -> RingingPath:
             cols[r - 1] = cols[r]
         else:
             cols[r - 1] = (cols[r] + 1) % N
-    return RingingPath(start=i % N, cols=tuple(cols))
+    return tuple(cols)
 
 
 def ringing_transition(q: Queue, i: int) -> Queue:
@@ -163,7 +161,7 @@ def ringing_transition(q: Queue, i: int) -> Queue:
     new_rows = []
     N = len(q[0])
     for r, row in enumerate(q):
-        col = path.cols[r]
+        col = path[r]
         left = (col - 1) % N
         if row[col] and not row[left]:
             mutable = list(row)
@@ -244,8 +242,12 @@ def bully_projection(
             classes[0][col] = 1
     for upper in range(nrows - 1):
         lower = upper + 1
+        # the columns of each class on the upper row, ascending; 0 collects vacancies
+        by_class: list[list[int]] = [[] for _ in range(upper + 2)]
+        for col, cls in enumerate(classes[upper]):
+            by_class[cls].append(col)
         for cls in range(1, upper + 2):
-            cols = [c for c in range(N) if classes[upper][c] == cls]
+            cols = by_class[cls]
             if order_fn is not None:
                 cols = order_fn(upper, cls, cols)
             for start in cols:
@@ -299,25 +301,6 @@ def conjectured_exponents(labeling: BullyLabeling) -> tuple[int, ...]:
 def conjectured_weight(labeling: BullyLabeling) -> LaurentPoly:
     """The monomial of conjectured_exponents, coefficient 1."""
     return LaurentPoly.monomial(1, conjectured_exponents(labeling))
-
-
-def three_species_weight(labeling: BullyLabeling) -> LaurentPoly:
-    """x1^(m3 - k) * x2^k with k the covered-3 count (three species)."""
-    comp = labeling.composition
-    if comp.n != 3:
-        raise ValueError("three-species weight needs exactly 3 classes")
-    k = labeling.covered_three_count()
-    return LaurentPoly.monomial(1, (comp.m[2] - k, k))
-
-
-def single_first_class_weight(labeling: BullyLabeling) -> LaurentPoly:
-    """x1^(V_1 - z_1); the one-parameter weight when m_1 = 1."""
-    comp = labeling.composition
-    if comp.m[0] != 1:
-        raise ValueError("single-first-class weight needs m_1 = 1")
-    exps = [0] * (comp.n - 1)
-    exps[0] = comp.V[0] - labeling.z1()
-    return LaurentPoly.monomial(1, exps)
 
 
 # ---------------------------------------------------------------------------

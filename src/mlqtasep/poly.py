@@ -152,29 +152,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power: int) -> "LaurentPoly":
-        if not isinstance(power, int):
-            raise TypeError("polynomial power must be an int")
-        if power < 0:
-            return self.monomial_inverse() ** (-power)
-        result = LaurentPoly.one(self.nvars, self.names)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
-
-    def monomial_inverse(self) -> "LaurentPoly":
-        """Inverse of a single Laurent monomial with coefficient +-1."""
-        if not self.is_monomial():
-            raise ValueError(f"cannot invert non-monomial {self}")
-        ((exps, coeff),) = self.terms.items()
-        if coeff not in (1, -1):
-            raise ValueError(f"cannot invert monomial with coefficient {coeff}")
-        return LaurentPoly(self.nvars, {tuple(-e for e in exps): coeff}, self.names)
-
     def monomial_div(self, mono: "LaurentPoly") -> "LaurentPoly":
         """Exact division of every term by a single Laurent monomial."""
         mono = self._coerce(mono)
@@ -307,13 +284,6 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Lau
 def x_vars(nvars: int, names: Sequence[str] | None = None) -> list[LaurentPoly]:
     """The generators x1..xk as polynomials."""
     return [LaurentPoly.variable(i, nvars, names) for i in range(nvars)]
-
-
-def q_int(k: int, names: Sequence[str] = ("q",)) -> LaurentPoly:
-    """The q-integer 1 + q + ... + q^(k-1)."""
-    if k < 0:
-        raise ValueError("q-integer index must be nonnegative")
-    return LaurentPoly(1, {(i,): 1 for i in range(k)}, names)
 
 
 def q_int_derivative(k: int, d: int, names: Sequence[str] = ("q",)) -> LaurentPoly:

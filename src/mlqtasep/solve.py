@@ -82,17 +82,6 @@ def residual_at_point(
     return residuals
 
 
-def transition_matrix(g: ChainGraph) -> list[list[LaurentPoly]]:
-    """Symbolic generator with the column-sum-zero convention."""
-    n = len(g.states)
-    zero = LaurentPoly.zero(g.nvars)
-    matrix = [[zero] * n for _ in range(n)]
-    for rec in g.transitions:
-        matrix[rec.dst][rec.src] = matrix[rec.dst][rec.src] + rec.rate
-        matrix[rec.src][rec.src] = matrix[rec.src][rec.src] - rec.rate
-    return matrix
-
-
 # the Mersenne primes 2^k - 1 of the modular solve, in the order they are tried
 _MERSENNE_EXPONENTS = (127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
@@ -224,92 +213,55 @@ def normalize_rationals(values: Sequence[Fraction]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _block_rates(
-    g: ChainGraph, partition: Sequence[int], out: list[list[TransitionRecord]], state: int
-) -> dict[int, LaurentPoly]:
-    """Total symbolic rate from one state into each foreign block."""
-    own = partition[state]
-    acc: dict[int, LaurentPoly] = {}
-    for rec in out[state]:
-        block = partition[rec.dst]
-        if block == own:
-            continue  # intra-block flow is absorbed by the diagonal
-        acc[block] = acc.get(block, LaurentPoly.zero(g.nvars)) + rec.rate
-    return acc
+def lump(
+    g: ChainGraph, partition: Sequence[int], block_states: Sequence | None = None
+) -> tuple[ChainGraph | None, dict | None]:
+    """Strong lumping: (quotient chain, None) when, within every block, the
+    states agree on their total rate into each other block, else (None,
+    counterexample).
 
-
-def check_lumpability(
-    g: ChainGraph, partition: Sequence[int]
-) -> tuple[bool, dict | None]:
-    """Strong lumpability: block-entry rates agree within every block."""
+    Block ids must be 0..B-1.  The first state of each block gives the
+    quotient's rates and, unless block_states names them, its states.
+    """
     if len(partition) != len(g.states):
         raise ValueError("partition must cover all states")
-    out = g.out_records()
-    representative: dict[int, tuple[int, dict[int, LaurentPoly]]] = {}
-    for state in range(len(g.states)):
-        rates = _block_rates(g, partition, out, state)
-        block = partition[state]
-        if block not in representative:
-            representative[block] = (state, rates)
-            continue
-        rep_state, rep_rates = representative[block]
+    blocks = sorted(set(partition))
+    if blocks != list(range(len(blocks))):
+        raise ValueError("block ids must be 0..B-1")
+    zero = LaurentPoly.zero(g.nvars)
+    # per state, the total rate into each foreign block; flow inside a
+    # block is absorbed by the diagonal
+    into: list[dict[int, LaurentPoly]] = [{} for _ in g.states]
+    for rec in g.transitions:
+        block = partition[rec.dst]
+        if block != partition[rec.src]:
+            into[rec.src][block] = into[rec.src].get(block, zero) + rec.rate
+    first: dict[int, int] = {}
+    for state, block in enumerate(partition):
+        rep = first.setdefault(block, state)
+        rates, rep_rates = into[state], into[rep]
         if rates != rep_rates:
-            zero = LaurentPoly.zero(g.nvars)
             diff = next(
                 b
                 for b in sorted(set(rates) | set(rep_rates))
                 if rates.get(b, zero) != rep_rates.get(b, zero)
             )
-            return False, {
+            return None, {
                 "block": block,
                 "state": g.state_label(state),
-                "other": g.state_label(rep_state),
+                "other": g.state_label(rep),
                 "target_block": diff,
                 "rate": str(rates.get(diff, zero)),
                 "other_rate": str(rep_rates.get(diff, zero)),
             }
-    return True, None
-
-
-def lump(
-    g: ChainGraph, partition: Sequence[int], block_states: Sequence | None = None
-) -> ChainGraph:
-    """Quotient chain on the partition blocks; rejects non-lumpable input."""
-    ok, counterexample = check_lumpability(g, partition)
-    if not ok:
-        raise ValueError(f"partition is not lumpable: {counterexample}")
-    return _quotient_chain(g, partition, block_states)
-
-
-def _quotient_chain(
-    g: ChainGraph, partition: Sequence[int], block_states: Sequence | None = None
-) -> ChainGraph:
-    """lump without its lumpability check, for a partition already checked."""
-    blocks = sorted(set(partition))
-    if blocks != list(range(len(blocks))):
-        raise ValueError("block ids must be 0..B-1")
-    out = g.out_records()
-    first_member = {}
-    for state, block in enumerate(partition):
-        first_member.setdefault(block, state)
-    records = []
-    for block in blocks:
-        rates = _block_rates(g, partition, out, first_member[block])
-        for target in sorted(rates):
-            records.append(
-                TransitionRecord(
-                    src=block, dst=target, rate=rates[target], mechanism="lumped"
-                )
-            )
-    if block_states is None:
-        block_states = tuple(g.states[first_member[b]] for b in blocks)
-    return ChainGraph(
-        kind=f"{g.kind}/lumped",
-        composition=g.composition,
-        states=tuple(block_states),
-        transitions=tuple(records),
-        nvars=g.nvars,
+    records = tuple(
+        TransitionRecord(src=block, dst=target, rate=into[first[block]][target], mechanism="lumped")
+        for block in blocks
+        for target in sorted(into[first[block]])
     )
+    if block_states is None:
+        block_states = [g.states[first[b]] for b in blocks]
+    return ChainGraph(f"{g.kind}/lumped", g.composition, tuple(block_states), records, g.nvars), None
 
 
 def same_rate_graph(a: ChainGraph, b: ChainGraph) -> bool:

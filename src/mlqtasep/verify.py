@@ -9,13 +9,14 @@ so each report is reproducible from (composition, seed).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from .chains import (
@@ -30,19 +31,18 @@ from .core import (
     build_composition,
     bully_projection,
     conjectured_exponents,
+    conjectured_weight,
     enumerate_mlqs,
     enumerate_words,
+    mlq_count,
     queue_label,
     ringing_transition,
-    single_first_class_weight,
-    three_species_weight,
     word_label,
 )
 from .poly import LaurentPoly, complete_homogeneous, q_int_derivative
 from .solve import (
-    _quotient_chain,
-    check_lumpability,
     irreducible,
+    lump,
     master_residual,
     normalize_rationals,
     same_rate_graph,
@@ -120,12 +120,6 @@ def iter_compositions(
                     yield build_composition(m)
 
 
-def _proportional(u: Sequence[Fraction], v: Sequence[int]) -> bool:
-    if len(u) != len(v) or not u:
-        return False
-    return all(u[i] * v[0] == u[0] * v[i] for i in range(len(u)))
-
-
 def _residual_failure(
     chain: ChainGraph,
     weights: Sequence[LaurentPoly],
@@ -152,11 +146,11 @@ def _word_lumping(
     projects to; block ids index word_chain.states."""
     index = {w: i for i, w in enumerate(word_chain.states)}
     blocks = [index[w] for w in words]
-    ok, counterexample = check_lumpability(chain, blocks)
+    quotient, counterexample = lump(chain, blocks, word_chain.states)
     failure = None
-    if not ok:
+    if quotient is None:
         failure = {"check": "lumpability", **counterexample}
-    elif not same_rate_graph(_quotient_chain(chain, blocks, word_chain.states), word_chain):
+    elif not same_rate_graph(quotient, word_chain):
         failure = {"check": "lumped-graph"}
     return blocks, failure
 
@@ -173,7 +167,7 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
         raise ValueError("three-species suite needs n = 3")
     chain = build_fm_chain(c, "three_species")
     labelings = [bully_projection(q, c) for q in chain.states]
-    weights = [three_species_weight(lab) for lab in labelings]
+    weights = [conjectured_weight(lab) for lab in labelings]
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
     failure = _residual_failure(chain, weights)
 
@@ -191,8 +185,7 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
                 # process at random positive rational rate points too
                 for point in rate_points(2, 5, seed):
                     values = [w.eval(point) for w in sums]
-                    solved = stationary_solve(word_chain, point)
-                    if not _proportional(values, solved):
+                    if stationary_solve(word_chain, point) != normalize_rationals(values):
                         failure = {"check": "point-solve", "point": [str(x) for x in point]}
                         break
     return _report("fm3", c, "theorem", started, failure, details)
@@ -266,12 +259,17 @@ def _three_blocks(word) -> list[list[int]]:
 
 
 def check_fm1_theorem(c: Composition) -> SuiteReport:
-    """Weights x1^(V1 - z1) are stationary when m_1 = 1 and x_i = 1 for i >= 2."""
+    """Weights x1^(V1 - z1) are stationary when m_1 = 1 and x_i = 1 for i >= 2.
+
+    V1 - z1 is the x1 exponent of the conjectured weight; the states share
+    one monomial per distinct exponent, as the chain's records share rates.
+    """
     started = time.perf_counter()
     if c.m[0] != 1 or c.n < 3:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
     chain = build_fm_chain(c, "one_first_class")
-    weights = [single_first_class_weight(bully_projection(q, c)) for q in chain.states]
+    power = functools.cache(lambda e: LaurentPoly.monomial(1, (e,) + (0,) * (c.n - 2)))
+    weights = [power(conjectured_exponents(bully_projection(q, c))[0]) for q in chain.states]
     details: dict = {"states": len(chain.states)}
     failure = _residual_failure(chain, weights)
     if failure is None and not irreducible(chain):
@@ -353,7 +351,7 @@ def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteRepo
     """Aggregated monomial queue weights against the exact word solution."""
     started = time.perf_counter()
     sums, words = _aggregated_weights(c)
-    details: dict = {"words": len(words), "queues": prod(comb(c.N, M) for M in c.M[:-1])}
+    details: dict = {"words": len(words), "queues": mlq_count(c)}
     failure = None
     empty = next((i for i, s in enumerate(sums) if s.is_zero()), None)
     if empty is not None:
@@ -365,8 +363,7 @@ def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteRepo
     if failure is None:
         for point in rate_points(c.n - 1, 5, seed):
             values = [s.eval(point) for s in sums]
-            solved = stationary_solve(chain, point)
-            if not _proportional(values, solved):
+            if stationary_solve(chain, point) != normalize_rationals(values):
                 failure = {
                     "check": "point-proportionality",
                     "point": [str(x) for x in point],
@@ -516,7 +513,7 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
         failure = _check_seat_bookkeeping(chain, words)
 
     if failure is None:
-        weights = [three_species_weight(lab) for lab in labelings]
+        weights = [conjectured_weight(lab) for lab in labelings]
         failure = _residual_failure(chain, weights)
 
     if failure is None:

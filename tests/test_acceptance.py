@@ -15,26 +15,19 @@ from fractions import Fraction
 import pytest
 
 from mlqtasep.chains import (
-    bully_partition,
     build_coupe_chain,
     build_fm_chain,
     build_tasep_chain,
 )
-from mlqtasep.core import (
-    build_composition,
-    bully_projection,
-    three_species_weight,
-)
+from mlqtasep.core import build_composition, bully_projection
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.sim import SimConfig, build_process_chain, compare_to_exact, gillespie_run
 from mlqtasep.solve import (
-    check_lumpability,
     irreducible,
     lump,
     master_residual,
     same_rate_graph,
     stationary_solve,
-    transition_matrix,
 )
 from mlqtasep.verify import (
     check_coupe_theorem,
@@ -47,6 +40,7 @@ from mlqtasep.verify import (
     check_uniform_stationarity,
     iter_compositions,
 )
+from helpers import bully_partition, three_species_weight, transition_matrix
 
 BIG = os.environ.get("MLQ_ACCEPT_BIG") == "1"
 
@@ -107,11 +101,8 @@ def test_criterion_02_three_species_chain():
     weights = [three_species_weight(bully_projection(q)) for q in chain.states]
     ok = ok and all(r.is_zero() for r in master_residual(chain, weights))
     blocks, block_words = bully_partition(chain)
-    lumpable, _ = check_lumpability(chain, blocks)
-    ok = ok and lumpable
-    ok = ok and same_rate_graph(
-        lump(chain, blocks, block_states=block_words), build_tasep_chain(c)
-    )
+    lumped, _ = lump(chain, blocks, block_states=block_words)
+    ok = ok and lumped is not None and same_rate_graph(lumped, build_tasep_chain(c))
     _conclude(2, ok, "three-species chain on (1,1,1): figure edge set, stationarity, lumping", started)
 
 

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlqtasep.chains import (
-    bully_partition,
     build_coupe_chain,
     build_fm_chain,
     build_tasep_chain,
@@ -17,6 +18,8 @@ from mlqtasep.core import (
     parse_queue,
 )
 from mlqtasep.poly import LaurentPoly
+from mlqtasep.sim import build_process_chain
+from helpers import bully_partition, compositions_up_to_six
 
 X1 = LaurentPoly.variable(0, 2)
 X2 = LaurentPoly.variable(1, 2)
@@ -344,6 +347,44 @@ def test_json_round_trip():
         assert back.states == g.states
         assert back.transitions == g.transitions
         assert back.kind == g.kind
+
+
+@st.composite
+def process_chains(draw):
+    """A chain of a random process on a random composition, N <= 5, that the
+    process accepts."""
+    c = draw(compositions_up_to_six().filter(lambda c: c.N <= 5))
+    processes = ["tasep", "fm"]
+    if c.m[0] == 1:
+        processes.append("fm1")
+    if c.n == 3:
+        processes += ["fm3", "coupe"]
+    return build_process_chain(draw(st.sampled_from(processes)), c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(process_chains())
+def test_json_round_trip_of_every_process(g):
+    # the states, and each record's src, dst, rate and mechanism, in order
+    back = from_json(to_json(g))
+    assert (back.kind, back.composition, back.nvars) == (g.kind, g.composition, g.nvars)
+    assert back.states == g.states
+    assert back.transitions == g.transitions
+
+
+@settings(max_examples=100, deadline=None)
+@given(process_chains())
+def test_in_records_invert_out_records(g):
+    # every record sits once in out_records at its source and once in
+    # in_records at its target
+    out, incoming = g.out_records(), g.in_records()
+    assert all(rec.src == s for s, recs in enumerate(out) for rec in recs)
+    rebuilt = [[] for _ in g.states]
+    for recs in out:
+        for rec in recs:
+            rebuilt[rec.dst].append(id(rec))
+    assert [sorted(ids) for ids in rebuilt] == [sorted(map(id, recs)) for recs in incoming]
+    assert sum(map(len, out)) == len(g.transitions)
 
 
 def test_dot_export_shape():

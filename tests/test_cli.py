@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -27,6 +28,21 @@ def test_enumerate_count_only(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "mlqs", "-m", "1,1,1", "--count-only")
     assert code == 0
     assert out.strip() == "9"
+
+
+def test_enumerate_count_only_does_not_enumerate(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "mlqs", "-m", "1,1,1,1,1,1,1", "--count-only")
+    assert code == 0
+    assert out == "26471025\n"
+
+
+def test_chain_refuses_a_queue_space_too_large(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "chain", "fm", "-m", "1,1,1,1,1,1,1")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "m = (1, 1, 1, 1, 1, 1, 1) has 26471025 multiline queues" in err
+    assert "above the limit of 1000000" in err
 
 
 def test_enumerate_json(capsys):

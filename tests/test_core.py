@@ -1,5 +1,5 @@
 import random
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,20 +10,21 @@ from mlqtasep.core import (
     build_composition,
     bully_projection,
     composition_of_queue,
+    conjectured_exponents,
     conjectured_weight,
     enumerate_mlqs,
     enumerate_words,
-    multinomial,
+    mlq_count,
     parse_queue,
     parse_word,
+    queue_label,
     queue_to_text,
     ringing_path,
     ringing_transition,
-    single_first_class_weight,
-    three_species_weight,
     word_to_text,
 )
 from mlqtasep.poly import LaurentPoly
+from helpers import compositions_up_to_six, single_first_class_weight, three_species_weight
 
 # A five-species queue on eight sites whose projection and ringing behaviour
 # are known in full detail; reused across several tests.
@@ -80,7 +81,7 @@ def test_enumerate_words_order_and_count():
 def test_enumerate_words_multinomial_count(m):
     c = build_composition(m)
     words = enumerate_words(c)
-    assert len(words) == multinomial(c)
+    assert len(words) == factorial(c.N) // prod(factorial(part) for part in c.m)
     assert len(set(words)) == len(words)
 
 
@@ -90,12 +91,27 @@ def test_enumerate_mlqs_counts():
     c = build_composition((1, 1, 2, 2))
     queues = enumerate_mlqs(c)
     expected = comb(6, 1) * comb(6, 2) * comb(6, 4)
-    assert expected == 1350
+    assert expected == 1350 == mlq_count(c)
     assert len(queues) == expected
     assert len(set(queues)) == expected
     # canonical order: row-major, smallest bit pattern first
     assert queues[0][0] == (0, 0, 0, 0, 0, 1)
     assert queues == sorted(queues)
+
+
+def test_queue_space_limit():
+    # (1^7) is refused before a queue is built; (1^6), the largest space in
+    # use, still enumerates
+    seven = build_composition((1,) * 7)
+    assert mlq_count(seven) == 26471025
+    with pytest.raises(
+        ValueError,
+        match=r"m = \(1, 1, 1, 1, 1, 1, 1\) has 26471025 multiline queues, "
+        r"above the limit of 1000000",
+    ):
+        enumerate_mlqs(seven)
+    six = build_composition((1,) * 6)
+    assert len(enumerate_mlqs(six)) == mlq_count(six) == 162000
 
 
 def test_row_sums_enforced():
@@ -122,21 +138,20 @@ def test_bad_queue_rows_are_named():
 
 
 def test_ringing_path_wide_queue():
-    # clock at site 5 (1-based): path runs 5 -> 6 -> 6 -> 7 bottom-up
-    path = ringing_path(WIDE_QUEUE, 4)
-    assert path.display() == (7, 6, 6, 5)
+    # clock at site 5 (1-based): path runs 5 -> 6 -> 6 -> 7 bottom-up; the
+    # columns come 0-based, top row first
+    assert ringing_path(WIDE_QUEUE, 4) == (6, 5, 5, 4)
 
 
 def test_ringing_path_wide_queue_site_4():
-    # the definition forces (5,4,4,4): rows 4 and 3 are occupied at column 4
+    # the definition forces sites (5,4,4,4): rows 4 and 3 are occupied at site 4
     # so the path climbs straight, then steps right over the row-2 vacancy
-    path = ringing_path(WIDE_QUEUE, 3)
-    assert path.display() == (5, 4, 4, 4)
+    assert ringing_path(WIDE_QUEUE, 3) == (4, 3, 3, 3)
 
 
 def test_ringing_path_fully_occupied_column():
     q = parse_queue("0100\n0110\n0111")
-    assert ringing_path(q, 1).display() == (2, 2, 2)
+    assert ringing_path(q, 1) == (1, 1, 1)
 
 
 def test_ringing_transition_wide_queue():
@@ -301,14 +316,6 @@ def test_projection_commutes_with_ringing(m):
 
 
 @st.composite
-def compositions_up_to_six(draw):
-    """A composition with N <= 6 and at least two species."""
-    N = draw(st.integers(2, 6))
-    cuts = sorted(draw(st.sets(st.integers(1, N - 1), min_size=1)))
-    return build_composition(b - a for a, b in zip([0, *cuts], [*cuts, N]))
-
-
-@st.composite
 def queues_up_to_six(draw):
     """A composition with N <= 6 and at least two species, and a multiline
     queue of it with uniformly drawn row patterns."""
@@ -418,6 +425,17 @@ def test_conjectured_equals_three_species_weight(m):
         assert conjectured_weight(lab) == three_species_weight(lab)
 
 
+@settings(max_examples=150, deadline=None)
+@given(queues_up_to_six())
+def test_first_exponent_is_v1_minus_z1(case):
+    # the x1 exponent of the conjectured weight is V1 - z1 for every
+    # composition, so fm1's weight x1^(V1 - z1) is the conjectured weight
+    # at x2 = ... = 1
+    c, q = case
+    lab = bully_projection(q, c)
+    assert conjectured_exponents(lab)[0] == c.V[0] - lab.z1()
+
+
 def test_conjectured_weight_exponents_nonnegative():
     for m in [(1, 1, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1)]:
         c = build_composition(m)
@@ -448,6 +466,20 @@ def test_queue_text_round_trip():
         parse_queue("0012\n0011")
     with pytest.raises(ValueError):
         parse_queue("11\n10")  # row sums must strictly increase
+
+
+@settings(max_examples=150, deadline=None)
+@given(queues_up_to_six())
+def test_queue_text_and_label_parse_back(case):
+    _, q = case
+    assert parse_queue(queue_to_text(q)) == q
+    assert parse_queue(queue_label(q)) == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=12))
+def test_word_text_parses_back(word):
+    assert parse_word(word_to_text(tuple(word))) == tuple(word)
 
 
 def test_word_text_round_trip():

@@ -6,7 +6,6 @@ import pytest
 from mlqtasep.chains import (
     ChainGraph,
     TransitionRecord,
-    bully_partition,
     build_coupe_chain,
     build_fm_chain,
     build_tasep_chain,
@@ -15,12 +14,10 @@ from mlqtasep.core import (
     build_composition,
     bully_projection,
     enumerate_words,
-    three_species_weight,
 )
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.solve import (
     ReducibleChainError,
-    check_lumpability,
     irreducible,
     lump,
     master_residual,
@@ -28,8 +25,8 @@ from mlqtasep.solve import (
     residual_at_point,
     same_rate_graph,
     stationary_solve,
-    transition_matrix,
 )
+from helpers import bully_partition, three_species_weight, transition_matrix
 
 X1 = LaurentPoly.variable(0, 2)
 X2 = LaurentPoly.variable(1, 2)
@@ -144,9 +141,8 @@ def test_three_species_chain_lumps_to_word_process():
     c = build_composition((1, 1, 1))
     g = build_fm_chain(c, "three_species")
     blocks, words = bully_partition(g)
-    ok, counterexample = check_lumpability(g, blocks)
-    assert ok, counterexample
-    lumped = lump(g, blocks, block_states=words)
+    lumped, counterexample = lump(g, blocks, block_states=words)
+    assert counterexample is None
     assert same_rate_graph(lumped, build_tasep_chain(c))
 
 
@@ -155,35 +151,49 @@ def test_coupe_chain_lumps_to_word_process(m):
     c = build_composition(m)
     g = build_coupe_chain(c)
     blocks, words = bully_partition(g)
-    ok, counterexample = check_lumpability(g, blocks)
-    assert ok, counterexample
-    assert same_rate_graph(lump(g, blocks, block_states=words), build_tasep_chain(c))
+    lumped, counterexample = lump(g, blocks, block_states=words)
+    assert counterexample is None
+    assert same_rate_graph(lumped, build_tasep_chain(c))
 
 
 def test_singleton_partition_always_lumpable():
     g = build_fm_chain(build_composition((1, 1, 1)), "three_species")
     partition = list(range(len(g.states)))
-    ok, _ = check_lumpability(g, partition)
-    assert ok
-    assert lump(g, partition, block_states=g.states).rate_map() == g.rate_map()
+    lumped, counterexample = lump(g, partition, block_states=g.states)
+    assert counterexample is None
+    assert lumped.rate_map() == g.rate_map()
 
 
 def test_non_lumpable_partition_reports_counterexample():
     g = build_tasep_chain(build_composition((1, 1, 1)))
-    # lump 123 with 132: their rates into {321} differ (x1 vs 0)
+    # lump 123 with 132: 132 enters {231} at rate x1, 123 does not
     partition = [0, 0, 1, 2, 3, 4]
-    ok, counterexample = check_lumpability(g, partition)
-    assert not ok
-    assert counterexample["block"] == 0
-    with pytest.raises(ValueError):
-        lump(g, partition)
+    lumped, counterexample = lump(g, partition)
+    assert lumped is None
+    assert counterexample == {
+        "block": 0,
+        "state": "132",
+        "other": "123",
+        "target_block": 2,
+        "rate": "x1",
+        "other_rate": "0",
+    }
+
+
+def test_lump_refuses_a_malformed_partition():
+    g = build_tasep_chain(build_composition((1, 1, 1)))
+    with pytest.raises(ValueError, match="partition must cover all states"):
+        lump(g, [0, 1, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"block ids must be 0..B-1"):
+        lump(g, [0, 1, 2, 3, 4, 6])
 
 
 def test_lumped_solution_equals_block_sums():
     c = build_composition((1, 1, 2))
     g = build_fm_chain(c, "three_species")
     blocks, words = bully_partition(g)
-    lumped = lump(g, blocks, block_states=words)
+    lumped, counterexample = lump(g, blocks, block_states=words)
+    assert counterexample is None
     point = (Fraction(3), Fraction(1, 2))
     fine = stationary_solve(g, point)
     coarse = stationary_solve(lumped, point)
@@ -202,9 +212,8 @@ def test_truncated_systems_lump_to_rate_one_word_process(m):
         sub = build_composition(c.m[:rows] + (c.N - c.M[rows - 1],))
         g = build_fm_chain(sub, "uniform")
         blocks, words = bully_partition(g)
-        ok, counterexample = check_lumpability(g, blocks)
-        assert ok, counterexample
-        lumped = lump(g, blocks, block_states=words)
+        lumped, counterexample = lump(g, blocks, block_states=words)
+        assert counterexample is None
         homogeneous = build_tasep_chain(sub)
         one = LaurentPoly.one(homogeneous.nvars)
         expected = {

@@ -23,6 +23,7 @@ from mlqtasep.verify import (
     rate_points,
     run_suites,
 )
+from helpers import single_first_class_weight
 
 
 def test_iter_compositions():
@@ -83,6 +84,28 @@ def test_fm3_lemma():
 def test_fm1_theorem(m):
     report = check_fm1_theorem(build_composition(m))
     assert report.ok, report.counterexample
+
+
+def test_fm1_weights_share_one_monomial_per_exponent(monkeypatch):
+    # the 250 states of (1,1,2,1) hold at most V1 + 1 weight objects, one
+    # per power of x1, and each state's is the oracle's x1^(V1 - z1)
+    import mlqtasep.verify as verify
+
+    seen = []
+    original = verify._residual_failure
+
+    def spy(chain, weights, *args):
+        seen.append((chain, weights))
+        return original(chain, weights, *args)
+
+    monkeypatch.setattr(verify, "_residual_failure", spy)
+    c = build_composition((1, 1, 2, 1))
+    assert check_fm1_theorem(c).ok
+    ((chain, weights),) = seen
+    objects = {id(w): w for w in weights}
+    assert len(objects) <= c.V[0] + 1
+    assert len(objects) == len(set(objects.values()))
+    assert weights == [single_first_class_weight(bully_projection(q)) for q in chain.states]
 
 
 def test_partition_function_small():
@@ -171,14 +194,14 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
     import mlqtasep.verify as verify
 
     calls = []
-    original = solve.check_lumpability
+    original = solve.lump
 
-    def spy(g, partition):
+    def spy(g, partition, block_states=None):
         calls.append(g.kind)
-        return original(g, partition)
+        return original(g, partition, block_states)
 
-    monkeypatch.setattr(verify, "check_lumpability", spy)
-    monkeypatch.setattr(solve, "check_lumpability", spy)
+    monkeypatch.setattr(verify, "lump", spy)
+    monkeypatch.setattr(solve, "lump", spy)
     assert check(build_composition((1, 2, 2))).ok
     assert len(calls) == 1
 
