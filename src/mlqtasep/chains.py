@@ -5,24 +5,27 @@ never stored and the diagonal of the generator is implied by column sums.
 Rates are exact polynomials in the per-class jump parameters x1..x_{n-1}.
 Each builder makes those rates once per chain (x1..x_{n-1}, and 1 for the
 ringing rules), so the records of a chain share its rate polynomials;
-LaurentPoly is immutable, which makes the sharing safe.
+LaurentPoly is immutable, which makes the sharing safe.  The queue chains
+whose rates or jumps read the projected word build their states with
+project_queues and keep that projection on the chain, so the suites that
+check them read it instead of projecting again.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from .core import (
-    BullyLabeling,
     Composition,
     Queue,
+    QueueProjection,
     Word,
-    bully_projection,
     enumerate_mlqs,
     enumerate_words,
+    project_queues,
     queue_label,
     ringing_transition,
     word_label,
@@ -49,6 +52,9 @@ class ChainGraph:
     states: tuple
     transitions: tuple[TransitionRecord, ...]
     nvars: int
+    # the projection of the states of a projecting queue chain (fm under
+    # three_species or one_first_class, coupe), built with them; None otherwise
+    projection: QueueProjection | None = field(default=None, compare=False, repr=False)
 
     def state_label(self, i: int) -> str:
         state = self.states[i]
@@ -115,13 +121,14 @@ RATE_RULES = ("uniform", "three_species", "one_first_class")
 
 
 def _ringing_rate(
-    rule: str, lab: BullyLabeling, col: int, x: list[LaurentPoly], one: LaurentPoly
+    rule: str, word: Word, covered: int, col: int, x: list[LaurentPoly], one: LaurentPoly
 ) -> LaurentPoly:
-    """Rate of a ring at col under three_species, else one_first_class; x and
-    one are the chain's own polynomials."""
-    cls = lab.word[col]
+    """Rate of a ring at col under three_species, else one_first_class, for a
+    queue of projected word and covered-vacancy mask covered; x and one are
+    the chain's own polynomials."""
+    cls = word[col]
     if rule == "three_species":
-        return x[0] if cls == 1 or (cls == 3 and lab.is_covered_site(col)) else x[1]
+        return x[0] if cls == 1 or (cls == 3 and covered >> col & 1) else x[1]
     return x[0] if cls == 1 else one
 
 
@@ -140,27 +147,37 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
         raise ValueError("three_species rates need exactly 3 classes")
     if rate_rule == "one_first_class" and c.m[0] != 1:
         raise ValueError("one_first_class rates need m_1 = 1")
-    states = enumerate_mlqs(c)
+    if rate_rule == "uniform":
+        projection, states = None, tuple(enumerate_mlqs(c))
+    else:
+        projection = project_queues(c)
+        states = projection.queues
     index = {q: i for i, q in enumerate(states)}
     nvars = c.n - 1
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
+    # one mechanism label per column, shared by its records like the rates
+    mechanisms = [f"ringing({i + 1})" for i in range(c.N)]
     records = []
     for sid, q in enumerate(states):
-        lab = bully_projection(q, c) if rate_rule != "uniform" else None
         for i in range(c.N):
             successor = ringing_transition(q, i)
             if successor == q:
                 continue
-            rate = one if lab is None else _ringing_rate(rate_rule, lab, i, x, one)
+            if projection is None:
+                rate = one
+            else:
+                rate = _ringing_rate(
+                    rate_rule, projection.words[sid], projection.covered[sid], i, x, one
+                )
             records.append(
                 TransitionRecord(
                     src=sid,
                     dst=index[successor],
                     rate=rate,
-                    mechanism=f"ringing({i + 1})",
+                    mechanism=mechanisms[i],
                 )
             )
-    return ChainGraph(f"fm-{rate_rule}", c, tuple(states), tuple(records), nvars)
+    return ChainGraph(f"fm-{rate_rule}", c, states, tuple(records), nvars, projection)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +298,14 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
     """Minimal three-species process on queues: one jump per active coupe."""
     if c.n != 3:
         raise ValueError("coupe process is defined for exactly 3 classes")
-    states = enumerate_mlqs(c)
+    projection = project_queues(c)
+    states = projection.queues
     index = {q: i for i, q in enumerate(states)}
     nvars = 2
     x = x_vars(nvars)
     records = []
     for sid, q in enumerate(states):
-        word = bully_projection(q, c).word
-        coupes = decompose_coupes(word)
+        coupes = decompose_coupes(projection.words[sid])
         for which, coupe in enumerate(coupes):
             if coupe.seat_class == 2 and coupe.full:
                 continue  # blocked behind the 1 ending the previous coupe
@@ -311,7 +328,7 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
                     mechanism=mechanism,
                 )
             )
-    return ChainGraph("coupe", c, tuple(states), tuple(records), nvars)
+    return ChainGraph("coupe", c, states, tuple(records), nvars, projection)
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_enumerate(args) -> int:
-    from .core import enumerate_mlqs, enumerate_words, mlq_count
+    from .core import enumerate_mlqs, enumerate_words, mlq_count, word_count
 
     comp = build_composition(_parse_m(args.composition))
-    if args.kind == "mlqs" and args.count_only:
-        print(mlq_count(comp))
+    if args.count_only:
+        print(word_count(comp) if args.kind == "words" else mlq_count(comp))
         return 0
     if args.kind == "words":
         items = enumerate_words(comp)
@@ -124,9 +124,6 @@ def cmd_enumerate(args) -> int:
     else:
         items = enumerate_mlqs(comp)
         texts = [queue_label(q) for q in items]
-    if args.count_only:
-        print(len(items))
-        return 0
     if args.format == "json":
         print(json.dumps({"kind": args.kind, "m": list(comp.m), "states": texts}, indent=2))
     else:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
-from typing import Callable, Iterable
+from math import comb, factorial, prod
+from typing import Iterable, Sequence
 
 from .poly import LaurentPoly
 
@@ -84,8 +84,8 @@ def _row_patterns(N: int, k: int) -> list[tuple[int, ...]]:
     return sorted(patterns)
 
 
-# enumerate_mlqs refuses a queue space larger than this; the largest in use,
-# m = (1^6), has 162,000 queues, and fm1 on it peaks at 326 MiB
+# enumerate_mlqs and project_queues refuse a queue space larger than this;
+# the largest in use, m = (1^6), has 162,000 queues
 MAX_QUEUES = 1_000_000
 
 
@@ -94,18 +94,28 @@ def mlq_count(c: Composition) -> int:
     return prod(comb(c.N, M) for M in c.M[:-1])
 
 
-def enumerate_mlqs(c: Composition) -> list[Queue]:
-    """All multiline queues, row-major over per-row bit patterns (smallest first).
+def word_count(c: Composition) -> int:
+    """Number of words of c: the multinomial N! / (m_1! ... m_n!)."""
+    return factorial(c.N) // prod(factorial(part) for part in c.m)
 
-    Raises ValueError, before building any queue, when there are more than
-    MAX_QUEUES of them.
-    """
+
+def check_queue_count(c: Composition) -> None:
+    """ValueError when c has more than MAX_QUEUES multiline queues."""
     count = mlq_count(c)
     if count > MAX_QUEUES:
         raise ValueError(
             f"m = {c.m} has {count} multiline queues, above the limit of "
             f"{MAX_QUEUES} held in memory"
         )
+
+
+def enumerate_mlqs(c: Composition) -> list[Queue]:
+    """All multiline queues, row-major over per-row bit patterns (smallest first).
+
+    Raises ValueError, before building any queue, when there are more than
+    MAX_QUEUES of them.
+    """
+    check_queue_count(c)
     rows = [_row_patterns(c.N, c.M[r]) for r in range(c.n - 1)]
     return [tuple(choice) for choice in itertools.product(*rows)]
 
@@ -176,9 +186,6 @@ def ringing_transition(q: Queue, i: int) -> Queue:
 # Bully-path projection
 # ---------------------------------------------------------------------------
 
-OrderFn = Callable[[int, int, list[int]], list[int]]
-
-
 @dataclass(frozen=True)
 class BullyLabeling:
     """Result of the bully-path projection of one queue.
@@ -204,81 +211,146 @@ class BullyLabeling:
             raise ValueError("covered-3 count is defined for three species only")
         return self.z.get((2, 1), 0)
 
-    def is_covered_site(self, col: int) -> bool:
-        """Three-species helper: does a bully path pass over the 3 at col?"""
-        if self.composition.n != 3:
-            raise ValueError("covered sites are defined for three species only")
-        return (1, col) in self.cover
+
+def project_row(
+    upper_classes: Sequence[int], lower_bits: Sequence[int], new_class: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One step of the bully-path projection: label a row from the row above.
+
+    Every classified particle of the upper row (classes ascending, columns
+    left to right within a class) drops straight down; if the cell below is
+    vacant or already taken it queues rightward, circularly, to the first
+    unclassified occupied cell.  The occupied cells no path reaches take
+    new_class.  Returns the lower row's classes (0 at vacancies) and, per
+    column, the smallest class whose path queues through that vacancy (0
+    if none does).
+    """
+    N = len(lower_bits)
+    lower = [0] * N
+    cover = [0] * N
+    # a stable sort keeps the columns of one class ascending; vacancies sort first
+    for start in sorted(range(N), key=upper_classes.__getitem__):
+        cls = upper_classes[start]
+        if not cls:
+            continue
+        j = start
+        for _ in range(N):
+            if lower_bits[j]:
+                if not lower[j]:
+                    lower[j] = cls
+                    break
+            elif not cover[j]:
+                cover[j] = cls
+            j = j + 1 if j + 1 < N else 0
+        else:
+            raise ValueError(
+                f"the path from column {start + 1} finds no free particle on the lower row"
+            )
+    for col in range(N):
+        if lower_bits[col] and not lower[col]:
+            lower[col] = new_class
+    return tuple(lower), tuple(cover)
 
 
-def bully_projection(
-    q: Queue, comp: Composition | None = None, order_fn: OrderFn | None = None
-) -> BullyLabeling:
+def bully_projection(q: Queue) -> BullyLabeling:
     """Assign classes to all occupied cells, top row down.
 
-    comp is the queue's composition when the caller already has it (every
-    chain builder and suite does); the queue is then checked against its
-    shape and row sums, which raises ValueError on a mismatch.  Without it
-    the composition is recovered, and the queue validated, from the rows.
-
-    Row 0 is all class 1.  To label grid row r+1, every already-classified
-    particle on row r (classes ascending, columns left to right unless
-    order_fn reorders within a class) drops straight down; if the cell
-    below is vacant or already taken it queues rightward, circularly, to
-    the first unclassified occupied cell.  Vacancies crossed while
-    queueing record the smallest class that ever crosses them.  The
-    m_{r+2} leftovers on row r+1 become the next class, and bottom-row
-    vacancies read as class n.
+    Row 0 is all class 1, each row below is labeled from the one above by
+    project_row, its leftovers taking the next class, and bottom-row
+    vacancies read as class n.  The composition is recovered, and the queue
+    validated, from the rows.
     """
-    if comp is None:
-        comp = composition_of_queue(q)
-    elif tuple(map(len, q)) != (comp.N,) * (comp.n - 1) or tuple(map(sum, q)) != comp.M[:-1]:
-        raise ValueError(f"queue {queue_label(q)} is not a queue of m = {comp.m}")
-    nrows, N = comp.n - 1, comp.N
-    classes = [[0] * N for _ in range(nrows)]
+    comp = composition_of_queue(q)
+    nrows = comp.n - 1
+    classes = [tuple(1 if bit else 0 for bit in q[0])]
     cover: dict[tuple[int, int], int] = {}
-    for col in range(N):
-        if q[0][col]:
-            classes[0][col] = 1
-    for upper in range(nrows - 1):
-        lower = upper + 1
-        # the columns of each class on the upper row, ascending; 0 collects vacancies
-        by_class: list[list[int]] = [[] for _ in range(upper + 2)]
-        for col, cls in enumerate(classes[upper]):
-            by_class[cls].append(col)
-        for cls in range(1, upper + 2):
-            cols = by_class[cls]
-            if order_fn is not None:
-                cols = order_fn(upper, cls, cols)
-            for start in cols:
-                j = start
-                for _ in range(N + 1):
-                    if q[lower][j] and not classes[lower][j]:
-                        classes[lower][j] = cls
-                        break
-                    if not q[lower][j]:
-                        cover.setdefault((lower, j), cls)
-                    j = (j + 1) % N
-                else:
-                    raise AssertionError("queueing walk failed to terminate")
-        for col in range(N):
-            if q[lower][col] and not classes[lower][col]:
-                classes[lower][col] = lower + 1
-    word = tuple(
-        classes[nrows - 1][col] if q[nrows - 1][col] else nrows + 1 for col in range(N)
-    )
+    for lower in range(1, nrows):
+        row, row_cover = project_row(classes[-1], q[lower], lower + 1)
+        classes.append(row)
+        for col, cls in enumerate(row_cover):
+            if cls:
+                cover[(lower, col)] = cls
+    word = tuple(cls or nrows + 1 for cls in classes[-1])
     z: dict[tuple[int, int], int] = {}
     for (row, _col), cls in cover.items():
         key = (row + 1, cls)
         z[key] = z.get(key, 0) + 1
     return BullyLabeling(
-        queue=q,
-        composition=comp,
-        classes=tuple(tuple(row) for row in classes),
-        cover=cover,
-        word=word,
-        z=z,
+        queue=q, composition=comp, classes=tuple(classes), cover=cover, word=word, z=z
     )
+
+
+@dataclass(frozen=True)
+class QueueProjection:
+    """The bully-path projection of every queue of one composition.
+
+    Entry i of each field belongs to queues[i], in enumerate_mlqs order:
+    its projected word, its conjectured_exponents, and covered, the bitmask
+    of the bottom-row vacancies some bully path queues through (bit col for
+    column col; for n = 3 these are the covered 3s).  Equal words, and
+    equal exponent tuples, are one shared object.
+    """
+
+    queues: tuple[Queue, ...]
+    words: tuple[Word, ...]
+    exponents: tuple[tuple[int, ...], ...]
+    covered: tuple[int, ...]
+
+
+def project_queues(c: Composition) -> QueueProjection:
+    """Enumerate and project every queue of c in one depth-first search.
+
+    The search chooses the rows top down in enumerate_mlqs order and labels
+    each new row with one project_row step, so every queue prefix is
+    projected once; the covers of each step add to the exponents on the
+    way down.  Raises ValueError, before building any queue, when there are
+    more than MAX_QUEUES of them.
+    """
+    check_queue_count(c)
+    rows = [_row_patterns(c.N, M) for M in c.M[:-1]]
+    last = len(rows) - 1
+    queues: list[Queue] = []
+    words: list[Word] = []
+    exponents: list[tuple[int, ...]] = []
+    covered: list[int] = []
+    # bottom-row classes -> word, bottom-row covers -> mask, exponents -> themselves
+    word_of: dict[tuple[int, ...], Word] = {}
+    mask_of: dict[tuple[int, ...], int] = {}
+    shared_exponents: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def leaf(q: Queue, classes: tuple[int, ...], exps: Sequence[int], cover: tuple[int, ...]):
+        queues.append(q)
+        word = word_of.get(classes)
+        if word is None:
+            word = word_of[classes] = tuple(cls or c.n for cls in classes)
+        words.append(word)
+        exps = tuple(exps)
+        exponents.append(shared_exponents.setdefault(exps, exps))
+        mask = mask_of.get(cover)
+        if mask is None:
+            mask = mask_of[cover] = sum(1 << col for col, cls in enumerate(cover) if cls)
+        covered.append(mask)
+
+    def visit(depth: int, prefix: Queue, upper: tuple[int, ...], exps: Sequence[int]):
+        for bits in rows[depth]:
+            classes, cover = project_row(upper, bits, depth + 1)
+            step = list(exps)
+            for cls in cover:
+                if cls:
+                    step[depth] += 1
+                    step[cls - 1] -= 1
+            if depth < last:
+                visit(depth + 1, prefix + (bits,), classes, step)
+            else:
+                leaf(prefix + (bits,), classes, step, cover)
+
+    # the top row's bits are its classes: every particle there is class 1
+    for top in rows[0]:
+        if last:
+            visit(1, (top,), top, c.V)
+        else:
+            leaf((top,), top, c.V, ())
+    return QueueProjection(tuple(queues), tuple(words), tuple(exponents), tuple(covered))
 
 
 # ---------------------------------------------------------------------------

@@ -171,25 +171,39 @@ class LaurentPoly:
     def eval(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact evaluation at a rational point.
 
-        Raises ZeroDivisionError if a zero coordinate meets a negative
-        exponent.
+        With x_i = p_i / q_i and exponents between lo_i and hi_i, the sum
+        times prod p_i^-lo_i q_i^hi_i is an integer whose terms are coeff *
+        prod p_i^(e_i - lo_i) q_i^(hi_i - e_i); those powers are tabled once
+        per variable and one Fraction is built at the end.  Raises
+        ZeroDivisionError if a zero coordinate meets a negative exponent.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, need {self.nvars}")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
+        if not self.terms:
+            return Fraction(0)
+        numerator, denominator = 1, 1
+        tables = []
+        for value, column in zip(point, zip(*self.terms)):
+            value = Fraction(value)
+            p, q = value.numerator, value.denominator
+            lo, hi = min(column), max(column)
+            if lo < 0:
+                if not p:
+                    raise ZeroDivisionError("zero substituted into a negative exponent")
+                denominator *= p**-lo
+            else:
+                numerator *= p**lo
+            if hi < 0:
+                numerator *= q**-hi
+            else:
+                denominator *= q**hi
+            tables.append({e: p ** (e - lo) * q ** (hi - e) for e in range(lo, hi + 1)})
+        total = 0
         for exps, coeff in self.terms.items():
-            val = Fraction(coeff)
-            for base, e in zip(pt, exps):
-                if e == 0:
-                    continue
-                if base == 0 and e < 0:
-                    raise ZeroDivisionError(
-                        "zero substituted into a negative exponent"
-                    )
-                val *= base ** e
-            total += val
-        return total
+            for e, table in zip(exps, tables):
+                coeff *= table[e]
+            total += coeff
+        return Fraction(total * numerator, denominator)
 
     def is_positive(self) -> bool:
         """True iff every coefficient is > 0 and every exponent is >= 0."""

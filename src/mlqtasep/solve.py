@@ -159,7 +159,14 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """
     n = len(g.states)
     point = [Fraction(v) for v in point]
-    rates = [rec.rate.eval(point) for rec in g.transitions]
+    # records share their chain's few rate objects: evaluate each one once
+    values: dict[int, Fraction] = {}
+    rates = []
+    for rec in g.transitions:
+        value = values.get(id(rec.rate))
+        if value is None:
+            value = values[id(rec.rate)] = rec.rate.eval(point)
+        rates.append(value)
     rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for rec, value in zip(g.transitions, rates):
         rows[rec.dst][rec.src] = rows[rec.dst].get(rec.src, 0) + value

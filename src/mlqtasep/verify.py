@@ -29,12 +29,10 @@ from .chains import (
 from .core import (
     Composition,
     build_composition,
-    bully_projection,
-    conjectured_exponents,
-    conjectured_weight,
-    enumerate_mlqs,
+    check_queue_count,
     enumerate_words,
     mlq_count,
+    project_queues,
     queue_label,
     ringing_transition,
     word_label,
@@ -138,6 +136,12 @@ def _residual_failure(
     return failure
 
 
+def _monomials(exponents: Sequence[tuple[int, ...]]) -> list[LaurentPoly]:
+    """The monomial of each exponent tuple, one shared object per distinct tuple."""
+    shared = {e: LaurentPoly.monomial(1, e) for e in set(exponents)}
+    return [shared[e] for e in exponents]
+
+
 def _word_lumping(
     chain: ChainGraph, word_chain: ChainGraph, words: Sequence
 ) -> tuple[list[int], dict | None]:
@@ -166,14 +170,13 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     if c.n != 3:
         raise ValueError("three-species suite needs n = 3")
     chain = build_fm_chain(c, "three_species")
-    labelings = [bully_projection(q, c) for q in chain.states]
-    weights = [conjectured_weight(lab) for lab in labelings]
+    weights = _monomials(chain.projection.exponents)
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
     failure = _residual_failure(chain, weights)
 
     if failure is None:
         word_chain = build_tasep_chain(c)
-        blocks, failure = _word_lumping(chain, word_chain, [lab.word for lab in labelings])
+        blocks, failure = _word_lumping(chain, word_chain, chain.projection.words)
         if failure is None:
             sums = [LaurentPoly.zero(2)] * len(word_chain.states)
             for state, block in enumerate(blocks):
@@ -198,10 +201,11 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
         raise ValueError("three-species lemma needs n = 3")
     failure = None
     checked = 0
-    for q in enumerate_mlqs(c):
-        lab = bully_projection(q, c)
-        word = lab.word
-        covered = {i for i in range(c.N) if word[i] == 3 and lab.is_covered_site(i)}
+    projection = project_queues(c)
+    index = {q: i for i, q in enumerate(projection.queues)}
+    for q, word, mask in zip(projection.queues, projection.words, projection.covered):
+        # the covered vacancies of the bottom row are the covered 3s
+        covered = {i for i in range(c.N) if mask >> i & 1}
         k = len(covered)
         successors = [ringing_transition(q, i) for i in range(c.N)]
         for i in range(c.N):
@@ -213,7 +217,7 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
                 failure = {"part": 2, "site": i + 1}
                 break
             if successors[i] != q:
-                k_next = bully_projection(successors[i], c).covered_three_count()
+                k_next = projection.covered[index[successors[i]]].bit_count()
                 if k_next > k and not (word[i] == 3 and i not in covered):
                     failure = {"part": 4, "direction": "increase", "site": i + 1}
                     break
@@ -269,7 +273,7 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
     chain = build_fm_chain(c, "one_first_class")
     power = functools.cache(lambda e: LaurentPoly.monomial(1, (e,) + (0,) * (c.n - 2)))
-    weights = [power(conjectured_exponents(bully_projection(q, c))[0]) for q in chain.states]
+    weights = [power(exps[0]) for exps in chain.projection.exponents]
     details: dict = {"states": len(chain.states)}
     failure = _residual_failure(chain, weights)
     if failure is None and not irreducible(chain):
@@ -297,8 +301,9 @@ def check_partition_function(c: Composition) -> SuiteReport:
     if c.m[0] != 1:
         raise ValueError("partition function suite needs m_1 = 1")
     a_name = ("a",)
-    exponents = Counter((c.V[0] - bully_projection(q, c).z1(),) for q in enumerate_mlqs(c))
-    enumerated = LaurentPoly(1, exponents, a_name)
+    # V1 - z1 is the first conjectured exponent
+    counts = Counter(exps[0] for exps in project_queues(c).exponents)
+    enumerated = LaurentPoly(1, {(e,): count for e, count in counts.items()}, a_name)
     explicit = LaurentPoly.constant(c.N, 1, a_name)
     for r in range(2, c.n):
         factor = LaurentPoly(
@@ -341,9 +346,9 @@ def _aggregated_weights(c: Composition) -> tuple[list[LaurentPoly], list]:
     project to it, counted by exponent."""
     words = enumerate_words(c)
     exponents = {w: Counter() for w in words}
-    for q in enumerate_mlqs(c):
-        lab = bully_projection(q, c)
-        exponents[lab.word][conjectured_exponents(lab)] += 1
+    projection = project_queues(c)
+    for word, exps in zip(projection.words, projection.exponents):
+        exponents[word][exps] += 1
     return [LaurentPoly(c.n - 1, exponents[w]) for w in words], words
 
 
@@ -432,7 +437,7 @@ def check_identity_count(n: int) -> SuiteReport:
         raise ValueError("identity count needs n >= 2")
     c = build_composition((1,) * n)
     identity = tuple(range(1, n + 1))
-    count = sum(1 for q in enumerate_mlqs(c) if bully_projection(q, c).word == identity)
+    count = project_queues(c).words.count(identity)
     formula = 1
     for i in range(1, n):
         formula *= comb(n - 1, i)
@@ -494,14 +499,13 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
     if c.n != 3:
         raise ValueError("coupe suite needs n = 3")
     chain = build_coupe_chain(c)
-    labelings = [bully_projection(q, c) for q in chain.states]
+    words = chain.projection.words
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
     failure = None
 
     if not irreducible(chain):
         failure = {"check": "irreducible"}
 
-    words = [lab.word for lab in labelings]
     if failure is None:
         bad = next(
             (rec for rec in chain.transitions if words[rec.src] == words[rec.dst]), None
@@ -513,7 +517,7 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
         failure = _check_seat_bookkeeping(chain, words)
 
     if failure is None:
-        weights = [conjectured_weight(lab) for lab in labelings]
+        weights = _monomials(chain.projection.exponents)
         failure = _residual_failure(chain, weights)
 
     if failure is None:
@@ -610,15 +614,27 @@ SUITES: dict[str, tuple[Callable[[int], Iterable], Callable[..., list[SuiteRepor
 def run_suites(
     names: Sequence[str], max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED
 ) -> list[SuiteReport]:
-    """Reports of the named suites, or of every suite for "all", in SUITES order."""
+    """Reports of the named suites, or of every suite for "all", in SUITES order.
+
+    Raises ValueError before running anything when a composition among the
+    inputs has more than MAX_QUEUES multiline queues.
+    """
     unknown = [name for name in names if name not in SUITES and name != "all"]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
+    plan = [
+        (check, list(inputs(max_n)))
+        for name, (inputs, check) in SUITES.items()
+        if name in names or "all" in names
+    ]
+    for _, items in plan:
+        for item in items:
+            if isinstance(item, Composition):
+                check_queue_count(item)
     reports: list[SuiteReport] = []
-    for name, (inputs, check) in SUITES.items():
-        if name in names or "all" in names:
-            for item in inputs(max_n):
-                reports.extend(check(item, seed))
+    for check, items in plan:
+        for item in items:
+            reports.extend(check(item, seed))
     if not reports:
         raise ValueError(
             f"nothing to check: no input of {' '.join(names)} has N <= {max_n}; "

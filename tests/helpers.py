@@ -3,18 +3,28 @@
 The two closed-form weights are the paper's special cases of the
 conjectured weight, kept here in their own form so that tests can check
 conjectured_exponents against them; q_int is the oracle of
-q_int_derivative.
+q_int_derivative.  reference_projection is the whole-queue bully-path
+projection, the oracle of the row-step fold in core, and
+reference_eval the term-by-term Fraction evaluation, the oracle of
+LaurentPoly.eval.
 """
+
+from fractions import Fraction
+from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
 from mlqtasep.chains import ChainGraph
 from mlqtasep.core import (
     BullyLabeling,
+    Composition,
+    Queue,
     Word,
     build_composition,
     bully_projection,
+    composition_of_queue,
     enumerate_words,
+    queue_label,
 )
 from mlqtasep.poly import LaurentPoly
 
@@ -42,7 +52,7 @@ def bully_partition(g: ChainGraph) -> tuple[list[int], list[Word]]:
     """Block id per queue state, blocks ordered like enumerate_words."""
     words = enumerate_words(g.composition)
     word_index = {w: i for i, w in enumerate(words)}
-    blocks = [word_index[bully_projection(q, g.composition).word] for q in g.states]
+    blocks = [word_index[bully_projection(q).word] for q in g.states]
     return blocks, words
 
 
@@ -70,3 +80,97 @@ def q_int(k: int, names=("q",)) -> LaurentPoly:
     if k < 0:
         raise ValueError("q-integer index must be nonnegative")
     return LaurentPoly(1, {(i,): 1 for i in range(k)}, names)
+
+
+OrderFn = Callable[[int, int, list[int]], list[int]]
+
+
+def reference_projection(
+    q: Queue, comp: Composition | None = None, order_fn: OrderFn | None = None
+) -> BullyLabeling:
+    """Assign classes to all occupied cells, top row down, one whole queue
+    at a time.
+
+    comp, when given, is checked against the queue's shape and row sums
+    (ValueError on a mismatch); without it the composition is recovered
+    from the rows.  Row 0 is all class 1.  To label grid row r+1, every
+    already-classified particle on row r (classes ascending, columns left
+    to right unless order_fn reorders within a class) drops straight down;
+    if the cell below is vacant or already taken it queues rightward,
+    circularly, to the first unclassified occupied cell.  Vacancies crossed
+    while queueing record the smallest class that ever crosses them.  The
+    m_{r+2} leftovers on row r+1 become the next class, and bottom-row
+    vacancies read as class n.
+    """
+    if comp is None:
+        comp = composition_of_queue(q)
+    elif tuple(map(len, q)) != (comp.N,) * (comp.n - 1) or tuple(map(sum, q)) != comp.M[:-1]:
+        raise ValueError(f"queue {queue_label(q)} is not a queue of m = {comp.m}")
+    nrows, N = comp.n - 1, comp.N
+    classes = [[0] * N for _ in range(nrows)]
+    cover: dict[tuple[int, int], int] = {}
+    for col in range(N):
+        if q[0][col]:
+            classes[0][col] = 1
+    for upper in range(nrows - 1):
+        lower = upper + 1
+        # the columns of each class on the upper row, ascending; 0 collects vacancies
+        by_class: list[list[int]] = [[] for _ in range(upper + 2)]
+        for col, cls in enumerate(classes[upper]):
+            by_class[cls].append(col)
+        for cls in range(1, upper + 2):
+            cols = by_class[cls]
+            if order_fn is not None:
+                cols = order_fn(upper, cls, cols)
+            for start in cols:
+                j = start
+                for _ in range(N + 1):
+                    if q[lower][j] and not classes[lower][j]:
+                        classes[lower][j] = cls
+                        break
+                    if not q[lower][j]:
+                        cover.setdefault((lower, j), cls)
+                    j = (j + 1) % N
+                else:
+                    raise AssertionError("queueing walk failed to terminate")
+        for col in range(N):
+            if q[lower][col] and not classes[lower][col]:
+                classes[lower][col] = lower + 1
+    word = tuple(
+        classes[nrows - 1][col] if q[nrows - 1][col] else nrows + 1 for col in range(N)
+    )
+    z: dict[tuple[int, int], int] = {}
+    for (row, _col), cls in cover.items():
+        key = (row + 1, cls)
+        z[key] = z.get(key, 0) + 1
+    return BullyLabeling(
+        queue=q,
+        composition=comp,
+        classes=tuple(tuple(row) for row in classes),
+        cover=cover,
+        word=word,
+        z=z,
+    )
+
+
+def reference_eval(poly: LaurentPoly, point: Sequence[Fraction | int]) -> Fraction:
+    """Exact evaluation at a rational point, one Fraction power per
+    variable and term.
+
+    Raises ZeroDivisionError if a zero coordinate meets a negative
+    exponent.
+    """
+    if len(point) != poly.nvars:
+        raise ValueError(f"point has {len(point)} coordinates, need {poly.nvars}")
+    pt = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        val = Fraction(coeff)
+        for base, e in zip(pt, exps):
+            if e == 0:
+                continue
+            if base == 0 and e < 0:
+                raise ZeroDivisionError("zero substituted into a negative exponent")
+            val *= base**e
+        total += val
+    return total

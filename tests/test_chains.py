@@ -16,6 +16,7 @@ from mlqtasep.core import (
     bully_projection,
     enumerate_mlqs,
     parse_queue,
+    project_queues,
 )
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.sim import build_process_chain
@@ -170,6 +171,14 @@ def test_records_share_rate_polynomials(build, m):
     objects = _rate_objects(g)
     assert len(objects) <= g.nvars + 1
     assert len(objects) == len(set(objects.values()))
+
+
+@pytest.mark.parametrize("rule", ["uniform", "three_species", "one_first_class"])
+def test_ringing_records_share_mechanism_labels(rule):
+    # one label object per ringing column, as the records share their rates
+    g = build_fm_chain(build_composition((1, 2, 2)), rule)
+    labels = {id(rec.mechanism): rec.mechanism for rec in g.transitions}
+    assert sorted(labels.values()) == [f"ringing({i})" for i in range(1, 6)]
 
 
 @pytest.mark.parametrize(
@@ -347,6 +356,26 @@ def test_json_round_trip():
         assert back.states == g.states
         assert back.transitions == g.transitions
         assert back.kind == g.kind
+
+
+def test_queue_chains_carry_their_projection():
+    # the projecting queue chains keep the projection of their states; word
+    # chains, the uniform chain and imported chains keep none, and the
+    # projection takes no part in equality, so JSON round trips still hold
+    c = build_composition((1, 1, 2))
+    for g in [
+        build_fm_chain(c, "three_species"),
+        build_fm_chain(c, "one_first_class"),
+        build_coupe_chain(c),
+    ]:
+        assert g.projection == project_queues(c)
+        assert g.projection.queues is g.states
+        back = from_json(to_json(g))
+        assert back.projection is None
+        assert back == g
+    for g in [build_tasep_chain(c), build_fm_chain(c, "uniform")]:
+        assert g.projection is None
+        assert from_json(to_json(g)) == g
 
 
 @st.composite

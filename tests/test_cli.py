@@ -36,6 +36,26 @@ def test_enumerate_count_only_does_not_enumerate(capsys):
     assert out == "26471025\n"
 
 
+def test_enumerate_word_count_only_does_not_enumerate(capsys):
+    # (1^11) has 39,916,800 words; the count comes from the multinomial
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "enumerate", "words", "-m", ",".join(["1"] * 11), "--count-only")
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert out == "39916800\n"
+
+
+def test_verify_refuses_a_queue_space_too_large_up_front(capsys):
+    # N = 7 holds compositions of over 1,000,000 queues: the run is refused
+    # before any of the 113 smaller compositions is checked
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "main", "--max-N", "7")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "m = (1, 1, 1, 1, 1, 2) has 3781575 multiline queues" in err
+    assert "above the limit of 1000000" in err
+
+
 def test_chain_refuses_a_queue_space_too_large(capsys):
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "chain", "fm", "-m", "1,1,1,1,1,1,1")

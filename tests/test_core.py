@@ -15,16 +15,24 @@ from mlqtasep.core import (
     enumerate_mlqs,
     enumerate_words,
     mlq_count,
+    project_queues,
+    project_row,
     parse_queue,
     parse_word,
     queue_label,
     queue_to_text,
     ringing_path,
     ringing_transition,
+    word_count,
     word_to_text,
 )
 from mlqtasep.poly import LaurentPoly
-from helpers import compositions_up_to_six, single_first_class_weight, three_species_weight
+from helpers import (
+    compositions_up_to_six,
+    reference_projection,
+    single_first_class_weight,
+    three_species_weight,
+)
 
 # A five-species queue on eight sites whose projection and ringing behaviour
 # are known in full detail; reused across several tests.
@@ -81,7 +89,7 @@ def test_enumerate_words_order_and_count():
 def test_enumerate_words_multinomial_count(m):
     c = build_composition(m)
     words = enumerate_words(c)
-    assert len(words) == factorial(c.N) // prod(factorial(part) for part in c.m)
+    assert len(words) == factorial(c.N) // prod(factorial(part) for part in c.m) == word_count(c)
     assert len(set(words)) == len(words)
 
 
@@ -289,9 +297,10 @@ def test_projection_order_independence(m):
     rng = random.Random(hash(m) & 0xFFFF)
     sample = [queues[rng.randrange(len(queues))] for _ in range(12)]
     for q in sample:
-        reference = bully_projection(q)
+        reference = reference_projection(q)
+        assert bully_projection(q) == reference
         for seed in range(20):
-            shuffled = bully_projection(q, order_fn=_shuffled_order(seed))
+            shuffled = reference_projection(q, order_fn=_shuffled_order(seed))
             assert shuffled.classes == reference.classes
             assert shuffled.cover == reference.cover
             assert shuffled.word == reference.word
@@ -353,12 +362,12 @@ def test_projected_word_has_the_composition(case):
 @given(queues_up_to_six(), compositions_up_to_six())
 def test_projection_with_the_known_composition(case, other):
     # the composition a caller passes gives the recovered one's labeling,
-    # and any other composition is refused
+    # and any other composition is refused; the row-step fold agrees
     c, q = case
-    assert bully_projection(q, c) == bully_projection(q)
+    assert reference_projection(q, c) == reference_projection(q) == bully_projection(q)
     if other != c:
         with pytest.raises(ValueError, match="is not a queue of m ="):
-            bully_projection(q, other)
+            reference_projection(q, other)
 
 
 def test_projection_refuses_a_queue_of_another_shape():
@@ -372,7 +381,75 @@ def test_projection_refuses_a_queue_of_another_shape():
         ((1, 1, 0), (1, 1, 0)),
     ]:
         with pytest.raises(ValueError, match=r"is not a queue of m = \(1, 1, 1\)"):
-            bully_projection(q, c)
+            reference_projection(q, c)
+
+
+def test_project_row_single_step():
+    # the class-1 particle at column 1 queues over the vacancy below it to
+    # column 2; the particle left over at column 3 takes the new class
+    assert project_row((1, 0, 0), (0, 1, 1), 2) == ((0, 1, 2), (1, 0, 0))
+    # classes go in ascending order: the 1 at column 2 claims column 2 first,
+    # so the 2 at column 1 queues over the vacancy at column 1 and past
+    # column 2 to column 3
+    assert project_row((2, 1, 0, 0), (0, 1, 1, 1), 3) == ((0, 1, 2, 3), (2, 0, 0, 0))
+    with pytest.raises(ValueError, match="no free particle"):
+        project_row((1, 1, 0), (1, 0, 0), 2)
+
+
+def _covered_mask(lab):
+    bottom = lab.composition.n - 2
+    return sum(1 << col for (row, col) in lab.cover if row == bottom)
+
+
+def _assert_projection_matches_the_oracle(c):
+    projection = project_queues(c)
+    assert projection.queues == tuple(enumerate_mlqs(c))
+    fields = (projection.words, projection.exponents, projection.covered)
+    assert all(len(field) == len(projection.queues) for field in fields)
+    for q, word, exps, mask in zip(projection.queues, *fields):
+        lab = reference_projection(q, c)
+        assert word == lab.word
+        assert exps == conjectured_exponents(lab)
+        assert mask == _covered_mask(lab)
+    # equal words and equal exponent tuples are one object each
+    for values in (projection.words, projection.exponents):
+        assert len({id(v) for v in values}) == len(set(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(compositions_up_to_six().filter(lambda c: c.N <= 5))
+def test_project_queues_matches_the_oracle(c):
+    _assert_projection_matches_the_oracle(c)
+
+
+def test_project_queues_five_species():
+    _assert_projection_matches_the_oracle(build_composition((1, 1, 2, 1, 1)))
+
+
+def test_project_queues_projects_each_prefix_once(monkeypatch):
+    # (1,1,2,1,1) has rows of 6, 15, 15 and 6 patterns: 6*15 + 6*15*15 +
+    # 6*15*15*6 = 9,540 prefixes below the top row, one row step each
+    import mlqtasep.core as core
+
+    calls = []
+    original = core.project_row
+
+    def spy(upper, bits, new_class):
+        calls.append(new_class)
+        return original(upper, bits, new_class)
+
+    monkeypatch.setattr(core, "project_row", spy)
+    project_queues(build_composition((1, 1, 2, 1, 1)))
+    assert len(calls) == 9540
+
+
+def test_project_queues_refuses_a_queue_space_too_large():
+    with pytest.raises(
+        ValueError,
+        match=r"m = \(1, 1, 1, 1, 1, 1, 1\) has 26471025 multiline queues, "
+        r"above the limit of 1000000",
+    ):
+        project_queues(build_composition((1,) * 7))
 
 
 @pytest.mark.parametrize("m", [(1, 1, 2), (1, 1, 1, 1), (2, 1, 1, 1)])
@@ -432,7 +509,7 @@ def test_first_exponent_is_v1_minus_z1(case):
     # composition, so fm1's weight x1^(V1 - z1) is the conjectured weight
     # at x2 = ... = 1
     c, q = case
-    lab = bully_projection(q, c)
+    lab = bully_projection(q)
     assert conjectured_exponents(lab)[0] == c.V[0] - lab.z1()
 
 

@@ -14,7 +14,7 @@ from mlqtasep.poly import (
     q_int_derivative,
     x_vars,
 )
-from helpers import q_int
+from helpers import q_int, reference_eval
 
 X2_OVER_X1 = LaurentPoly.monomial(1, (-1, 1))
 
@@ -182,6 +182,25 @@ def laurent_polys(draw):
 @given(laurent_polys())
 def test_parse_poly_inverts_str(p):
     assert parse_poly(str(p), p.nvars) == p
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys(), st.data())
+def test_eval_matches_termwise_oracle(p, data):
+    # points with zero and negative coordinates, of the right length and of
+    # a wrong one: the same value, or the same exception
+    nvars = data.draw(st.sampled_from([p.nvars, p.nvars, p.nvars + 1, max(p.nvars - 1, 0)]))
+    coordinate = st.fractions(min_value=-5, max_value=5, max_denominator=7) | st.just(Fraction(0))
+    point = data.draw(st.lists(coordinate, min_size=nvars, max_size=nvars))
+    got, expected = _outcome(p.eval, point), _outcome(reference_eval, p, point)
+    assert got == expected and type(got) is type(expected)
 
 
 def test_str_canonical_order():

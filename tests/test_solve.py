@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,26 @@ def test_stationary_solve_names_a_non_positive_vector():
         stationary_solve(one_way, (1, 1))
     assert err.value.dimension == 1
     assert "dimension 1, expected 1" not in str(err.value)
+
+
+def test_stationary_solve_evaluates_each_distinct_rate_once(monkeypatch):
+    # the 110 records of the three-species chain on (1,2,2) share x1 and x2
+    g = build_fm_chain(build_composition((1, 2, 2)), "three_species")
+    point = (Fraction(2), Fraction(3))
+    evaluated = []
+    original = LaurentPoly.eval
+
+    def spy(self, values):
+        evaluated.append(self)
+        return original(self, values)
+
+    monkeypatch.setattr(LaurentPoly, "eval", spy)
+    solved = stationary_solve(g, point)
+    assert len(evaluated) == len({id(rec.rate) for rec in g.transitions}) == 2
+    monkeypatch.undo()
+    # a fresh rate object per record gives the same vector
+    copies = tuple(replace(rec, rate=rec.rate + 0) for rec in g.transitions)
+    assert stationary_solve(replace(g, transitions=copies), point) == solved
 
 
 def test_stationary_solve_rotation_invariance():

@@ -207,32 +207,33 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
 
 
 @pytest.mark.parametrize(
-    "check, arg, calls",
+    "check, arg",
     [
-        (check_fm3_theorem, build_composition((1, 2, 2)), 100),
-        (check_coupe_theorem, build_composition((1, 2, 2)), 100),
-        (check_lw_normalization_and_positivity, 3, 9),
+        (check_fm3_theorem, build_composition((1, 2, 2))),
+        (check_coupe_theorem, build_composition((1, 2, 2))),
+        (check_lw_normalization_and_positivity, 3),
+        (check_fm1_theorem, build_composition((1, 1, 2, 1))),
+        (check_partition_function, build_composition((1, 1, 2, 1))),
     ],
 )
-def test_each_queue_projected_once_per_use(monkeypatch, check, arg, calls):
-    # fm3 and coupe: 50 queues, projected by the builder and once more for
-    # the weights and the lumping together; lw(3): 9 queues, projected once.
-    # Every builder and suite passes the composition it already holds.
+def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
+    # one projection of the whole queue space per report: fm3, coupe and
+    # fm1 read the one their chain carries, lw(3) and zpart make their own
     import mlqtasep.chains as chains
+    import mlqtasep.core as core
     import mlqtasep.verify as verify
 
     seen = []
-    original = verify.bully_projection
+    original = core.project_queues
 
-    def spy(q, comp=None, order_fn=None):
-        seen.append((q, comp))
-        return original(q, comp, order_fn)
+    def spy(c):
+        seen.append(c)
+        return original(c)
 
-    monkeypatch.setattr(verify, "bully_projection", spy)
-    monkeypatch.setattr(chains, "bully_projection", spy)
+    for module in (core, chains, verify):
+        monkeypatch.setattr(module, "project_queues", spy)
     assert check(arg).ok
-    assert len(seen) == calls
-    assert all(comp is not None for _, comp in seen)
+    assert len(seen) == 1
 
 
 def test_failure_helpers_counterexamples():
@@ -311,6 +312,17 @@ def test_all_reports_match_the_golden_sweep():
 def test_run_suites_rejects_unknown():
     with pytest.raises(ValueError):
         run_suites(["nonsense"])
+
+
+def test_run_suites_refuses_a_queue_space_too_large_up_front(monkeypatch):
+    import mlqtasep.verify as verify
+
+    monkeypatch.setattr(verify, "check_main_conjecture", None)  # nothing may run
+    with pytest.raises(
+        ValueError,
+        match=r"m = \(1, 1, 1, 1, 1, 2\) has 3781575 multiline queues, above the limit",
+    ):
+        run_suites(["main"], 7)
 
 
 def test_run_suites_rejects_empty_run():
