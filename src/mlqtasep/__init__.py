@@ -16,7 +16,6 @@ from .core import (
     enumerate_words,
     parse_queue,
     parse_word,
-    ringing_path,
     ringing_transition,
 )
 from .poly import LaurentPoly, complete_homogeneous, parse_poly, q_int_derivative

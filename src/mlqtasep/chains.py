@@ -3,12 +3,12 @@
 Each chain stores one TransitionRecord per state-changing event; loops are
 never stored and the diagonal of the generator is implied by column sums.
 Rates are exact polynomials in the per-class jump parameters x1..x_{n-1}.
-Each builder makes those rates once per chain (x1..x_{n-1}, and 1 for the
-ringing rules), so the records of a chain share its rate polynomials;
-LaurentPoly is immutable, which makes the sharing safe.  The queue chains
-whose rates or jumps read the projected word build their states with
-project_queues and keep that projection on the chain, so the suites that
-check them read it instead of projecting again.
+Each builder makes those rates (x1..x_{n-1}, and 1 for the ringing rules)
+and one mechanism label per kind and column once per chain, and its records
+share them; LaurentPoly is immutable, which makes the sharing safe.  The
+queue chains whose rates or jumps read the projected word build their
+states with project_queues and keep that projection on the chain, so the
+suites that check them read it instead of projecting again.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
     index = {w: i for i, w in enumerate(states)}
     nvars = c.n - 1
     x = x_vars(nvars)
+    mechanisms = [f"tasep-swap({i + 1})" for i in range(c.N)]
     records = []
     for sid, word in enumerate(states):
         for i in range(c.N):
@@ -107,7 +108,7 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
                         src=sid,
                         dst=index[tuple(swapped)],
                         rate=x[b - 1],
-                        mechanism=f"tasep-swap({i + 1})",
+                        mechanism=mechanisms[i],
                     )
                 )
     return ChainGraph("tasep", c, tuple(states), tuple(records), nvars)
@@ -155,7 +156,6 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
     index = {q: i for i, q in enumerate(states)}
     nvars = c.n - 1
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
-    # one mechanism label per column, shared by its records like the rates
     mechanisms = [f"ringing({i + 1})" for i in range(c.N)]
     records = []
     for sid, q in enumerate(states):
@@ -303,6 +303,8 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
     index = {q: i for i, q in enumerate(states)}
     nvars = 2
     x = x_vars(nvars)
+    regular = [f"coupe-regular({col + 1})" for col in range(c.N)]
+    pulling = [f"coupe-pulling({col + 1})" for col in range(c.N)]
     records = []
     for sid, q in enumerate(states):
         coupes = decompose_coupes(projection.words[sid])
@@ -314,10 +316,10 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
                 raise AssertionError("front-seat 2 must sit under a vacancy")
             if occupied:
                 successor = _regular_jump(q, coupe.front)
-                mechanism = f"coupe-regular({coupe.front + 1})"
+                mechanism = regular[coupe.front]
             else:
                 successor = _pulling_jump(q, coupes, which)
-                mechanism = f"coupe-pulling({coupe.front + 1})"
+                mechanism = pulling[coupe.front]
             if successor == q:
                 raise AssertionError("coupe jumps always change the queue")
             records.append(

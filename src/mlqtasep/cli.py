@@ -1,9 +1,10 @@
 """Command-line front end: enumeration, projection, chains, verification, sampling.
 
 Exit codes: 0 success or agreement, 1 failed check, 2 usage or validation
-error, 3 solver degeneracy (reducible chain at the rate point), 4 simulation
-anomaly.  All machine-readable output goes to stdout (JSON or CSV); progress
-and summaries go to stderr.
+error, 3 solver degeneracy (reducible chain at the rate point) or give-up
+(no certified vector modulo the listed primes), 4 simulation anomaly.  All
+machine-readable output goes to stdout (JSON or CSV); progress and
+summaries go to stderr.
 """
 
 from __future__ import annotations
@@ -43,32 +44,34 @@ def _parse_m(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad composition {text!r}: {err}") from None
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _parse_rate(text: str) -> Fraction:
+    try:
+        value = Fraction(text.strip())
+        if value > 0:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"bad rate {text!r}, expected a positive rational such as 2 or 3/2")
 
 
 def _parse_rates(text: str, nvars: int) -> tuple[Fraction, ...]:
-    values = [_parse_fraction(part) for part in text.split(",")]
+    values = [_parse_rate(part) for part in text.split(",")]
     if len(values) != nvars:
         raise ValueError(f"need {nvars} rates x1..x{nvars}, got {len(values)}")
-    if any(v <= 0 for v in values):
-        raise ValueError("rates must be positive")
     return tuple(values)
 
 
 def _parse_solve_point(text: str, nvars: int) -> tuple[Fraction, ...]:
     point = [Fraction(1)] * nvars
     for part in text.split(","):
-        name, _, value = part.partition("=")
+        name, equals, value = part.partition("=")
         name = name.strip()
-        if not name.startswith("x"):
+        if not (equals and name.startswith("x") and name[1:].isdecimal()):
             raise ValueError(f"bad assignment {part!r}, expected x<i>=<value>")
         index = int(name[1:]) - 1
         if not 0 <= index < nvars:
             raise ValueError(f"variable {name} out of range, chain has x1..x{nvars}")
-        point[index] = _parse_fraction(value)
-    if any(v <= 0 for v in point):
-        raise ValueError("rate point must be positive")
+        point[index] = _parse_rate(value)
     return tuple(point)
 
 
@@ -153,13 +156,13 @@ def cmd_project(args) -> int:
 
 def cmd_chain(args) -> int:
     comp = build_composition(_parse_m(args.composition))
+    point = _parse_solve_point(args.solve, comp.n - 1) if args.solve else None  # before output
     graph = build_process_chain(args.process, comp)
     if args.export == "dot":
         print(to_dot(graph))
     elif args.export == "json":
         print(to_json(graph))
-    if args.solve:
-        point = _parse_solve_point(args.solve, graph.nvars)
+    if point:
         weights = stationary_solve(graph, point)
         print(
             " ".join(
@@ -186,8 +189,8 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     comp = build_composition(_parse_m(args.composition))
+    rates = _parse_rates(args.rates, comp.n - 1)
     chain = build_process_chain(args.process, comp)
-    rates = _parse_rates(args.rates, chain.nvars)
     cfg = SimConfig(
         process=args.process,
         m=comp.m,
@@ -223,15 +226,15 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ReducibleChainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except AbsorbingStateError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
     except (ValueError, OSError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (ReducibleChainError, ArithmeticError) as err:  # ZeroDivisionError is 2, above
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import Iterable, Sequence
@@ -149,37 +150,25 @@ def composition_of_queue(q: Queue) -> Composition:
 # ---------------------------------------------------------------------------
 
 
-def ringing_path(q: Queue, i: int) -> tuple[int, ...]:
-    """Columns (0-based) that one ring at bottom-row column i visits, one per
-    grid row, top row first."""
-    nrows, N = len(q), len(q[0])
-    cols = [0] * nrows
-    cols[nrows - 1] = i % N
-    for r in range(nrows - 1, 0, -1):
-        # The path moves straight up over an occupied cell, one step right
-        # over a vacancy.
-        if q[r][cols[r]]:
-            cols[r - 1] = cols[r]
-        else:
-            cols[r - 1] = (cols[r] + 1) % N
-    return tuple(cols)
-
-
 def ringing_transition(q: Queue, i: int) -> Queue:
-    """Apply the simultaneous left-swaps along the ringing path at column i."""
-    path = ringing_path(q, i)
-    new_rows = []
+    """Apply the simultaneous left-swaps along the ringing path at column i.
+
+    The path climbs from bottom-row column i (mod N), straight up over an
+    occupied cell and one step right over a vacancy; each occupied cell on
+    it moves one step left when that cell (index -1: column N - 1) is free.
+    """
     N = len(q[0])
-    for r, row in enumerate(q):
-        col = path[r]
-        left = (col - 1) % N
-        if row[col] and not row[left]:
-            mutable = list(row)
-            mutable[col], mutable[left] = 0, 1
-            new_rows.append(tuple(mutable))
-        else:
-            new_rows.append(row)
-    return tuple(new_rows)
+    col = i % N
+    rows = list(q)
+    for r in reversed(range(len(q))):
+        row = q[r]
+        if not row[col]:
+            col = col + 1 if col + 1 < N else 0
+        elif not row[col - 1]:
+            cells = list(row)
+            cells[col - 1], cells[col] = 1, 0
+            rows[r] = tuple(cells)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +183,7 @@ class BullyLabeling:
     column c (0 for vacancies).  cover maps a vacant grid cell to the
     smallest class whose bully path queues through it.  z counts covered
     vacancies keyed by (row, class), both 1-based as in all display output.
+    exponents are those of the conjectured weight (see add_covers).
     """
 
     queue: Queue
@@ -202,6 +192,7 @@ class BullyLabeling:
     cover: dict[tuple[int, int], int]
     word: Word
     z: dict[tuple[int, int], int]
+    exponents: tuple[int, ...]
 
     def z1(self) -> int:
         return sum(count for (row, cls), count in self.z.items() if cls == 1)
@@ -252,6 +243,17 @@ def project_row(
     return tuple(lower), tuple(cover)
 
 
+def add_covers(exponents: Sequence[int], row: int, cover: Sequence[int]) -> tuple[int, ...]:
+    """Lam-Williams rule for grid row `row` (0-based): each vacancy there covered by
+    class i (cover as project_row gives it) multiplies the weight by x_{row+1} / x_i."""
+    step = list(exponents)
+    for cls in cover:
+        if cls:
+            step[row] += 1
+            step[cls - 1] -= 1
+    return tuple(step)
+
+
 def bully_projection(q: Queue) -> BullyLabeling:
     """Assign classes to all occupied cells, top row down.
 
@@ -264,19 +266,19 @@ def bully_projection(q: Queue) -> BullyLabeling:
     nrows = comp.n - 1
     classes = [tuple(1 if bit else 0 for bit in q[0])]
     cover: dict[tuple[int, int], int] = {}
+    exponents = comp.V
     for lower in range(1, nrows):
         row, row_cover = project_row(classes[-1], q[lower], lower + 1)
         classes.append(row)
+        exponents = add_covers(exponents, lower, row_cover)
         for col, cls in enumerate(row_cover):
             if cls:
                 cover[(lower, col)] = cls
     word = tuple(cls or nrows + 1 for cls in classes[-1])
-    z: dict[tuple[int, int], int] = {}
-    for (row, _col), cls in cover.items():
-        key = (row + 1, cls)
-        z[key] = z.get(key, 0) + 1
+    z = Counter((row + 1, cls) for (row, _col), cls in cover.items())
     return BullyLabeling(
-        queue=q, composition=comp, classes=tuple(classes), cover=cover, word=word, z=z
+        queue=q, composition=comp, classes=tuple(classes), cover=cover, word=word, z=z,
+        exponents=exponents,
     )
 
 
@@ -285,10 +287,10 @@ class QueueProjection:
     """The bully-path projection of every queue of one composition.
 
     Entry i of each field belongs to queues[i], in enumerate_mlqs order:
-    its projected word, its conjectured_exponents, and covered, the bitmask
-    of the bottom-row vacancies some bully path queues through (bit col for
-    column col; for n = 3 these are the covered 3s).  Equal words, and
-    equal exponent tuples, are one shared object.
+    its projected word, the exponents of its conjectured weight, and
+    covered, the bitmask of the bottom-row vacancies some bully path queues
+    through (bit col for column col; for n = 3 these are the covered 3s).
+    Equal words, and equal exponent tuples, are one shared object.
     """
 
     queues: tuple[Queue, ...]
@@ -318,27 +320,22 @@ def project_queues(c: Composition) -> QueueProjection:
     mask_of: dict[tuple[int, ...], int] = {}
     shared_exponents: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def leaf(q: Queue, classes: tuple[int, ...], exps: Sequence[int], cover: tuple[int, ...]):
+    def leaf(q: Queue, classes: tuple[int, ...], exps: tuple[int, ...], cover: tuple[int, ...]):
         queues.append(q)
         word = word_of.get(classes)
         if word is None:
             word = word_of[classes] = tuple(cls or c.n for cls in classes)
         words.append(word)
-        exps = tuple(exps)
         exponents.append(shared_exponents.setdefault(exps, exps))
         mask = mask_of.get(cover)
         if mask is None:
             mask = mask_of[cover] = sum(1 << col for col, cls in enumerate(cover) if cls)
         covered.append(mask)
 
-    def visit(depth: int, prefix: Queue, upper: tuple[int, ...], exps: Sequence[int]):
+    def visit(depth: int, prefix: Queue, upper: tuple[int, ...], exps: tuple[int, ...]):
         for bits in rows[depth]:
             classes, cover = project_row(upper, bits, depth + 1)
-            step = list(exps)
-            for cls in cover:
-                if cls:
-                    step[depth] += 1
-                    step[cls - 1] -= 1
+            step = add_covers(exps, depth, cover)
             if depth < last:
                 visit(depth + 1, prefix + (bits,), classes, step)
             else:
@@ -358,21 +355,9 @@ def project_queues(c: Composition) -> QueueProjection:
 # ---------------------------------------------------------------------------
 
 
-def conjectured_exponents(labeling: BullyLabeling) -> tuple[int, ...]:
-    """Exponents of x_1^V_1 ... x_{n-2}^V_{n-2} * prod (x_row / x_class)^z."""
-    comp = labeling.composition
-    exps = [0] * (comp.n - 1)
-    for r in range(1, comp.n - 1):
-        exps[r - 1] += comp.V[r - 1]
-    for (row, cls), count in labeling.z.items():
-        exps[row - 1] += count
-        exps[cls - 1] -= count
-    return tuple(exps)
-
-
 def conjectured_weight(labeling: BullyLabeling) -> LaurentPoly:
-    """The monomial of conjectured_exponents, coefficient 1."""
-    return LaurentPoly.monomial(1, conjectured_exponents(labeling))
+    """x_1^V_1 ... x_{n-2}^V_{n-2} * prod (x_row / x_class)^z, coefficient 1."""
+    return LaurentPoly.monomial(1, labeling.exponents)
 
 
 # ---------------------------------------------------------------------------

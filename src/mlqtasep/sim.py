@@ -82,12 +82,11 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalD
         raise ValueError("event horizon must be positive")
     if not 0 <= cfg.burn_in < 1:
         raise ValueError(f"burn-in must lie in [0, 1), got {cfg.burn_in}")
-    targets: list[list[int]] = [[] for _ in chain.states]
-    cumulative: list[list[float]] = [[] for _ in chain.states]
-    for sid, records in enumerate(chain.out_records()):
-        weights = [float(rec.rate.eval(cfg.rates)) for rec in records]
-        targets[sid] = [rec.dst for rec in records]
-        cumulative[sid] = list(accumulate(weights))
+    out = chain.out_records()
+    targets = [[rec.dst for rec in records] for records in out]
+    cumulative = [
+        list(accumulate(_float_rate(rec.rate, cfg.rates) for rec in records)) for records in out
+    ]
     rng = random.Random(cfg.seed)
     occupation = [0.0] * len(chain.states)
     state = 0
@@ -115,6 +114,18 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalD
     )
 
 
+def _float_rate(rate, point: Sequence[Fraction]) -> float:
+    """The rate at the point as a float; ValueError unless positive and finite."""
+    try:
+        value = float(rate.eval(point))
+    except OverflowError:
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    shown = ", ".join(f"x{i}={v}" for i, v in enumerate(point, start=1))
+    raise ValueError(f"rate {rate} is {value} as a float, out of the sampler's range, at {shown}")
+
+
 def total_variation(p: Sequence[float], q: Sequence[float]) -> float:
     if len(p) != len(q):
         raise ValueError("dimension mismatch")
@@ -125,6 +136,8 @@ def compare_to_exact(
     emp: EmpiricalDistribution, exact: Sequence[Fraction | int], tolerance: float
 ) -> dict:
     """Total-variation distance and rough per-state z-scores against a target."""
+    if not 0 <= tolerance <= 1:
+        raise ValueError(f"tolerance must lie in [0, 1], got {tolerance}")
     if len(exact) != len(emp.fractions):
         raise ValueError("dimension mismatch")
     total = sum(Fraction(v) for v in exact)

@@ -67,14 +67,14 @@ def master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[Laure
 
 
 def residual_at_point(
-    g: ChainGraph, values: Sequence[Fraction], rates: Sequence[Fraction]
-) -> list[Fraction]:
+    g: ChainGraph, values: Sequence[Fraction | int], rates: Sequence[Fraction | int]
+) -> list[Fraction | int]:
     """Numeric twin of master_residual for an already evaluated weight vector.
 
     rates holds each transition's rate evaluated at the point, in the order
-    of g.transitions.
+    of g.transitions.  Integer values and rates give integer residuals.
     """
-    residuals = [Fraction(0)] * len(g.states)
+    residuals = [0] * len(g.states)
     for rec, rate in zip(g.transitions, rates, strict=True):
         flow = rate * values[rec.src]
         residuals[rec.dst] += flow
@@ -147,41 +147,38 @@ def _reconstruct(residue: int, modulus: int) -> Fraction | None:
 def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """Exact stationary vector at a rate point, as coprime positive integers.
 
-    Eliminates the evaluated generator (denominators cleared, one row
-    dropped: the rows sum to zero) mod 2^127 - 1 with sparse pivots, and
-    CRT-combines further Mersenne primes only while rational reconstruction
-    fails.  The result is certified, not trusted: it is returned only when
-    residual_at_point is exactly zero, and it is unique because the nullity
-    over Q is at least 1 and at most the nullity mod p, which must be 1.
-    ReducibleChainError carries that nullity mod p as .dimension, or 1 when
-    the certified vector is not positive; ArithmeticError means no listed
-    prime led to a certified vector.
+    Eliminates the integer generator (each distinct rate evaluated once and
+    scaled by the lcm of their denominators; one row dropped: the rows sum
+    to zero) mod 2^127 - 1 with sparse pivots, and CRT-combines further
+    Mersenne primes only while rational reconstruction fails.  The result is
+    certified, not trusted: it is returned only when residual_at_point is
+    exactly zero, and it is unique because the nullity over Q is at least 1
+    and at most the nullity mod p.  A prime whose nullity is not 1 is
+    unlucky, and skipped, when an earlier prime gave 1 or the chain is
+    strongly connected with positive rates; else ReducibleChainError carries
+    that nullity as .dimension (1 for a certified vector that is not
+    positive).  ArithmeticError: no listed prime led to a certified vector.
     """
     n = len(g.states)
-    point = [Fraction(v) for v in point]
     # records share their chain's few rate objects: evaluate each one once
-    values: dict[int, Fraction] = {}
-    rates = []
-    for rec in g.transitions:
-        value = values.get(id(rec.rate))
-        if value is None:
-            value = values[id(rec.rate)] = rec.rate.eval(point)
-        rates.append(value)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    distinct = {id(rec.rate): rec.rate for rec in g.transitions}
+    values = {key: rate.eval(point) for key, rate in distinct.items()}
+    scale = lcm(*(value.denominator for value in values.values()))
+    values = {key: v.numerator * (scale // v.denominator) for key, v in values.items()}
+    rates = [values[id(rec.rate)] for rec in g.transitions]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
     for rec, value in zip(g.transitions, rates):
         rows[rec.dst][rec.src] = rows[rec.dst].get(rec.src, 0) + value
         rows[rec.src][rec.src] = rows[rec.src].get(rec.src, 0) - value
-    denominator = lcm(*(v.denominator for row in rows for v in row.values()))
-    # the rows sum to zero, so the first is redundant
-    rows = [{col: int(v * denominator) for col, v in row.items() if v} for row in rows[1:]]
     modulus, residues = 1, [0] * n
     for exponent in _MERSENNE_EXPONENTS:
         p = (1 << exponent) - 1
-        nullity, vector = _null_vector_mod(rows, n, p)
+        # the rows sum to zero, so the first is redundant
+        nullity, vector = _null_vector_mod(rows[1:], n, p)
         if nullity != 1:
-            if modulus == 1:
+            if modulus == 1 and not (all(v > 0 for v in values.values()) and irreducible(g)):
                 raise ReducibleChainError(nullity)
-            continue  # the nullity over Q is already proved 1: an unlucky prime
+            continue  # the nullity over Q is proved 1: an unlucky prime
         total = sum(vector) % p
         if not total:
             continue

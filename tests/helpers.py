@@ -2,11 +2,14 @@
 
 The two closed-form weights are the paper's special cases of the
 conjectured weight, kept here in their own form so that tests can check
-conjectured_exponents against them; q_int is the oracle of
-q_int_derivative.  reference_projection is the whole-queue bully-path
-projection, the oracle of the row-step fold in core, and
-reference_eval the term-by-term Fraction evaluation, the oracle of
-LaurentPoly.eval.
+conjectured_exponents against them; conjectured_exponents reads the
+exponents off the z-statistics, the oracle of the per-row rule in core.
+q_int is the oracle of q_int_derivative.  reference_projection is the
+whole-queue bully-path projection, the oracle of the row-step fold in
+core, and reference_eval the term-by-term Fraction evaluation, the oracle
+of LaurentPoly.eval.  ringing_path and reference_ringing are the two-pass
+ringing step (list the path's columns, then swap along them), the oracle
+of the one-pass ringing_transition.
 """
 
 from fractions import Fraction
@@ -73,6 +76,54 @@ def single_first_class_weight(labeling: BullyLabeling) -> LaurentPoly:
     exps = [0] * (comp.n - 1)
     exps[0] = comp.V[0] - labeling.z1()
     return LaurentPoly.monomial(1, exps)
+
+
+def ringing_path(q: Queue, i: int) -> tuple[int, ...]:
+    """Columns (0-based) that one ring at bottom-row column i visits, one per
+    grid row, top row first."""
+    nrows, N = len(q), len(q[0])
+    cols = [0] * nrows
+    cols[nrows - 1] = i % N
+    for r in range(nrows - 1, 0, -1):
+        # The path moves straight up over an occupied cell, one step right
+        # over a vacancy.
+        if q[r][cols[r]]:
+            cols[r - 1] = cols[r]
+        else:
+            cols[r - 1] = (cols[r] + 1) % N
+    return tuple(cols)
+
+
+def reference_ringing(q: Queue, i: int) -> Queue:
+    """Apply the simultaneous left-swaps along ringing_path(q, i)."""
+    path = ringing_path(q, i)
+    new_rows = []
+    N = len(q[0])
+    for r, row in enumerate(q):
+        col = path[r]
+        left = (col - 1) % N
+        if row[col] and not row[left]:
+            mutable = list(row)
+            mutable[col], mutable[left] = 0, 1
+            new_rows.append(tuple(mutable))
+        else:
+            new_rows.append(row)
+    return tuple(new_rows)
+
+
+def _exponents_of_z(comp: Composition, z: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    exps = [0] * (comp.n - 1)
+    for r in range(1, comp.n - 1):
+        exps[r - 1] += comp.V[r - 1]
+    for (row, cls), count in z.items():
+        exps[row - 1] += count
+        exps[cls - 1] -= count
+    return tuple(exps)
+
+
+def conjectured_exponents(labeling: BullyLabeling) -> tuple[int, ...]:
+    """Exponents of x_1^V_1 ... x_{n-2}^V_{n-2} * prod (x_row / x_class)^z."""
+    return _exponents_of_z(labeling.composition, labeling.z)
 
 
 def q_int(k: int, names=("q",)) -> LaurentPoly:
@@ -150,6 +201,7 @@ def reference_projection(
         cover=cover,
         word=word,
         z=z,
+        exponents=_exponents_of_z(comp, z),
     )
 
 

@@ -182,6 +182,21 @@ def test_ringing_records_share_mechanism_labels(rule):
 
 
 @pytest.mark.parametrize(
+    "build, labels",
+    [
+        (build_tasep_chain, 6),  # tasep-swap(1..6)
+        (build_coupe_chain, 12),  # coupe-regular(1..6) and coupe-pulling(1..6)
+    ],
+)
+def test_word_and_coupe_records_share_mechanism_labels(build, labels):
+    # one label object per distinct label: the coupe chain of (1,2,3) has 240
+    # records, its word chain 132
+    g = build(build_composition((1, 2, 3)))
+    objects = {id(rec.mechanism): rec.mechanism for rec in g.transitions}
+    assert len(objects) == len(set(objects.values())) == labels
+
+
+@pytest.mark.parametrize(
     "build, m",
     [
         (build_tasep_chain, (1, 1, 2, 1)),

@@ -248,6 +248,60 @@ def test_simulate_compare_exact(capsys):
     assert len(out.splitlines()) == 7
 
 
+def test_chain_solve_at_a_rate_equal_to_the_first_prime(capsys):
+    code, out, err = run_cli(
+        capsys, "chain", "tasep", "-m", "1,1,1", "--solve", f"x1={2**127 - 1},x2=1"
+    )
+    assert (code, err) == (0, "")
+    assert out.split()[:2] == [f"123:{2**127}", f"132:{2**127 - 1}"]
+
+
+def test_chain_solve_gives_up_with_exit_3(capsys):
+    # the weights outgrow what rational reconstruction recovers modulo the
+    # product of all the listed primes
+    code, out, err = run_cli(
+        capsys, "chain", "tasep", "-m", "1,1,1", "--solve", f"x1={10**4000},x2=1"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: no certified stationary vector modulo the listed Mersenne primes\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["chain", "tasep", "--export", "json", "--solve", "x=2"],
+            "bad assignment 'x=2', expected x<i>=<value>",
+        ),
+        (["chain", "tasep", "--solve", "x1"], "bad assignment 'x1', expected x<i>=<value>"),
+        (
+            ["chain", "tasep", "--solve", "x1=1/0"],
+            "bad rate '1/0', expected a positive rational such as 2 or 3/2",
+        ),
+        (
+            ["simulate", "tasep", "--rates", "1/0,1"],
+            "bad rate '1/0', expected a positive rational such as 2 or 3/2",
+        ),
+        (["simulate", "tasep", "--rates", "1e400,1"], "rate x1 is inf as a float"),
+        (["simulate", "coupe", "--rates", "1e-400,1"], "rate x1 is 0.0 as a float"),
+        (
+            ["simulate", "tasep", "--rates", "2,1", "--compare-exact", "--tolerance", "-1"],
+            "tolerance must lie in [0, 1], got -1.0",
+        ),
+        (
+            ["simulate", "tasep", "--rates", "2,1", "--compare-exact", "--tolerance", "nan"],
+            "tolerance must lie in [0, 1], got nan",
+        ),
+    ],
+)
+def test_bad_rate_input_is_named(capsys, argv, message):
+    if argv[0] == "simulate":
+        argv = [*argv, "--events", "10"]
+    code, out, err = run_cli(capsys, *argv, "-m", "1,1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_simulate_bad_rates(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "tasep", "-m", "1,1,1", "--rates", "2,0", "--events", "10"

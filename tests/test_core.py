@@ -10,7 +10,6 @@ from mlqtasep.core import (
     build_composition,
     bully_projection,
     composition_of_queue,
-    conjectured_exponents,
     conjectured_weight,
     enumerate_mlqs,
     enumerate_words,
@@ -21,7 +20,6 @@ from mlqtasep.core import (
     parse_word,
     queue_label,
     queue_to_text,
-    ringing_path,
     ringing_transition,
     word_count,
     word_to_text,
@@ -29,7 +27,10 @@ from mlqtasep.core import (
 from mlqtasep.poly import LaurentPoly
 from helpers import (
     compositions_up_to_six,
+    conjectured_exponents,
     reference_projection,
+    reference_ringing,
+    ringing_path,
     single_first_class_weight,
     three_species_weight,
 )
@@ -145,6 +146,7 @@ def test_bad_queue_rows_are_named():
 # ---------------------------------------------------------------------------
 
 
+# ringing_path is the two-pass oracle's path, in tests/helpers.py
 def test_ringing_path_wide_queue():
     # clock at site 5 (1-based): path runs 5 -> 6 -> 6 -> 7 bottom-up; the
     # columns come 0-based, top row first
@@ -350,6 +352,19 @@ def test_rotation_commutes_with_projection_and_ringing(case, k, i):
     )
 
 
+def test_ringing_transition_matches_the_two_pass_oracle_on_the_wide_queue():
+    for i in range(-8, 16):
+        assert ringing_transition(WIDE_QUEUE, i) == reference_ringing(WIDE_QUEUE, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(queues_up_to_six())
+def test_ringing_transition_matches_the_two_pass_oracle(case):
+    c, q = case
+    for i in range(c.N):
+        assert ringing_transition(q, i) == reference_ringing(q, i)
+
+
 @settings(max_examples=150, deadline=None)
 @given(queues_up_to_six())
 def test_projected_word_has_the_composition(case):
@@ -511,6 +526,8 @@ def test_first_exponent_is_v1_minus_z1(case):
     c, q = case
     lab = bully_projection(q)
     assert conjectured_exponents(lab)[0] == c.V[0] - lab.z1()
+    # the fold's per-row rule gives the exponents the z-statistics give
+    assert lab.exponents == conjectured_exponents(lab)
 
 
 def test_conjectured_weight_exponents_nonnegative():

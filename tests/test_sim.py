@@ -130,5 +130,11 @@ def test_bad_config_rejected():
         gillespie_run(_config(rates=(Fraction(0), Fraction(1))))
     with pytest.raises(ValueError):
         gillespie_run(_config(events=0))
+    # rates whose floats overflow or underflow are refused before the run
+    huge, tiny = Fraction(10**400), Fraction(1, 10**400)
+    with pytest.raises(ValueError, match=r"rate x1 is inf as a float, .* x1=10{400}, x2=1$"):
+        gillespie_run(_config(rates=(huge, Fraction(1))))
+    with pytest.raises(ValueError, match=r"rate x2 is 0.0 as a float, .* x1=2, x2=1/10{400}$"):
+        gillespie_run(_config(rates=(Fraction(2), tiny)))
     with pytest.raises(ValueError):
         build_process_chain("nonsense", build_composition((1, 1)))

@@ -288,3 +288,12 @@ def test_consistency_triangle():
         rates = [rec.rate.eval(point) for rec in g.transitions]
         assert all(r == 0 for r in residual_at_point(g, values, rates))
         assert stationary_solve(g, point) == normalize_rationals(values)
+
+
+def test_residual_at_point_stays_integer_on_integer_input():
+    g = build_tasep_chain(build_composition((1, 1, 1)))
+    rates = [int(rec.rate.eval((2, 1))) for rec in g.transitions]
+    residuals = residual_at_point(g, stationary_solve(g, (2, 1)), rates)
+    assert residuals == [0] * 6 and all(type(r) is int for r in residuals)
+    off = residual_at_point(g, [1] * 6, rates)
+    assert any(off) and all(type(r) is int for r in off)

@@ -4,6 +4,7 @@ The reference shares no code with the sparse modular solver; it is exact,
 simple and slow, so it only runs on chains of a few states.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -153,9 +154,40 @@ def test_stationary_solve_never_returns_a_corrupt_candidate(monkeypatch):
 
 
 def test_stationary_solve_needs_nullity_one_mod_p(monkeypatch):
-    g = build_tasep_chain(build_composition((1, 1, 2)))
+    # the (1,1,2) word chain without the records leaving 1123: that state
+    # absorbs, so the chain is not strongly connected, and a nullity of 2 mod
+    # p is reported as it is
+    words = build_tasep_chain(build_composition((1, 1, 2)))
+    g = replace(words, transitions=tuple(rec for rec in words.transitions if rec.src))
     honest = solve._null_vector_mod
     monkeypatch.setattr(solve, "_null_vector_mod", lambda rows, n, p: (2, honest(rows, n, p)[1]))
     with pytest.raises(ReducibleChainError) as err:
         stationary_solve(g, (2, 1))
     assert err.value.dimension == 2
+
+
+def test_stationary_solve_skips_an_unlucky_prime_on_an_irreducible_chain(monkeypatch):
+    # nullity mod p only bounds the nullity over Q from above; on a strongly
+    # connected chain with positive rates the latter is 1, so a first prime
+    # that reports 2 is unlucky and the solve goes on to the next one
+    g = build_tasep_chain(build_composition((1, 1, 2)))
+    honest = solve._null_vector_mod
+    primes = []
+
+    def unlucky_first(rows, n, p):
+        primes.append(p)
+        nullity, vector = honest(rows, n, p)
+        return (2 if len(primes) == 1 else nullity), vector
+
+    monkeypatch.setattr(solve, "_null_vector_mod", unlucky_first)
+    assert stationary_solve(g, (2, 1)) == normalize_rationals(oracle_nullspace(g, (2, 1))[1])
+    assert primes == [2**127 - 1, 2**521 - 1]
+
+
+def test_stationary_solve_at_a_rate_equal_to_the_first_prime():
+    # x1 = 2^127 - 1 vanishes mod the first prime, which then sees nullity 3
+    g = build_tasep_chain(build_composition((1, 1, 1)))
+    point = (2**127 - 1, 1)
+    nullity, solution = oracle_nullspace(g, point)
+    assert nullity == 1
+    assert stationary_solve(g, point) == normalize_rationals(solution)
