@@ -74,14 +74,6 @@ class ChainGraph:
             incoming[rec.dst].append(rec)
         return incoming
 
-    def rate_map(self) -> dict[tuple[int, int], LaurentPoly]:
-        """Total rate per ordered state pair (parallel records summed)."""
-        acc: dict[tuple[int, int], LaurentPoly] = {}
-        for rec in self.transitions:
-            key = (rec.src, rec.dst)
-            acc[key] = acc.get(key, LaurentPoly.zero(self.nvars)) + rec.rate
-        return acc
-
 
 # ---------------------------------------------------------------------------
 # Word process

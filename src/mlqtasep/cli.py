@@ -29,6 +29,7 @@ from .sim import (
     AbsorbingStateError,
     SimConfig,
     build_process_chain,
+    check_tolerance,
     compare_to_exact,
     gillespie_run,
     to_csv,
@@ -190,6 +191,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     comp = build_composition(_parse_m(args.composition))
     rates = _parse_rates(args.rates, comp.n - 1)
+    if args.compare_exact:
+        check_tolerance(args.tolerance)  # before the sampler runs
     chain = build_process_chain(args.process, comp)
     cfg = SimConfig(
         process=args.process,

@@ -57,7 +57,12 @@ def build_composition(m: Iterable[int]) -> Composition:
 
 
 def enumerate_words(c: Composition) -> list[Word]:
-    """All arrangements of the multiset {1^m_1, ..., n^m_n}, lex ascending."""
+    """All arrangements of the multiset {1^m_1, ..., n^m_n}, lex ascending.
+
+    Raises ValueError, before building any word, when there are more than
+    MAX_QUEUES of them.
+    """
+    _check_count(c, word_count(c), "words")
     words: list[Word] = []
     counts = list(c.m)
 
@@ -85,8 +90,9 @@ def _row_patterns(N: int, k: int) -> list[tuple[int, ...]]:
     return sorted(patterns)
 
 
-# enumerate_mlqs and project_queues refuse a queue space larger than this;
-# the largest in use, m = (1^6), has 162,000 queues
+# enumerate_mlqs and project_queues refuse a queue space larger than this,
+# and enumerate_words a word space; the largest in use, m = (1^6), has
+# 162,000 queues
 MAX_QUEUES = 1_000_000
 
 
@@ -102,11 +108,13 @@ def word_count(c: Composition) -> int:
 
 def check_queue_count(c: Composition) -> None:
     """ValueError when c has more than MAX_QUEUES multiline queues."""
-    count = mlq_count(c)
+    _check_count(c, mlq_count(c), "multiline queues")
+
+
+def _check_count(c: Composition, count: int, what: str) -> None:
     if count > MAX_QUEUES:
         raise ValueError(
-            f"m = {c.m} has {count} multiline queues, above the limit of "
-            f"{MAX_QUEUES} held in memory"
+            f"m = {c.m} has {count} {what}, above the limit of {MAX_QUEUES} held in memory"
         )
 
 

@@ -132,12 +132,17 @@ def total_variation(p: Sequence[float], q: Sequence[float]) -> float:
     return 0.5 * sum(abs(a - b) for a, b in zip(p, q))
 
 
+def check_tolerance(tolerance: float) -> None:
+    """ValueError unless the total-variation tolerance lies in [0, 1]."""
+    if not 0 <= tolerance <= 1:
+        raise ValueError(f"tolerance must lie in [0, 1], got {tolerance}")
+
+
 def compare_to_exact(
     emp: EmpiricalDistribution, exact: Sequence[Fraction | int], tolerance: float
 ) -> dict:
     """Total-variation distance and rough per-state z-scores against a target."""
-    if not 0 <= tolerance <= 1:
-        raise ValueError(f"tolerance must lie in [0, 1], got {tolerance}")
+    check_tolerance(tolerance)
     if len(exact) != len(emp.fractions):
         raise ValueError("dimension mismatch")
     total = sum(Fraction(v) for v in exact)

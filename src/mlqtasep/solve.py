@@ -15,7 +15,7 @@ from math import gcd, isqrt, lcm
 from operator import add
 from typing import Sequence
 
-from .chains import ChainGraph, TransitionRecord
+from .chains import ChainGraph
 from .poly import LaurentPoly
 
 
@@ -217,60 +217,46 @@ def normalize_rationals(values: Sequence[Fraction]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def lump(
-    g: ChainGraph, partition: Sequence[int], block_states: Sequence | None = None
-) -> tuple[ChainGraph | None, dict | None]:
-    """Strong lumping: (quotient chain, None) when, within every block, the
-    states agree on their total rate into each other block, else (None,
-    counterexample).
+def lump(g: ChainGraph, blocks: Sequence[int], target: ChainGraph) -> dict | None:
+    """None when g lumps onto target: every state's total rate into each
+    other block equals target's rate from the state's own block into that
+    block.  That one comparison is strong lumpability and "the quotient is
+    target" at once.  Otherwise the first counterexample: the state, the
+    target state it flows into, its rate and the expected rate.
 
-    Block ids must be 0..B-1.  The first state of each block gives the
-    quotient's rates and, unless block_states names them, its states.
+    blocks[i] is the target state index of g's state i; every target state
+    must be some state's block.
     """
-    if len(partition) != len(g.states):
+    if len(blocks) != len(g.states):
         raise ValueError("partition must cover all states")
-    blocks = sorted(set(partition))
-    if blocks != list(range(len(blocks))):
-        raise ValueError("block ids must be 0..B-1")
+    if sorted(set(blocks)) != list(range(len(target.states))):
+        raise ValueError(f"block ids must be 0..{len(target.states) - 1}, each one used")
+    expected = _rates_into_blocks(target, range(len(target.states)))
     zero = LaurentPoly.zero(g.nvars)
-    # per state, the total rate into each foreign block; flow inside a
-    # block is absorbed by the diagonal
+    for state, rates in enumerate(_rates_into_blocks(g, blocks)):
+        want = expected[blocks[state]]
+        if rates != want:
+            for into in sorted(rates.keys() | want.keys()):
+                if rates.get(into, zero) != want.get(into, zero):
+                    return {
+                        "state": g.state_label(state),
+                        "into": target.state_label(into),
+                        "rate": str(rates.get(into, zero)),
+                        "expected": str(want.get(into, zero)),
+                    }
+    return None
+
+
+def _rates_into_blocks(g: ChainGraph, blocks: Sequence[int]) -> list[dict[int, LaurentPoly]]:
+    """Per state, its total rate into each block but its own; flow inside a
+    block is absorbed by the diagonal."""
     into: list[dict[int, LaurentPoly]] = [{} for _ in g.states]
     for rec in g.transitions:
-        block = partition[rec.dst]
-        if block != partition[rec.src]:
-            into[rec.src][block] = into[rec.src].get(block, zero) + rec.rate
-    first: dict[int, int] = {}
-    for state, block in enumerate(partition):
-        rep = first.setdefault(block, state)
-        rates, rep_rates = into[state], into[rep]
-        if rates != rep_rates:
-            diff = next(
-                b
-                for b in sorted(set(rates) | set(rep_rates))
-                if rates.get(b, zero) != rep_rates.get(b, zero)
-            )
-            return None, {
-                "block": block,
-                "state": g.state_label(state),
-                "other": g.state_label(rep),
-                "target_block": diff,
-                "rate": str(rates.get(diff, zero)),
-                "other_rate": str(rep_rates.get(diff, zero)),
-            }
-    records = tuple(
-        TransitionRecord(src=block, dst=target, rate=into[first[block]][target], mechanism="lumped")
-        for block in blocks
-        for target in sorted(into[first[block]])
-    )
-    if block_states is None:
-        block_states = [g.states[first[b]] for b in blocks]
-    return ChainGraph(f"{g.kind}/lumped", g.composition, tuple(block_states), records, g.nvars), None
-
-
-def same_rate_graph(a: ChainGraph, b: ChainGraph) -> bool:
-    """Equal state lists and equal aggregated rate between every pair."""
-    return a.states == b.states and a.rate_map() == b.rate_map()
+        block = blocks[rec.dst]
+        if block != blocks[rec.src]:
+            rates = into[rec.src]
+            rates[block] = rates[block] + rec.rate if block in rates else rec.rate
+    return into
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ whole-queue bully-path projection, the oracle of the row-step fold in
 core, and reference_eval the term-by-term Fraction evaluation, the oracle
 of LaurentPoly.eval.  ringing_path and reference_ringing are the two-pass
 ringing step (list the path's columns, then swap along them), the oracle
-of the one-pass ringing_transition.
+of the one-pass ringing_transition.  reference_lump builds the quotient
+chain of a strongly lumpable partition, and same_rate_graph compares two
+chains by their summed rate per state pair: together they are the oracle
+of solve.lump's one-pass comparison; first_state_quotient makes a target
+from each block's first state whether g lumps or not.
 """
 
 from fractions import Fraction
@@ -17,7 +21,7 @@ from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
-from mlqtasep.chains import ChainGraph
+from mlqtasep.chains import ChainGraph, TransitionRecord
 from mlqtasep.core import (
     BullyLabeling,
     Composition,
@@ -57,6 +61,85 @@ def bully_partition(g: ChainGraph) -> tuple[list[int], list[Word]]:
     word_index = {w: i for i, w in enumerate(words)}
     blocks = [word_index[bully_projection(q).word] for q in g.states]
     return blocks, words
+
+
+def reference_lump(
+    g: ChainGraph, partition: Sequence[int], block_states: Sequence | None = None
+) -> tuple[ChainGraph | None, dict | None]:
+    """Strong lumping: (quotient chain, None) when, within every block, the
+    states agree on their total rate into each other block, else (None,
+    counterexample).
+
+    Block ids must be 0..B-1.  The first state of each block gives the
+    quotient's rates and, unless block_states names them, its states.
+    """
+    if len(partition) != len(g.states):
+        raise ValueError("partition must cover all states")
+    blocks = sorted(set(partition))
+    if blocks != list(range(len(blocks))):
+        raise ValueError("block ids must be 0..B-1")
+    zero = LaurentPoly.zero(g.nvars)
+    into: list[dict[int, LaurentPoly]] = [{} for _ in g.states]
+    for rec in g.transitions:
+        block = partition[rec.dst]
+        if block != partition[rec.src]:
+            into[rec.src][block] = into[rec.src].get(block, zero) + rec.rate
+    first: dict[int, int] = {}
+    for state, block in enumerate(partition):
+        rep = first.setdefault(block, state)
+        rates, rep_rates = into[state], into[rep]
+        if rates != rep_rates:
+            diff = next(
+                b
+                for b in sorted(set(rates) | set(rep_rates))
+                if rates.get(b, zero) != rep_rates.get(b, zero)
+            )
+            return None, {
+                "block": block,
+                "state": g.state_label(state),
+                "other": g.state_label(rep),
+                "target_block": diff,
+                "rate": str(rates.get(diff, zero)),
+                "other_rate": str(rep_rates.get(diff, zero)),
+            }
+    records = tuple(
+        TransitionRecord(src=block, dst=target, rate=into[first[block]][target], mechanism="lumped")
+        for block in blocks
+        for target in sorted(into[first[block]])
+    )
+    if block_states is None:
+        block_states = [g.states[first[b]] for b in blocks]
+    return ChainGraph(f"{g.kind}/lumped", g.composition, tuple(block_states), records, g.nvars), None
+
+
+def first_state_quotient(g: ChainGraph, blocks: Sequence[int]) -> ChainGraph:
+    """The chain on the blocks with each block's first state's records into
+    the other blocks: g's quotient when g is lumpable, a target that agrees
+    with the first states but not all the others when it is not."""
+    first: dict[int, int] = {}
+    for state, block in enumerate(blocks):
+        first.setdefault(block, state)
+    records = tuple(
+        TransitionRecord(blocks[rec.src], blocks[rec.dst], rec.rate, rec.mechanism)
+        for rec in g.transitions
+        if first[blocks[rec.src]] == rec.src and blocks[rec.dst] != blocks[rec.src]
+    )
+    states = tuple(g.states[first[b]] for b in range(len(first)))
+    return ChainGraph(f"{g.kind}/first", g.composition, states, records, g.nvars)
+
+
+def rate_map(g: ChainGraph) -> dict[tuple[int, int], LaurentPoly]:
+    """Total rate per ordered state pair (parallel records summed)."""
+    acc: dict[tuple[int, int], LaurentPoly] = {}
+    for rec in g.transitions:
+        key = (rec.src, rec.dst)
+        acc[key] = acc.get(key, LaurentPoly.zero(g.nvars)) + rec.rate
+    return acc
+
+
+def same_rate_graph(a: ChainGraph, b: ChainGraph) -> bool:
+    """Equal state lists and equal aggregated rate between every pair."""
+    return a.states == b.states and rate_map(a) == rate_map(b)
 
 
 def three_species_weight(labeling: BullyLabeling) -> LaurentPoly:

@@ -65,6 +65,44 @@ def test_chain_refuses_a_queue_space_too_large(capsys):
     assert "above the limit of 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "words"],
+        ["chain", "tasep"],
+        ["simulate", "tasep", "--rates", "2,1,1", "--events", "10"],
+    ],
+)
+def test_word_space_too_large_is_refused(monkeypatch, capsys, argv):
+    import mlqtasep.core as core
+
+    monkeypatch.setattr(core, "MAX_QUEUES", 23)
+    code, out, err = run_cli(capsys, *argv, "-m", "1,1,1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: m = (1, 1, 1, 1) has 24 words, above the limit of 23 held in memory\n"
+
+
+def test_simulate_checks_the_tolerance_before_sampling(monkeypatch, capsys):
+    import mlqtasep.cli as cli
+
+    calls = []
+    original = cli.gillespie_run
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "gillespie_run", spy)
+    for tolerance, shown in (("-1", "-1.0"), ("nan", "nan")):
+        code, out, err = run_cli(
+            capsys, "simulate", "tasep", "-m", "1,1,1", "--rates", "2,1",
+            "--compare-exact", "--tolerance", tolerance, "--events", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerance must lie in [0, 1], got {shown}\n"
+    assert calls == []
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "mlqs", "-m", "1,1", "--format", "json")
     assert code == 0

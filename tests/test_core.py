@@ -94,6 +94,19 @@ def test_enumerate_words_multinomial_count(m):
     assert len(set(words)) == len(words)
 
 
+def test_enumerate_words_refuses_a_word_space_too_large_up_front(monkeypatch):
+    import mlqtasep.core as core
+
+    # with the limit lowered to 23, the 24 words of (1,1,1,1) are refused
+    # before the first one is built, and the 12 of (1,1,2) still enumerate
+    monkeypatch.setattr(core, "MAX_QUEUES", 23)
+    with pytest.raises(
+        ValueError, match=r"m = \(1, 1, 1, 1\) has 24 words, above the limit of 23"
+    ):
+        enumerate_words(build_composition((1, 1, 1, 1)))
+    assert len(enumerate_words(build_composition((1, 1, 2)))) == 12
+
+
 def test_enumerate_mlqs_counts():
     assert len(enumerate_mlqs(build_composition((1, 1, 1)))) == 9
     assert len(enumerate_mlqs(build_composition((1, 1)))) == 2

@@ -24,10 +24,14 @@ from mlqtasep.solve import (
     master_residual,
     normalize_rationals,
     residual_at_point,
-    same_rate_graph,
     stationary_solve,
 )
-from helpers import bully_partition, three_species_weight, transition_matrix
+from helpers import (
+    bully_partition,
+    first_state_quotient,
+    three_species_weight,
+    transition_matrix,
+)
 
 X1 = LaurentPoly.variable(0, 2)
 X2 = LaurentPoly.variable(1, 2)
@@ -161,67 +165,69 @@ def test_stationary_solve_rotation_invariance():
 def test_three_species_chain_lumps_to_word_process():
     c = build_composition((1, 1, 1))
     g = build_fm_chain(c, "three_species")
-    blocks, words = bully_partition(g)
-    lumped, counterexample = lump(g, blocks, block_states=words)
-    assert counterexample is None
-    assert same_rate_graph(lumped, build_tasep_chain(c))
+    blocks, _ = bully_partition(g)
+    assert lump(g, blocks, build_tasep_chain(c)) is None
 
 
 @pytest.mark.parametrize("m", [(1, 1, 1), (1, 1, 2), (2, 1, 2)])
 def test_coupe_chain_lumps_to_word_process(m):
     c = build_composition(m)
     g = build_coupe_chain(c)
-    blocks, words = bully_partition(g)
-    lumped, counterexample = lump(g, blocks, block_states=words)
-    assert counterexample is None
-    assert same_rate_graph(lumped, build_tasep_chain(c))
+    blocks, _ = bully_partition(g)
+    assert lump(g, blocks, build_tasep_chain(c)) is None
 
 
 def test_singleton_partition_always_lumpable():
     g = build_fm_chain(build_composition((1, 1, 1)), "three_species")
-    partition = list(range(len(g.states)))
-    lumped, counterexample = lump(g, partition, block_states=g.states)
-    assert counterexample is None
-    assert lumped.rate_map() == g.rate_map()
+    assert lump(g, list(range(len(g.states))), g) is None
 
 
 def test_non_lumpable_partition_reports_counterexample():
     g = build_tasep_chain(build_composition((1, 1, 1)))
     # lump 123 with 132: 132 enters {231} at rate x1, 123 does not
     partition = [0, 0, 1, 2, 3, 4]
-    lumped, counterexample = lump(g, partition)
-    assert lumped is None
-    assert counterexample == {
-        "block": 0,
+    assert lump(g, partition, first_state_quotient(g, partition)) == {
         "state": "132",
-        "other": "123",
-        "target_block": 2,
+        "into": "231",
         "rate": "x1",
-        "other_rate": "0",
+        "expected": "0",
+    }
+    # the rotation classes {123, 231, 312} and {132, 213, 321} do lump, each
+    # word into the other class at rate x1, but not onto rate x2
+    rotations = [0, 1, 1, 0, 0, 1]
+    quotient = first_state_quotient(g, rotations)
+    assert lump(g, rotations, quotient) is None
+    x2 = tuple(replace(rec, rate=X2) for rec in quotient.transitions)
+    assert lump(g, rotations, replace(quotient, transitions=x2)) == {
+        "state": "123",
+        "into": "132",
+        "rate": "x1",
+        "expected": "x2",
     }
 
 
 def test_lump_refuses_a_malformed_partition():
     g = build_tasep_chain(build_composition((1, 1, 1)))
     with pytest.raises(ValueError, match="partition must cover all states"):
-        lump(g, [0, 1, 2, 3, 4])
-    with pytest.raises(ValueError, match=r"block ids must be 0..B-1"):
-        lump(g, [0, 1, 2, 3, 4, 6])
+        lump(g, [0, 1, 2, 3, 4], g)
+    with pytest.raises(ValueError, match=r"block ids must be 0..5, each one used"):
+        lump(g, [0, 1, 2, 3, 4, 6], g)
+    with pytest.raises(ValueError, match=r"block ids must be 0..5, each one used"):
+        lump(g, [0, 1, 2, 3, 4, 4], g)
 
 
 def test_lumped_solution_equals_block_sums():
     c = build_composition((1, 1, 2))
     g = build_fm_chain(c, "three_species")
     blocks, words = bully_partition(g)
-    lumped, counterexample = lump(g, blocks, block_states=words)
-    assert counterexample is None
+    word_chain = build_tasep_chain(c)
+    assert lump(g, blocks, word_chain) is None
     point = (Fraction(3), Fraction(1, 2))
     fine = stationary_solve(g, point)
-    coarse = stationary_solve(lumped, point)
     sums = [Fraction(0)] * len(words)
     for state, block in enumerate(blocks):
         sums[block] += fine[state]
-    assert normalize_rationals(sums) == coarse
+    assert normalize_rationals(sums) == stationary_solve(word_chain, point)
 
 
 @pytest.mark.parametrize("m", [(1, 1, 2), (2, 1, 1), (1, 1, 1, 1), (2, 1, 2)])
@@ -232,16 +238,12 @@ def test_truncated_systems_lump_to_rate_one_word_process(m):
     for rows in range(1, c.n - 1):
         sub = build_composition(c.m[:rows] + (c.N - c.M[rows - 1],))
         g = build_fm_chain(sub, "uniform")
-        blocks, words = bully_partition(g)
-        lumped, counterexample = lump(g, blocks, block_states=words)
-        assert counterexample is None
-        homogeneous = build_tasep_chain(sub)
-        one = LaurentPoly.one(homogeneous.nvars)
-        expected = {
-            (rec.src, rec.dst): one for rec in homogeneous.transitions
-        }
-        assert lumped.states == homogeneous.states
-        assert lumped.rate_map() == expected
+        blocks, _ = bully_partition(g)
+        words = build_tasep_chain(sub)
+        one = LaurentPoly.one(words.nvars)
+        homogeneous = replace(words, transitions=tuple(replace(rec, rate=one) for rec in words.transitions))
+        assert lump(g, blocks, homogeneous) is None
+        assert lump(g, blocks, words) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def test_main_conjecture_small():
     assert report.details["symbolic_residual"] == "zero"
 
 
+def test_main_conjecture_symbolic_residual_at_six():
+    report = check_main_conjecture(build_composition((1, 2, 3)))
+    assert report.status == "agree"
+    assert report.details == {
+        "words": 60, "queues": 120, "symbolic_residual": "zero", "rate_points": 5
+    }
+
+
 @pytest.mark.parametrize("m", [(1, 1), (2, 1), (1, 1, 2), (2, 1, 1), (1, 1, 1, 1)])
 def test_main_conjecture_various(m):
     report = check_main_conjecture(build_composition(m))
@@ -196,14 +204,14 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
     calls = []
     original = solve.lump
 
-    def spy(g, partition, block_states=None):
-        calls.append(g.kind)
-        return original(g, partition, block_states)
+    def spy(g, blocks, target):
+        calls.append((g.kind, target.kind))
+        return original(g, blocks, target)
 
     monkeypatch.setattr(verify, "lump", spy)
     monkeypatch.setattr(solve, "lump", spy)
     assert check(build_composition((1, 2, 2))).ok
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][1] == "tasep"
 
 
 @pytest.mark.parametrize(
@@ -254,17 +262,23 @@ def test_failure_helpers_counterexamples():
     projected = [bully_projection(q).word for q in queues.states]
     assert _word_lumping(queues, words, projected)[1] is None
     uniform = build_fm_chain(c, "uniform")
-    assert _word_lumping(uniform, words, projected)[1] == {"check": "lumped-graph"}
+    # it lumps, but onto the rate-one word process: 001/011 (word 321)
+    # enters 231 at rate 1 where the word process has x2
+    assert _word_lumping(uniform, words, projected)[1] == {
+        "check": "lumpability",
+        "state": "001/011",
+        "into": "231",
+        "rate": "1",
+        "expected": "x2",
+    }
     bent = list(queues.transitions)
     bent[3] = replace(bent[3], rate=LaurentPoly.variable(0, 2) * LaurentPoly.variable(1, 2))
     assert _word_lumping(replace(queues, transitions=tuple(bent)), words, projected)[1] == {
         "check": "lumpability",
-        "block": 3,
-        "state": "010/101",
-        "other": "001/101",
-        "target_block": 2,
-        "rate": "x1",
-        "other_rate": "x1*x2",
+        "state": "001/101",
+        "into": "213",
+        "rate": "x1*x2",
+        "expected": "x1",
     }
 
 
