@@ -33,7 +33,7 @@ from .core import (
 from .poly import LaurentPoly, parse_poly, x_vars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionRecord:
     src: int
     dst: int

@@ -25,7 +25,7 @@ from .core import (
     word_to_text,
 )
 from .sim import (
-    PROCESS_NAMES,
+    PROCESSES,
     AbsorbingStateError,
     SimConfig,
     build_process_chain,
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument("source", nargs="?", default="-", help="file path or - for stdin")
 
     chain = sub.add_parser("chain", help="build a process graph")
-    chain.add_argument("process", choices=PROCESS_NAMES)
+    chain.add_argument("process", choices=tuple(PROCESSES))
     chain.add_argument("-m", "--composition", required=True)
     chain.add_argument("--export", choices=("dot", "json"))
     chain.add_argument("--solve", metavar="x1=2,x2=1")
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo sampling of a process")
-    simulate.add_argument("process", choices=PROCESS_NAMES)
+    simulate.add_argument("process", choices=tuple(PROCESSES))
     simulate.add_argument("-m", "--composition", required=True)
     simulate.add_argument("--rates", required=True, metavar="2,1")
     simulate.add_argument("--events", type=int, default=1_000_000)

@@ -77,9 +77,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.constant(other, self.nvars)
@@ -151,20 +148,6 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, terms, self.names)
 
     __rmul__ = __mul__
-
-    def monomial_div(self, mono: "LaurentPoly") -> "LaurentPoly":
-        """Exact division of every term by a single Laurent monomial."""
-        mono = self._coerce(mono)
-        if not mono.is_monomial():
-            raise ValueError(f"divisor {mono} is not a monomial")
-        ((dexps, dcoeff),) = mono.terms.items()
-        terms = {}
-        for exps, coeff in self.terms.items():
-            q, r = divmod(coeff, dcoeff)
-            if r:
-                raise ValueError(f"coefficient {coeff} not divisible by {dcoeff}")
-            terms[tuple(a - b for a, b in zip(exps, dexps))] = q
-        return LaurentPoly(self.nvars, terms, self.names)
 
     # -- evaluation and predicates ------------------------------------------
 
@@ -295,9 +278,9 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Lau
     return result
 
 
-def x_vars(nvars: int, names: Sequence[str] | None = None) -> list[LaurentPoly]:
+def x_vars(nvars: int) -> list[LaurentPoly]:
     """The generators x1..xk as polynomials."""
-    return [LaurentPoly.variable(i, nvars, names) for i in range(nvars)]
+    return [LaurentPoly.variable(i, nvars) for i in range(nvars)]
 
 
 def q_int_derivative(k: int, d: int, names: Sequence[str] = ("q",)) -> LaurentPoly:
@@ -314,7 +297,7 @@ def q_int_derivative(k: int, d: int, names: Sequence[str] = ("q",)) -> LaurentPo
     return LaurentPoly(1, {(i,): fact * comb(i + d, i) for i in range(k - d)}, names)
 
 
-def complete_homogeneous(k: int, gens: Iterable[LaurentPoly | int]) -> LaurentPoly:
+def complete_homogeneous(k: int, gens: Iterable[LaurentPoly]) -> LaurentPoly:
     """Complete homogeneous symmetric polynomial h_k evaluated at gens.
 
     Computed by the layered recurrence over the generating function
@@ -325,13 +308,7 @@ def complete_homogeneous(k: int, gens: Iterable[LaurentPoly | int]) -> LaurentPo
     gens = list(gens)
     if not gens:
         return LaurentPoly.zero(0) if k > 0 else LaurentPoly.one(0)
-    first = next((g for g in gens if isinstance(g, LaurentPoly)), None)
-    nvars = first.nvars if first is not None else 0
-    names = first.names if first is not None else ()
-    gens = [
-        g if isinstance(g, LaurentPoly) else LaurentPoly.constant(g, nvars, names)
-        for g in gens
-    ]
+    nvars, names = gens[0].nvars, gens[0].names
     # h[d] = h_d of the generators consumed so far.
     h = [LaurentPoly.one(nvars, names)] + [LaurentPoly.zero(nvars, names)] * k
     for g in gens:

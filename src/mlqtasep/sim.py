@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 import random
 
@@ -25,7 +25,16 @@ from .chains import (
 )
 from .core import Composition, build_composition
 
-PROCESS_NAMES = ("tasep", "fm", "fm3", "fm1", "coupe")
+# process -> its chain builder.  The lambdas look the builders up at call
+# time, so a rebound module-level build_* (a tracing wrapper, say) is the one
+# that runs.
+PROCESSES: dict[str, Callable[[Composition], ChainGraph]] = {
+    "tasep": lambda c: build_tasep_chain(c),
+    "fm": lambda c: build_fm_chain(c, "uniform"),
+    "fm3": lambda c: build_fm_chain(c, "three_species"),
+    "fm1": lambda c: build_fm_chain(c, "one_first_class"),
+    "coupe": lambda c: build_coupe_chain(c),
+}
 
 
 class AbsorbingStateError(Exception):
@@ -33,17 +42,9 @@ class AbsorbingStateError(Exception):
 
 
 def build_process_chain(process: str, c: Composition) -> ChainGraph:
-    if process == "tasep":
-        return build_tasep_chain(c)
-    if process == "fm":
-        return build_fm_chain(c, "uniform")
-    if process == "fm3":
-        return build_fm_chain(c, "three_species")
-    if process == "fm1":
-        return build_fm_chain(c, "one_first_class")
-    if process == "coupe":
-        return build_coupe_chain(c)
-    raise ValueError(f"unknown process {process!r}")
+    if process not in PROCESSES:
+        raise ValueError(f"unknown process {process!r}")
+    return PROCESSES[process](c)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ of the one-pass ringing_transition.  reference_lump builds the quotient
 chain of a strongly lumpable partition, and same_rate_graph compares two
 chains by their summed rate per state pair: together they are the oracle
 of solve.lump's one-pass comparison; first_state_quotient makes a target
-from each block's first state whether g lumps or not.
+from each block's first state whether g lumps or not.  bound_suite_inputs
+caps how far run_suites may list a suite's inputs.
 """
 
 from fractions import Fraction
@@ -34,6 +35,7 @@ from mlqtasep.core import (
     queue_label,
 )
 from mlqtasep.poly import LaurentPoly
+from mlqtasep import verify
 
 
 @st.composite
@@ -309,3 +311,18 @@ def reference_eval(poly: LaurentPoly, point: Sequence[Fraction | int]) -> Fracti
             val *= base**e
         total += val
     return total
+
+
+def bound_suite_inputs(monkeypatch, suite: str, bound: int) -> None:
+    """Let run_suites list at most bound inputs of the suite: listing one
+    more fails with AssertionError, so a listing that would run on for ever
+    fails the test instead."""
+    inputs, check = verify.SUITES[suite]
+
+    def bounded(max_n):
+        for count, item in enumerate(inputs(max_n)):
+            if count == bound:
+                raise AssertionError(f"listed more than {bound} inputs of {suite}")
+            yield item
+
+    monkeypatch.setitem(verify.SUITES, suite, (bounded, check))

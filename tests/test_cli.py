@@ -6,6 +6,7 @@ import pytest
 
 from mlqtasep.cli import main
 from mlqtasep.verify import SUITES
+from helpers import bound_suite_inputs
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +55,15 @@ def test_verify_refuses_a_queue_space_too_large_up_front(capsys):
     assert code == 2 and out == ""
     assert "m = (1, 1, 1, 1, 1, 2) has 3781575 multiline queues" in err
     assert "above the limit of 1000000" in err
+
+
+def test_verify_refuses_an_unbounded_listing_at_once(capsys, monkeypatch):
+    # --max-N 40 has 2^39 - 1 compositions: the listing stops at the first
+    # one refused, the 114th, and the run exits with --max-N 7's message
+    bound_suite_inputs(monkeypatch, "main", 114)
+    code, out, err = run_cli(capsys, "verify", "main", "--max-N", "40")
+    assert code == 2 and out == ""
+    assert err == run_cli(capsys, "verify", "main", "--max-N", "7")[2]
 
 
 def test_chain_refuses_a_queue_space_too_large(capsys):

@@ -41,15 +41,6 @@ def test_laurent_cancellation():
     assert LaurentPoly.monomial(1, (-1, 0)) * x1 == LaurentPoly.one(2)
 
 
-def test_monomial_div():
-    x1, x2 = x_vars(2)
-    p = x1 * x1 + x1 * x2
-    assert p.monomial_div(x1) == x1 + x2
-    with pytest.raises(ValueError):
-        p.monomial_div(x1 + x2)
-    assert (2 * x1).monomial_div(LaurentPoly.constant(2, 2)) == x1
-
-
 def test_eval_exact():
     x1, x2 = x_vars(2)
     assert (x1 + x2).eval([2, 1]) == 3
@@ -112,6 +103,9 @@ def test_complete_homogeneous_small_cases():
     assert complete_homogeneous(0, [one, a, a]) == LaurentPoly.one(1, ("a",))
     assert str(complete_homogeneous(2, [one, a])) == "1 + a + a^2"
     assert complete_homogeneous(2, [one, a]) == _h_bruteforce(2, [one, a])
+    # no generators: h_0 = 1 and h_k = 0 for k > 0
+    assert complete_homogeneous(0, []) == LaurentPoly.one(0)
+    assert complete_homogeneous(2, []) == LaurentPoly.zero(0)
 
 
 @pytest.mark.parametrize("k,r", [(k, r) for k in range(9) for r in range(1, 7)])

@@ -1,12 +1,13 @@
 import json
 from dataclasses import replace
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from mlqtasep.chains import build_fm_chain, build_tasep_chain
 from mlqtasep.core import build_composition, bully_projection
-from mlqtasep.poly import LaurentPoly
+from mlqtasep.poly import LaurentPoly, q_int_derivative
 from mlqtasep.verify import (
     check_coupe_theorem,
     check_fm1_theorem,
@@ -23,7 +24,20 @@ from mlqtasep.verify import (
     rate_points,
     run_suites,
 )
-from helpers import single_first_class_weight
+from helpers import bound_suite_inputs, single_first_class_weight
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def _golden_form(reports) -> dict:
+    """Reports keyed and stripped of elapsed as the benchmark's golden files hold them."""
+    produced = {}
+    for report in reports:
+        payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+        del payload["elapsed"]
+        produced[f"{report.suite}:{','.join(map(str, report.composition))}"] = payload
+    assert len(produced) == len(reports)
+    return produced
 
 
 def test_iter_compositions():
@@ -128,6 +142,50 @@ def test_partition_function_permutation_case():
     report = check_partition_function(build_composition((1, 1, 1, 1)))
     assert report.ok
     assert report.details["h_form_matches"] is True
+
+
+def test_partition_function_catches_a_wrong_q_derivative(monkeypatch):
+    import mlqtasep.verify as verify
+
+    def wrong(k, d, names):
+        # one coefficient off by d!, so the form stays a multiple of d!
+        return q_int_derivative(k, d, names) + LaurentPoly.constant(factorial(d), 1, names)
+
+    monkeypatch.setattr(verify, "q_int_derivative", wrong)
+    report = check_partition_function(build_composition((1, 2, 3)))
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "binomial-product-vs-q-derivative"}
+
+
+def test_partition_function_catches_a_wrong_binomial_factor(monkeypatch):
+    import mlqtasep.verify as verify
+
+    c = build_composition((1, 2, 3))
+    enumerated = check_partition_function(c).details["partition_function"]
+    monkeypatch.setattr(verify, "comb", lambda n, k: comb(n, k) + ((n, k) == (4, 2)))
+    report = check_partition_function(c)
+    assert report.status == "fail"
+    failure = report.counterexample
+    assert failure["check"] == "enumeration-vs-binomial-product"
+    assert failure["enumerated"] == enumerated != failure["explicit"]
+    assert report.details["partition_function"] == enumerated
+
+
+def test_lift_reports_match_the_golden_lift():
+    # the benchmark's golden fm1 and zpart reports at N = 6; read, never
+    # written.  The lift workload's 11 compositions are those with 3 or 4
+    # species and (1,1,2,1,1); the file's other five-species entries take
+    # seconds each and are left to the acceptance test.
+    golden = json.loads((GOLDEN_DIR / "lift.json").read_text(encoding="utf-8"))["reports"]
+    ms = sorted({tuple(report["composition"]) for report in golden.values()})
+    ms = [m for m in ms if len(m) <= 4 or m == (1, 1, 2, 1, 1)]
+    assert len(ms) == 11
+    reports = []
+    for m in ms:
+        c = build_composition(m)
+        reports += [check_fm1_theorem(c), check_partition_function(c)]
+    produced = _golden_form(reports)
+    assert produced == {key: golden[key] for key in produced}
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +369,8 @@ def test_run_suites_all_small():
 
 def test_all_reports_match_the_golden_sweep():
     # the benchmark's golden reports of `verify all --max-N 5`; read, never written
-    golden_file = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep.json"
-    golden = json.loads(golden_file.read_text(encoding="utf-8"))["reports"]
-    reports = run_suites(["all"], max_n=5)
-    produced = {}
-    for report in reports:
-        payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
-        del payload["elapsed"]
-        produced[f"{report.suite}:{','.join(map(str, report.composition))}"] = payload
-    assert len(produced) == len(reports)
-    assert produced == golden
+    golden = json.loads((GOLDEN_DIR / "sweep.json").read_text(encoding="utf-8"))["reports"]
+    assert _golden_form(run_suites(["all"], max_n=5)) == golden
 
 
 def test_run_suites_rejects_unknown():
@@ -337,6 +387,27 @@ def test_run_suites_refuses_a_queue_space_too_large_up_front(monkeypatch):
         match=r"m = \(1, 1, 1, 1, 1, 2\) has 3781575 multiline queues, above the limit",
     ):
         run_suites(["main"], 7)
+
+
+def test_run_suites_refuses_while_listing(monkeypatch):
+    # --max-N 40 has 2^39 - 1 compositions; (1,1,1,1,1,2), the first one
+    # refused, is the 114th, and the listing must stop there
+    import mlqtasep.verify as verify
+
+    monkeypatch.setattr(verify, "check_main_conjecture", None)  # nothing may run
+    bound_suite_inputs(monkeypatch, "main", 114)
+    with pytest.raises(ValueError, match=r"m = \(1, 1, 1, 1, 1, 2\) has 3781575 multiline queues"):
+        run_suites(["main"], 40)
+
+
+def test_run_suites_lists_no_suite_after_a_refusal(monkeypatch):
+    # fm3 is listed first and refuses (4, 2, 7), its 252nd input; no later
+    # suite is listed
+    bound_suite_inputs(monkeypatch, "fm3", 252)
+    for suite in ("fm1", "zpart", "main", "uniform", "coupe"):
+        bound_suite_inputs(monkeypatch, suite, 0)
+    with pytest.raises(ValueError, match=r"m = \(4, 2, 7\) has 1226940 multiline queues"):
+        run_suites(["all"], 40)
 
 
 def test_run_suites_rejects_empty_run():
