@@ -23,6 +23,14 @@ Word = tuple[int, ...]
 Queue = tuple[tuple[int, ...], ...]
 
 
+def rotate(state: Word | Queue) -> Word | Queue:
+    """The state turned one column to the right around the ring: a word as
+    a tuple, a queue with all its rows together."""
+    if state and isinstance(state[0], tuple):
+        return tuple(row[-1:] + row[:-1] for row in state)
+    return state[-1:] + state[:-1]
+
+
 @dataclass(frozen=True)
 class Composition:
     """Species counts m plus the derived row/vacancy statistics.

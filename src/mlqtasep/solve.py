@@ -16,6 +16,7 @@ from operator import add
 from typing import Sequence
 
 from .chains import ChainGraph
+from .core import rotate
 from .poly import LaurentPoly
 
 
@@ -147,17 +148,28 @@ def _reconstruct(residue: int, modulus: int) -> Fraction | None:
 def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """Exact stationary vector at a rate point, as coprime positive integers.
 
-    Eliminates the integer generator (each distinct rate evaluated once and
-    scaled by the lcm of their denominators; one row dropped: the rows sum
-    to zero) mod 2^127 - 1 with sparse pivots, and CRT-combines further
-    Mersenne primes only while rational reconstruction fails.  The result is
-    certified, not trusted: it is returned only when residual_at_point is
-    exactly zero, and it is unique because the nullity over Q is at least 1
-    and at most the nullity mod p.  A prime whose nullity is not 1 is
-    unlucky, and skipped, when an earlier prime gave 1 or the chain is
-    strongly connected with positive rates; else ReducibleChainError carries
-    that nullity as .dimension (1 for a certified vector that is not
-    positive).  ArithmeticError: no listed prime led to a certified vector.
+    Builds the integer generator (each distinct rate evaluated once and
+    scaled by the lcm of their denominators) and solves it on the rotation
+    orbits of its states.  The orbits are used when two exact conditions
+    hold: rotate maps the integer rows onto themselves, and the chain is
+    strongly connected with every evaluated rate positive.  Then the
+    stationary vector is unique and constant on orbits.  Otherwise every
+    orbit is a single state.  Each orbit's row is its first state's row with
+    the columns summed per orbit; the first is dropped, as the rows weighted
+    by orbit sizes sum to zero.  The orbit unknowns are eliminated mod
+    2^127 - 1 with sparse pivots, and further Mersenne primes are
+    CRT-combined only while rational reconstruction fails.
+
+    The result is certified, not trusted: each orbit's value goes to all its
+    states, and the vector is returned only when residual_at_point on the
+    full chain is exactly zero.  It is unique because the chain is strongly
+    connected with positive rates, or, with single-state orbits, because the
+    nullity over Q is at least 1 and at most the nullity mod p.  A prime
+    whose nullity is not 1 is unlucky, and skipped, when an earlier prime
+    gave 1 or the chain is strongly connected with positive rates; else
+    ReducibleChainError carries that nullity as .dimension (1 for a
+    certified vector that is not positive).  ArithmeticError: no listed
+    prime led to a certified vector.
     """
     n = len(g.states)
     # records share their chain's few rate objects: evaluate each one once
@@ -170,13 +182,23 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     for rec, value in zip(g.transitions, rates):
         rows[rec.dst][rec.src] = rows[rec.dst].get(rec.src, 0) + value
         rows[rec.src][rec.src] = rows[rec.src].get(rec.src, 0) - value
-    modulus, residues = 1, [0] * n
+    connected = all(v > 0 for v in values.values()) and irreducible(g)
+    orbit = _rotation_orbits(g, rows) if connected else list(range(n))
+    quotient: list[dict[int, int]] = []  # each orbit's row, from its first state
+    for state, block in enumerate(orbit):
+        if block == len(quotient):
+            row: dict[int, int] = {}
+            for j, v in rows[state].items():
+                row[orbit[j]] = row.get(orbit[j], 0) + v
+            quotient.append(row)
+    k = len(quotient)
+    modulus, residues = 1, [0] * k
     for exponent in _MERSENNE_EXPONENTS:
         p = (1 << exponent) - 1
-        # the rows sum to zero, so the first is redundant
-        nullity, vector = _null_vector_mod(rows[1:], n, p)
+        # the rows weighted by orbit sizes sum to zero, so the first is redundant
+        nullity, vector = _null_vector_mod(quotient[1:], k, p)
         if nullity != 1:
-            if modulus == 1 and not (all(v > 0 for v in values.values()) and irreducible(g)):
+            if modulus == 1 and not connected:
                 raise ReducibleChainError(nullity)
             continue  # the nullity over Q is proved 1: an unlucky prime
         total = sum(vector) % p
@@ -189,7 +211,8 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
         candidate = [_reconstruct(r, modulus) for r in residues]
         if None in candidate:
             continue
-        ints = normalize_rationals(candidate)
+        per_orbit = normalize_rationals(candidate)
+        ints = [per_orbit[block] for block in orbit]
         if any(residual_at_point(g, ints, rates)):
             continue
         bad = next((i for i, value in enumerate(ints) if value <= 0), None)
@@ -201,6 +224,28 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
             )
         return ints
     raise ArithmeticError("no certified stationary vector modulo the listed Mersenne primes")
+
+
+def _rotation_orbits(g: ChainGraph, rows: Sequence[dict[int, int]]) -> list[int]:
+    """Each state's rotation orbit, numbered in order of first state, when
+    rotate maps the states and the integer rows onto themselves; else each
+    state is its own orbit."""
+    n = len(rows)
+    index = {state: i for i, state in enumerate(g.states)}
+    rot = [index.get(rotate(state)) for state in g.states]
+    if None in rot or any(
+        rows[rot[i]] != {rot[j]: v for j, v in row.items()} for i, row in enumerate(rows)
+    ):
+        return list(range(n))
+    orbit, k = [-1] * n, 0
+    for start in range(n):
+        if orbit[start] < 0:
+            state = start
+            while orbit[state] < 0:
+                orbit[state] = k
+                state = rot[state]
+            k += 1
+    return orbit
 
 
 def normalize_rationals(values: Sequence[Fraction]) -> list[int]:

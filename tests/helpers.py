@@ -14,10 +14,13 @@ chain of a strongly lumpable partition, and same_rate_graph compares two
 chains by their summed rate per state pair: together they are the oracle
 of solve.lump's one-pass comparison; first_state_quotient makes a target
 from each block's first state whether g lumps or not.  bound_suite_inputs
-caps how far run_suites may list a suite's inputs.
+caps how far run_suites may list a suite's inputs.  golden_form puts
+reports in the form of the benchmark's golden files under GOLDEN_DIR.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Sequence
 
 from hypothesis import strategies as st
@@ -326,3 +329,17 @@ def bound_suite_inputs(monkeypatch, suite: str, bound: int) -> None:
             yield item
 
     monkeypatch.setitem(verify.SUITES, suite, (bounded, check))
+
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def golden_form(reports) -> dict:
+    """Reports keyed and stripped of elapsed as the benchmark's golden files hold them."""
+    produced = {}
+    for report in reports:
+        payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+        del payload["elapsed"]
+        produced[f"{report.suite}:{','.join(map(str, report.composition))}"] = payload
+    assert len(produced) == len(reports)
+    return produced

@@ -8,6 +8,7 @@ extensions (ring size 6 variants) run when MLQ_ACCEPT_BIG=1 is set.
 Run with `pytest -s tests/test_acceptance.py` to see one line per criterion.
 """
 
+import json
 import os
 import time
 from fractions import Fraction
@@ -39,7 +40,7 @@ from mlqtasep.verify import (
     check_uniform_stationarity,
     iter_compositions,
 )
-from helpers import bully_partition, three_species_weight, transition_matrix
+from helpers import GOLDEN_DIR, bully_partition, golden_form, three_species_weight, transition_matrix
 
 BIG = os.environ.get("MLQ_ACCEPT_BIG") == "1"
 
@@ -128,16 +129,23 @@ def test_criterion_04_main_conjecture():
 
 def test_criterion_05_single_first_class_and_partition_function():
     started = time.perf_counter()
+    # the benchmark's golden fm1 and zpart reports at N = 6, all 14
+    # compositions of the file; read, never written
+    golden = json.loads((GOLDEN_DIR / "lift.json").read_text(encoding="utf-8"))["reports"]
     failures = []
+    reports = []
     for c in iter_compositions(6, pred=lambda m: m[0] == 1 and len(m) >= 3):
         fm1 = check_fm1_theorem(c)
         zpart = check_partition_function(c)
+        reports += [fm1, zpart]
         if not fm1.ok:
             failures.append(("fm1", c.m, fm1.counterexample))
         if not zpart.ok:
             failures.append(("zpart", c.m, zpart.counterexample))
         if c.m == (1, 1, 1) and zpart.details["partition_function"] != "3 + 6*a":
             failures.append(("zpart-golden", c.m, zpart.details))
+    produced = golden_form(reports)
+    failures += [("lift-golden", key) for key in golden if produced.get(key) != golden[key]]
     _conclude(5, not failures, f"x1-power weights and partition function, m1=1, N<=6 {failures!r}", started)
 
 

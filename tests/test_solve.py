@@ -146,7 +146,33 @@ def test_stationary_solve_evaluates_each_distinct_rate_once(monkeypatch):
     assert stationary_solve(replace(g, transitions=copies), point) == solved
 
 
+def test_stationary_solve_refuses_a_rotation_swapped_reducible_chain():
+    # rotation maps each chain onto itself and each has one orbit, whose
+    # value would certify; the orbits are refused because the chain is not
+    # strongly connected, and the nullity of the whole chain is reported
+    no_records = ChainGraph(
+        kind="custom",
+        composition=build_composition((1, 1)),
+        states=((1, 2), (2, 1)),
+        transitions=(),
+        nvars=2,
+    )
+    two_pairs = ChainGraph(
+        kind="custom",
+        composition=build_composition((1, 1, 1, 1)),
+        states=((1, 2, 3, 4), (4, 1, 2, 3), (3, 4, 1, 2), (2, 3, 4, 1)),
+        transitions=tuple(TransitionRecord(i, (i + 2) % 4, ONE, "a") for i in range(4)),
+        nvars=2,
+    )
+    for g in (no_records, two_pairs):
+        with pytest.raises(ReducibleChainError, match="dimension 2, expected 1") as err:
+            stationary_solve(g, (1, 1))
+        assert err.value.dimension == 2
+
+
 def test_stationary_solve_rotation_invariance():
+    # true by construction: the solve gives each rotation orbit one value
+    # (test_solve_oracle checks the orbit solve against the dense oracle).
     # (1,1,1,1,2) has 360 words
     for m, point in [((1, 1, 2), (2, 1)), ((1, 1, 1, 1, 2), (2, 1, 3, Fraction(1, 2)))]:
         c = build_composition(m)

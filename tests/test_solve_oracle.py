@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlqtasep.solve as solve
-from mlqtasep.chains import ChainGraph, TransitionRecord, build_tasep_chain
+from mlqtasep.chains import ChainGraph, TransitionRecord, build_fm_chain, build_tasep_chain
 from mlqtasep.core import build_composition
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.solve import ReducibleChainError, normalize_rationals, stationary_solve
@@ -185,9 +185,55 @@ def test_stationary_solve_skips_an_unlucky_prime_on_an_irreducible_chain(monkeyp
 
 
 def test_stationary_solve_at_a_rate_equal_to_the_first_prime():
-    # x1 = 2^127 - 1 vanishes mod the first prime, which then sees nullity 3
+    # x1 = 2^127 - 1 vanishes mod the first prime, and the weights 2^127 and
+    # 2^127 - 1 are too large to reconstruct mod that prime alone
     g = build_tasep_chain(build_composition((1, 1, 1)))
     point = (2**127 - 1, 1)
     nullity, solution = oracle_nullspace(g, point)
     assert nullity == 1
     assert stationary_solve(g, point) == normalize_rationals(solution)
+
+
+def _spy_unknowns(monkeypatch) -> list[int]:
+    """The number of unknowns of each _null_vector_mod call from now on."""
+    unknowns = []
+    honest = solve._null_vector_mod
+
+    def spy(rows, n, p):
+        unknowns.append(n)
+        return honest(rows, n, p)
+
+    monkeypatch.setattr(solve, "_null_vector_mod", spy)
+    return unknowns
+
+
+@pytest.mark.parametrize(
+    "m, rule, orbits",
+    [((1, 1, 1, 2), None, 12), ((1, 1, 2), "uniform", 6), ((1, 1, 2, 1), "one_first_class", 50)],
+    ids=["words-1112", "fm-uniform-112", "fm1-1121"],
+)
+def test_stationary_solve_eliminates_one_unknown_per_rotation_orbit(monkeypatch, m, rule, orbits):
+    # the word chain and two queue chains, of 60, 24 and 250 states: every
+    # orbit has N states
+    c = build_composition(m)
+    g = build_tasep_chain(c) if rule is None else build_fm_chain(c, rule)
+    point = (Fraction(3), Fraction(1, 2), Fraction(2))[: g.nvars]
+    unknowns = _spy_unknowns(monkeypatch)
+    solved = stationary_solve(g, point)
+    assert unknowns == [orbits]
+    assert solved == normalize_rationals(oracle_nullspace(g, point)[1])
+
+
+def test_stationary_solve_without_rotation_symmetry_uses_every_state(monkeypatch):
+    # one record of the (1,1,1,2) word chain gets 1 added to its rate: the
+    # chain stays strongly connected, but rotation no longer maps it onto
+    # itself
+    words = build_tasep_chain(build_composition((1, 1, 1, 2)))
+    first = replace(words.transitions[0], rate=words.transitions[0].rate + 1)
+    g = replace(words, transitions=(first, *words.transitions[1:]))
+    point = (Fraction(3), Fraction(1, 2), Fraction(2))
+    unknowns = _spy_unknowns(monkeypatch)
+    solved = stationary_solve(g, point)
+    assert unknowns == [60]
+    assert solved == normalize_rationals(oracle_nullspace(g, point)[1])
+    assert solved != stationary_solve(words, point)

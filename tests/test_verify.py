@@ -1,7 +1,6 @@
 import json
 from dataclasses import replace
 from math import comb, factorial
-from pathlib import Path
 
 import pytest
 
@@ -24,20 +23,7 @@ from mlqtasep.verify import (
     rate_points,
     run_suites,
 )
-from helpers import bound_suite_inputs, single_first_class_weight
-
-GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-
-
-def _golden_form(reports) -> dict:
-    """Reports keyed and stripped of elapsed as the benchmark's golden files hold them."""
-    produced = {}
-    for report in reports:
-        payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
-        del payload["elapsed"]
-        produced[f"{report.suite}:{','.join(map(str, report.composition))}"] = payload
-    assert len(produced) == len(reports)
-    return produced
+from helpers import GOLDEN_DIR, bound_suite_inputs, golden_form, single_first_class_weight
 
 
 def test_iter_compositions():
@@ -184,7 +170,7 @@ def test_lift_reports_match_the_golden_lift():
     for m in ms:
         c = build_composition(m)
         reports += [check_fm1_theorem(c), check_partition_function(c)]
-    produced = _golden_form(reports)
+    produced = golden_form(reports)
     assert produced == {key: golden[key] for key in produced}
 
 
@@ -370,7 +356,7 @@ def test_run_suites_all_small():
 def test_all_reports_match_the_golden_sweep():
     # the benchmark's golden reports of `verify all --max-N 5`; read, never written
     golden = json.loads((GOLDEN_DIR / "sweep.json").read_text(encoding="utf-8"))["reports"]
-    assert _golden_form(run_suites(["all"], max_n=5)) == golden
+    assert golden_form(run_suites(["all"], max_n=5)) == golden
 
 
 def test_run_suites_rejects_unknown():
