@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Composition,
@@ -27,22 +27,17 @@ from .core import (
     enumerate_words,
     project_queues,
     queue_label,
-    ringing_transition,
+    ring_successors,
     word_label,
 )
 from .poly import LaurentPoly, parse_poly, x_vars
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     src: int
     dst: int
     rate: LaurentPoly
     mechanism: str
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError("loops are implied, never stored")
 
 
 @dataclass(frozen=True)
@@ -55,6 +50,12 @@ class ChainGraph:
     # the projection of the states of a projecting queue chain (fm under
     # three_species or one_first_class, coupe), built with them; None otherwise
     projection: QueueProjection | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        ids = range(len(self.states))
+        for pos, (src, dst, _, _) in enumerate(self.transitions):
+            if src == dst or src not in ids or dst not in ids:
+                raise ValueError(f"transition {pos}, {src} -> {dst}, is a loop or leaves {ids}")
 
     def state_label(self, i: int) -> str:
         state = self.states[i]
@@ -145,15 +146,13 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
     else:
         projection = project_queues(c)
         states = projection.queues
-    index = {q: i for i, q in enumerate(states)}
     nvars = c.n - 1
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
     mechanisms = [f"ringing({i + 1})" for i in range(c.N)]
     records = []
-    for sid, q in enumerate(states):
-        for i in range(c.N):
-            successor = ringing_transition(q, i)
-            if successor == q:
+    for sid, successors in ring_successors(c):
+        for i, dst in enumerate(successors):
+            if dst == sid:
                 continue
             if projection is None:
                 rate = one
@@ -161,14 +160,7 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
                 rate = _ringing_rate(
                     rate_rule, projection.words[sid], projection.covered[sid], i, x, one
                 )
-            records.append(
-                TransitionRecord(
-                    src=sid,
-                    dst=index[successor],
-                    rate=rate,
-                    mechanism=mechanisms[i],
-                )
-            )
+            records.append(TransitionRecord(sid, dst, rate, mechanisms[i]))
     return ChainGraph(f"fm-{rate_rule}", c, states, tuple(records), nvars, projection)
 
 

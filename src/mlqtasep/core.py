@@ -15,7 +15,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poly import LaurentPoly
 
@@ -166,6 +166,17 @@ def composition_of_queue(q: Queue) -> Composition:
 # ---------------------------------------------------------------------------
 
 
+def _ring_row(row: tuple[int, ...], col: int) -> tuple[tuple[int, ...], int]:
+    """ringing_transition on one row entered at col: the row after, and the exit column."""
+    if not row[col]:
+        return row, col + 1 if col + 1 < len(row) else 0
+    if row[col - 1]:
+        return row, col
+    cells = list(row)
+    cells[col - 1], cells[col] = 1, 0
+    return tuple(cells), col
+
+
 def ringing_transition(q: Queue, i: int) -> Queue:
     """Apply the simultaneous left-swaps along the ringing path at column i.
 
@@ -173,18 +184,41 @@ def ringing_transition(q: Queue, i: int) -> Queue:
     occupied cell and one step right over a vacancy; each occupied cell on
     it moves one step left when that cell (index -1: column N - 1) is free.
     """
-    N = len(q[0])
-    col = i % N
+    col = i % len(q[0])
     rows = list(q)
     for r in reversed(range(len(q))):
-        row = q[r]
-        if not row[col]:
-            col = col + 1 if col + 1 < N else 0
-        elif not row[col - 1]:
-            cells = list(row)
-            cells[col - 1], cells[col] = 1, 0
-            rows[r] = tuple(cells)
+        rows[r], col = _ring_row(q[r], col)
     return tuple(rows)
+
+
+def ring_successors(c: Composition) -> Iterator[tuple[int, list[int]]]:
+    """Each queue's id, in enumerate_mlqs order, and its successors' ids when
+    columns 0..N-1 ring (its own id for a loop), all from one shared list.
+
+    An id is the mixed-radix number of the row ranks in _row_patterns order,
+    top row most significant.  A row's ring table maps (rank, entry column)
+    to (rank change times the row's stride, exit column); a ring adds up
+    n - 1 entries, bottom row up.
+    """
+    check_queue_count(c)
+    tables, stride = [], 1  # bottom row first
+    for M in reversed(c.M[:-1]):
+        patterns = _row_patterns(c.N, M)
+        rank = {p: k for k, p in enumerate(patterns)}
+        moves = [[_ring_row(p, col) for col in range(c.N)] for p in patterns]
+        tables.append([[((rank[row] - k) * stride, out) for row, out in m] for k, m in enumerate(moves)])
+        stride *= len(patterns)
+    ids = list(range(stride))
+    for sid, rows in zip(ids, itertools.product(*reversed(tables))):
+        bottom, *upper = reversed(rows)
+        succ = []
+        for s, col in bottom:
+            s += sid
+            for table in upper:
+                d, col = table[col]
+                s += d
+            succ.append(ids[s])
+        yield sid, succ
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .core import (
     mlq_count,
     project_queues,
     queue_label,
-    ringing_transition,
+    ring_successors,
     word_label,
 )
 from .poly import LaurentPoly, complete_homogeneous, q_int_derivative
@@ -196,22 +196,21 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
     failure = None
     checked = 0
     projection = project_queues(c)
-    index = {q: i for i, q in enumerate(projection.queues)}
-    for q, word, mask in zip(projection.queues, projection.words, projection.covered):
+    queues = zip(projection.queues, projection.words, projection.covered, ring_successors(c))
+    for q, word, mask, (sid, successors) in queues:
         # the covered vacancies of the bottom row are the covered 3s
         covered = {i for i in range(c.N) if mask >> i & 1}
         k = len(covered)
-        successors = [ringing_transition(q, i) for i in range(c.N)]
         for i in range(c.N):
             checked += 1
             if word[i] == 2 and not (q[0][i] == 0 and q[1][i] == 1):
                 failure = {"part": 1, "queue": queue_label(q), "site": i + 1}
                 break
-            if word[(i - 1) % c.N] == 1 and word[i] == 2 and successors[i] != q:
+            if word[(i - 1) % c.N] == 1 and word[i] == 2 and successors[i] != sid:
                 failure = {"part": 2, "site": i + 1}
                 break
-            if successors[i] != q:
-                k_next = projection.covered[index[successors[i]]].bit_count()
+            if successors[i] != sid:
+                k_next = projection.covered[successors[i]].bit_count()
                 if k_next > k and not (word[i] == 3 and i not in covered):
                     failure = {"part": 4, "direction": "increase", "site": i + 1}
                     break
@@ -227,7 +226,7 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
             effective = [
                 l
                 for l in block
-                if l not in covered and successors[l] != q
+                if l not in covered and successors[l] != sid
             ]
             if len(effective) > 1:
                 failure = {"part": 3, "word": word_label(word), "sites": [l + 1 for l in effective]}

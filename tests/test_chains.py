@@ -1,8 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlqtasep.chains import (
+    ChainGraph,
+    TransitionRecord,
     build_coupe_chain,
     build_fm_chain,
     build_tasep_chain,
@@ -179,6 +183,18 @@ def test_ringing_records_share_mechanism_labels(rule):
     g = build_fm_chain(build_composition((1, 2, 2)), rule)
     labels = {id(rec.mechanism): rec.mechanism for rec in g.transitions}
     assert sorted(labels.values()) == [f"ringing({i})" for i in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "rule, m",
+    [("uniform", (1, 1, 1, 2)), ("three_species", (2, 2, 3)), ("one_first_class", (1, 1, 1, 2))],
+)
+def test_ringing_records_share_state_ids(rule, m):
+    # every src and dst is one of the chain's shared state ids, not an int
+    # made per record: 500 and 735 queues, beyond the small ints Python caches
+    g = build_fm_chain(build_composition(m), rule)
+    ends = {id(end): end for rec in g.transitions for end in rec[:2]}
+    assert len(ends) == len(set(ends.values())) <= len(g.states)
 
 
 @pytest.mark.parametrize(
@@ -371,6 +387,42 @@ def test_json_round_trip():
         assert back.states == g.states
         assert back.transitions == g.transitions
         assert back.kind == g.kind
+
+
+ONE = LaurentPoly.one(1)
+TWO_WORDS = ((1, 2), (2, 1))
+
+
+def test_chain_graph_refuses_a_loop_record():
+    # loops are implied by the column sums and never stored
+    records = (TransitionRecord(0, 1, ONE, "a"), TransitionRecord(1, 1, ONE, "a"))
+    with pytest.raises(ValueError, match=r"transition 1, 1 -> 1, is a loop or leaves range\(0, 2\)"):
+        ChainGraph("tasep", build_composition((1, 1)), TWO_WORDS, records, 1)
+
+
+@pytest.mark.parametrize("src, dst", [(0, 2), (2, 0), (0, -1), (-1, 1)])
+def test_chain_graph_refuses_a_transition_outside_its_states(src, dst):
+    records = (TransitionRecord(1, 0, ONE, "a"), TransitionRecord(src, dst, ONE, "a"))
+    with pytest.raises(ValueError, match=rf"transition 1, {src} -> {dst}, is a loop or leaves range\(0, 2\)"):
+        ChainGraph("tasep", build_composition((1, 1)), TWO_WORDS, records, 1)
+
+
+@pytest.mark.parametrize(
+    "end, value, message",
+    [
+        ("to", 6, r"transition 3, \d -> 6, is a loop or leaves range\(0, 6\)"),
+        ("from", -1, r"transition 3, -1 -> \d, is a loop or leaves range\(0, 6\)"),
+        ("to", None, r"transition 3, (\d) -> \1, is a loop"),
+    ],
+)
+def test_from_json_refuses_a_transition_outside_its_states(end, value, message):
+    # the export of the word chain of (1,1,1) with record 3 pointed out of
+    # range or back at its own source
+    payload = json.loads(to_json(build_tasep_chain(build_composition((1, 1, 1)))))
+    record = payload["transitions"][3]
+    record[end] = record["from"] if value is None else value
+    with pytest.raises(ValueError, match=message):
+        from_json(json.dumps(payload))
 
 
 def test_queue_chains_carry_their_projection():

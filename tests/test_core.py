@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb, factorial, prod
 
@@ -20,11 +21,13 @@ from mlqtasep.core import (
     parse_word,
     queue_label,
     queue_to_text,
+    ring_successors,
     ringing_transition,
     word_count,
     word_to_text,
 )
 from mlqtasep.poly import LaurentPoly
+from mlqtasep.verify import iter_compositions
 from helpers import (
     compositions_up_to_six,
     conjectured_exponents,
@@ -376,6 +379,46 @@ def test_ringing_transition_matches_the_two_pass_oracle(case):
     c, q = case
     for i in range(c.N):
         assert ringing_transition(q, i) == reference_ringing(q, i)
+
+
+def _mixed_radix_queue(c, sid):
+    """The queue of c whose row ranks, top row most significant, spell sid;
+    each row ranks its 0/1 patterns in ascending order."""
+    rows = []
+    for M in reversed(c.M[:-1]):
+        patterns = sorted(p for p in itertools.product((0, 1), repeat=c.N) if sum(p) == M)
+        sid, rank = divmod(sid, len(patterns))
+        rows.append(patterns[rank])
+    assert sid == 0
+    return tuple(reversed(rows))
+
+
+def _assert_ring_successors_match_the_oracle(c, sids):
+    states = enumerate_mlqs(c)
+    successors = list(itertools.islice(ring_successors(c), max(sids) + 1))
+    assert [sid for sid, _ in successors] == list(range(len(successors)))
+    for sid in sids:
+        q = states[sid]
+        assert q == _mixed_radix_queue(c, sid)
+        assert len(successors[sid][1]) == c.N
+        for i, dst in enumerate(successors[sid][1]):
+            ringed = reference_ringing(q, i)
+            assert states[dst] == ringed
+            assert (dst == sid) == (ringed == q)
+
+
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(5)], ids=str)
+def test_ring_successors_match_the_oracle(m):
+    # every queue and column of every composition with N <= 5
+    c = build_composition(m)
+    assert sum(1 for _ in ring_successors(c)) == mlq_count(c)
+    _assert_ring_successors_match_the_oracle(c, range(mlq_count(c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(compositions_up_to_six(), st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+def test_ring_successors_match_the_oracle_on_drawn_queues(c, draws):
+    _assert_ring_successors_match_the_oracle(c, sorted({d % mlq_count(c) for d in draws}))
 
 
 @settings(max_examples=150, deadline=None)

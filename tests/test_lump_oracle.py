@@ -41,7 +41,7 @@ def lumping_cases(draw):
     if target.transitions and draw(st.booleans()):
         k = draw(st.integers(0, len(target.transitions) - 1))
         altered = list(target.transitions)
-        altered[k] = replace(altered[k], rate=altered[k].rate * LaurentPoly.variable(0, 2))
+        altered[k] = altered[k]._replace(rate=altered[k].rate * LaurentPoly.variable(0, 2))
         target = replace(target, transitions=tuple(altered))
     return g, blocks, target
 

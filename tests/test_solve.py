@@ -142,7 +142,7 @@ def test_stationary_solve_evaluates_each_distinct_rate_once(monkeypatch):
     assert len(evaluated) == len({id(rec.rate) for rec in g.transitions}) == 2
     monkeypatch.undo()
     # a fresh rate object per record gives the same vector
-    copies = tuple(replace(rec, rate=rec.rate + 0) for rec in g.transitions)
+    copies = tuple(rec._replace(rate=rec.rate + 0) for rec in g.transitions)
     assert stationary_solve(replace(g, transitions=copies), point) == solved
 
 
@@ -223,7 +223,7 @@ def test_non_lumpable_partition_reports_counterexample():
     rotations = [0, 1, 1, 0, 0, 1]
     quotient = first_state_quotient(g, rotations)
     assert lump(g, rotations, quotient) is None
-    x2 = tuple(replace(rec, rate=X2) for rec in quotient.transitions)
+    x2 = tuple(rec._replace(rate=X2) for rec in quotient.transitions)
     assert lump(g, rotations, replace(quotient, transitions=x2)) == {
         "state": "123",
         "into": "132",
@@ -267,7 +267,7 @@ def test_truncated_systems_lump_to_rate_one_word_process(m):
         blocks, _ = bully_partition(g)
         words = build_tasep_chain(sub)
         one = LaurentPoly.one(words.nvars)
-        homogeneous = replace(words, transitions=tuple(replace(rec, rate=one) for rec in words.transitions))
+        homogeneous = replace(words, transitions=tuple(rec._replace(rate=one) for rec in words.transitions))
         assert lump(g, blocks, homogeneous) is None
         assert lump(g, blocks, words) is not None
 

@@ -229,7 +229,7 @@ def test_stationary_solve_without_rotation_symmetry_uses_every_state(monkeypatch
     # chain stays strongly connected, but rotation no longer maps it onto
     # itself
     words = build_tasep_chain(build_composition((1, 1, 1, 2)))
-    first = replace(words.transitions[0], rate=words.transitions[0].rate + 1)
+    first = words.transitions[0]._replace(rate=words.transitions[0].rate + 1)
     g = replace(words, transitions=(first, *words.transitions[1:]))
     point = (Fraction(3), Fraction(1, 2), Fraction(2))
     unknowns = _spy_unknowns(monkeypatch)

@@ -316,7 +316,7 @@ def test_failure_helpers_counterexamples():
         "expected": "x2",
     }
     bent = list(queues.transitions)
-    bent[3] = replace(bent[3], rate=LaurentPoly.variable(0, 2) * LaurentPoly.variable(1, 2))
+    bent[3] = bent[3]._replace(rate=LaurentPoly.variable(0, 2) * LaurentPoly.variable(1, 2))
     assert _word_lumping(replace(queues, transitions=tuple(bent)), words, projected)[1] == {
         "check": "lumpability",
         "state": "001/101",
