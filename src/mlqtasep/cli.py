@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from time import perf_counter
 
 from .chains import to_dot, to_json
 from .core import (
@@ -202,7 +203,11 @@ def cmd_simulate(args) -> int:
         events=args.events,
         burn_in=args.burn_in,
     )
+    start = perf_counter()
     emp = gillespie_run(cfg, chain)
+    seconds = perf_counter() - start
+    rate = f"{emp.events / seconds:.3g}" if seconds > 0 else "inf"
+    print(f"{emp.events} events in {seconds:.2f} s ({rate} events/s)", file=sys.stderr)
     comparison = None
     if args.compare_exact:
         exact = stationary_solve(chain, rates)

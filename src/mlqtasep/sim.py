@@ -3,7 +3,8 @@
 Floats appear here and nowhere else in the package: holding times and the
 event selection use binary64, while every comparison target comes from the
 exact solver.  A single seeded random.Random instance drives each run, so
-identical configurations reproduce identical event sequences byte for byte.
+identical configurations reproduce identical event sequences byte for byte;
+each event costs two random() calls, one log and one bisect on a jump table.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalD
     Holding times are exponential with the total-rate parameter and the next
     state is drawn proportionally to the outgoing rates; burn-in discards
     the first burn_in fraction of events from the occupation tally.
+
+    One jump table per run holds each state's cumulative float rates, their
+    total and its targets padded with the last (bisect_right may return the
+    length), or None when it has no out-records, the only absorbing case.
+    -log(1.0 - random()) / total is expovariate(total)'s body on Python
+    3.10-3.13, so the draws and every float match a loop calling it.
     """
     if chain is None:
         chain = build_process_chain(cfg.process, cfg.composition())
@@ -84,34 +91,32 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalD
     if not 0 <= cfg.burn_in < 1:
         raise ValueError(f"burn-in must lie in [0, 1), got {cfg.burn_in}")
     out = chain.out_records()
-    targets = [[rec.dst for rec in records] for records in out]
-    cumulative = [
-        list(accumulate(_float_rate(rec.rate, cfg.rates) for rec in records)) for records in out
-    ]
-    rng = random.Random(cfg.seed)
+    distinct = {id(rate): rate for records in out for _, _, rate, _ in records}
+    floats = {key: _float_rate(rate, cfg.rates) for key, rate in distinct.items()}
+    table = []
+    for records in out:
+        sums = list(accumulate(floats[id(rate)] for _, _, rate, _ in records))
+        targets = [dst for _, dst, _, _ in records]
+        table.append((sums, sums[-1], targets + targets[-1:]) if records else None)
+    rand, log = random.Random(cfg.seed).random, math.log
     occupation = [0.0] * len(chain.states)
-    state = 0
-    skip = int(cfg.burn_in * cfg.events)
-    clock = 0.0
-    done = 0
-    while done < cfg.events:
-        sums = cumulative[state]
-        if not sums or sums[-1] <= 0.0:
+    state, clock, skip = 0, 0.0, int(cfg.burn_in * cfg.events)
+    for done in range(cfg.events):
+        jumps = table[state]
+        if jumps is None:
             raise AbsorbingStateError(f"no outgoing rate at state {chain.state_label(state)}")
-        total = sums[-1]
-        hold = rng.expovariate(total)
+        sums, total, targets = jumps
+        hold = -log(1.0 - rand()) / total
         if done >= skip:
             occupation[state] += hold
             clock += hold
-        draw = rng.random() * total
-        state = targets[state][min(bisect_right(sums, draw), len(sums) - 1)]
-        done += 1
+        state = targets[bisect_right(sums, rand() * total)]
     if clock <= 0.0:
         raise AbsorbingStateError("no simulated time accumulated after burn-in")
     fractions = [t / clock for t in occupation]
     labels = [chain.state_label(i) for i in range(len(chain.states))]
     return EmpiricalDistribution(
-        labels=labels, fractions=fractions, total_time=clock, events=done
+        labels=labels, fractions=fractions, total_time=clock, events=cfg.events
     )
 
 

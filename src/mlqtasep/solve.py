@@ -44,10 +44,10 @@ def master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[Laure
     if len(weights) != len(g.states):
         raise ValueError("need one weight per state")
     sums: list[dict[tuple[int, ...], int]] = [{} for _ in g.states]
-    for rec in g.transitions:
-        into, out = sums[rec.dst], sums[rec.src]
-        for e1, c1 in rec.rate.terms.items():
-            for e2, c2 in weights[rec.src].terms.items():
+    for src, dst, rate, _ in g.transitions:
+        into, out = sums[dst], sums[src]
+        for e1, c1 in rate.terms.items():
+            for e2, c2 in weights[src].terms.items():
                 exps, coeff = tuple(map(add, e1, e2)), c1 * c2
                 total = into.get(exps, 0) + coeff
                 if total:
@@ -76,10 +76,10 @@ def residual_at_point(
     of g.transitions.  Integer values and rates give integer residuals.
     """
     residuals = [0] * len(g.states)
-    for rec, rate in zip(g.transitions, rates, strict=True):
-        flow = rate * values[rec.src]
-        residuals[rec.dst] += flow
-        residuals[rec.src] -= flow
+    for (src, dst, _, _), rate in zip(g.transitions, rates, strict=True):
+        flow = rate * values[src]
+        residuals[dst] += flow
+        residuals[src] -= flow
     return residuals
 
 
@@ -173,15 +173,15 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """
     n = len(g.states)
     # records share their chain's few rate objects: evaluate each one once
-    distinct = {id(rec.rate): rec.rate for rec in g.transitions}
+    distinct = {id(rate): rate for _, _, rate, _ in g.transitions}
     values = {key: rate.eval(point) for key, rate in distinct.items()}
     scale = lcm(*(value.denominator for value in values.values()))
     values = {key: v.numerator * (scale // v.denominator) for key, v in values.items()}
-    rates = [values[id(rec.rate)] for rec in g.transitions]
+    rates = [values[id(rate)] for _, _, rate, _ in g.transitions]
     rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for rec, value in zip(g.transitions, rates):
-        rows[rec.dst][rec.src] = rows[rec.dst].get(rec.src, 0) + value
-        rows[rec.src][rec.src] = rows[rec.src].get(rec.src, 0) - value
+    for (src, dst, _, _), value in zip(g.transitions, rates):
+        rows[dst][src] = rows[dst].get(src, 0) + value
+        rows[src][src] = rows[src].get(src, 0) - value
     connected = all(v > 0 for v in values.values()) and irreducible(g)
     orbit = _rotation_orbits(g, rows) if connected else list(range(n))
     quotient: list[dict[int, int]] = []  # each orbit's row, from its first state
@@ -296,11 +296,11 @@ def _rates_into_blocks(g: ChainGraph, blocks: Sequence[int]) -> list[dict[int, L
     """Per state, its total rate into each block but its own; flow inside a
     block is absorbed by the diagonal."""
     into: list[dict[int, LaurentPoly]] = [{} for _ in g.states]
-    for rec in g.transitions:
-        block = blocks[rec.dst]
-        if block != blocks[rec.src]:
-            rates = into[rec.src]
-            rates[block] = rates[block] + rec.rate if block in rates else rec.rate
+    for src, dst, rate, _ in g.transitions:
+        block = blocks[dst]
+        if block != blocks[src]:
+            rates = into[src]
+            rates[block] = rates[block] + rate if block in rates else rate
     return into
 
 
@@ -310,24 +310,24 @@ def _rates_into_blocks(g: ChainGraph, blocks: Sequence[int]) -> list[dict[int, L
 
 
 def irreducible(g: ChainGraph) -> bool:
-    """True iff the transition digraph is strongly connected."""
+    """True iff the transition digraph is strongly connected: state 0 reaches
+    every state, and then every state reaches state 0.  One direction's
+    adjacency lists are held at a time."""
+    if len(g.states) <= 1:
+        return len(g.states) == 1
+    return _reaches_all(g, 0, 1) and _reaches_all(g, 1, 0)
+
+
+def _reaches_all(g: ChainGraph, head: int, tail: int) -> bool:
+    """Whether state 0 reaches every state along the records read from field
+    head to field tail: (0, 1) walks them forward, (1, 0) backward."""
     n = len(g.states)
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    forward: list[list[int]] = [[] for _ in range(n)]
-    backward: list[list[int]] = [[] for _ in range(n)]
+    adjacency: list[list[int]] = [[] for _ in range(n)]
     for rec in g.transitions:
-        forward[rec.src].append(rec.dst)
-        backward[rec.dst].append(rec.src)
-    return _reaches_all(forward, 0, n) and _reaches_all(backward, 0, n)
-
-
-def _reaches_all(adjacency: list[list[int]], start: int, n: int) -> bool:
+        adjacency[rec[head]].append(rec[tail])
     seen = [False] * n
-    seen[start] = True
-    stack = [start]
+    seen[0] = True
+    stack = [0]
     count = 1
     while stack:
         node = stack.pop()

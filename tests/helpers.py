@@ -13,13 +13,19 @@ of the one-pass ringing_transition.  reference_lump builds the quotient
 chain of a strongly lumpable partition, and same_rate_graph compares two
 chains by their summed rate per state pair: together they are the oracle
 of solve.lump's one-pass comparison; first_state_quotient makes a target
-from each block's first state whether g lumps or not.  bound_suite_inputs
+from each block's first state whether g lumps or not.
+reference_gillespie_run is the sampler loop that calls expovariate and
+clamps the bisect index every event, the oracle of sim.gillespie_run's jump
+table: their results must be equal, float for float.  bound_suite_inputs
 caps how far run_suites may list a suite's inputs.  golden_form puts
 reports in the form of the benchmark's golden files under GOLDEN_DIR.
 """
 
 import json
+import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -38,6 +44,13 @@ from mlqtasep.core import (
     queue_label,
 )
 from mlqtasep.poly import LaurentPoly
+from mlqtasep.sim import (
+    AbsorbingStateError,
+    EmpiricalDistribution,
+    SimConfig,
+    _float_rate,
+    build_process_chain,
+)
 from mlqtasep import verify
 
 
@@ -314,6 +327,53 @@ def reference_eval(poly: LaurentPoly, point: Sequence[Fraction | int]) -> Fracti
             val *= base**e
         total += val
     return total
+
+
+def reference_gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalDistribution:
+    """Time-weighted occupation fractions after burn-in.
+
+    Holding times are exponential with the total-rate parameter and the next
+    state is drawn proportionally to the outgoing rates; burn-in discards
+    the first burn_in fraction of events from the occupation tally.
+    """
+    if chain is None:
+        chain = build_process_chain(cfg.process, cfg.composition())
+    if any(rate <= 0 for rate in cfg.rates):
+        raise ValueError("rates must be positive")
+    if cfg.events <= 0:
+        raise ValueError("event horizon must be positive")
+    if not 0 <= cfg.burn_in < 1:
+        raise ValueError(f"burn-in must lie in [0, 1), got {cfg.burn_in}")
+    out = chain.out_records()
+    targets = [[rec.dst for rec in records] for records in out]
+    cumulative = [
+        list(accumulate(_float_rate(rec.rate, cfg.rates) for rec in records)) for records in out
+    ]
+    rng = random.Random(cfg.seed)
+    occupation = [0.0] * len(chain.states)
+    state = 0
+    skip = int(cfg.burn_in * cfg.events)
+    clock = 0.0
+    done = 0
+    while done < cfg.events:
+        sums = cumulative[state]
+        if not sums or sums[-1] <= 0.0:
+            raise AbsorbingStateError(f"no outgoing rate at state {chain.state_label(state)}")
+        total = sums[-1]
+        hold = rng.expovariate(total)
+        if done >= skip:
+            occupation[state] += hold
+            clock += hold
+        draw = rng.random() * total
+        state = targets[state][min(bisect_right(sums, draw), len(sums) - 1)]
+        done += 1
+    if clock <= 0.0:
+        raise AbsorbingStateError("no simulated time accumulated after burn-in")
+    fractions = [t / clock for t in occupation]
+    labels = [chain.state_label(i) for i in range(len(chain.states))]
+    return EmpiricalDistribution(
+        labels=labels, fractions=fractions, total_time=clock, events=done
+    )
 
 
 def bound_suite_inputs(monkeypatch, suite: str, bound: int) -> None:

@@ -1,12 +1,15 @@
 import io
 import json
+import re
 import time
+from fractions import Fraction
 
 import pytest
 
 from mlqtasep.cli import main
 from mlqtasep.verify import SUITES
-from helpers import bound_suite_inputs
+from mlqtasep.sim import SimConfig, to_csv
+from helpers import bound_suite_inputs, reference_gillespie_run
 
 
 def run_cli(capsys, *argv):
@@ -277,11 +280,15 @@ def test_simulate_deterministic_csv(capsys):
         "simulate", "tasep", "-m", "1,1,1",
         "--rates", "2,1", "--events", "20000", "--seed", "7",
     ]
-    code1, out1, _ = run_cli(capsys, *argv)
+    code1, out1, err1 = run_cli(capsys, *argv)
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0] == "state,empirical,exact,z_score"
+    cfg = SimConfig("tasep", (1, 1, 1), (Fraction(2), Fraction(1)), seed=7, events=20_000)
+    assert out1 == to_csv(reference_gillespie_run(cfg))
+    # the sampler's rate goes to stderr, never into the CSV
+    assert re.fullmatch(r"20000 events in \d+\.\d\d s \((?:[\d.]+(?:e\+\d+)?|inf) events/s\)\n", err1)
 
 
 def test_simulate_compare_exact(capsys):
@@ -292,7 +299,9 @@ def test_simulate_compare_exact(capsys):
         "--compare-exact", "--tolerance", "0.02",
     )
     assert code == 0
-    assert "tv =" in err
+    rate, tv = err.splitlines()
+    assert rate.startswith("200000 events in ") and rate.endswith(" events/s)")
+    assert tv.startswith("tv =")
     assert len(out.splitlines()) == 7
 
 

@@ -1,7 +1,10 @@
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlqtasep.chains import build_tasep_chain
 from mlqtasep.core import build_composition, bully_projection, word_label
@@ -16,6 +19,7 @@ from mlqtasep.sim import (
     total_variation,
 )
 from mlqtasep.solve import stationary_solve
+from helpers import reference_gillespie_run
 
 
 def _config(**overrides):
@@ -98,6 +102,9 @@ def test_compare_to_exact_edges():
 
 
 def test_absorbing_state_detected():
+    # state 21 has no out-record and is reached by the first event: with 100
+    # events that is before the first tallied event for burn-in 0.5, at it
+    # for 0.01 and after it for 0
     from mlqtasep.chains import ChainGraph, TransitionRecord
     from mlqtasep.poly import LaurentPoly
 
@@ -109,9 +116,73 @@ def test_absorbing_state_detected():
         transitions=(TransitionRecord(0, 1, LaurentPoly.one(1), "a"),),
         nvars=1,
     )
-    cfg = SimConfig(process="tasep", m=(1, 1), rates=(Fraction(1),), events=100, seed=3)
-    with pytest.raises(AbsorbingStateError):
-        gillespie_run(cfg, chain)
+    for burn_in in (0.0, 0.01, 0.5):
+        cfg = SimConfig(
+            process="tasep", m=(1, 1), rates=(Fraction(1),), events=100, seed=3, burn_in=burn_in
+        )
+        for run in (gillespie_run, reference_gillespie_run):
+            with pytest.raises(AbsorbingStateError, match="^no outgoing rate at state 21$"):
+                run(cfg, chain)
+
+
+@lru_cache(maxsize=None)
+def _small_chain(process, m):
+    return build_process_chain(process, build_composition(m))
+
+
+def _outcome(run, cfg, chain):
+    """The run's result, or the type and message of what it raised."""
+    try:
+        return run(cfg, chain)
+    except (AbsorbingStateError, ValueError) as err:
+        return type(err), str(err)
+
+
+# small compositions of every process, rates with inexact floats among them
+ORACLE_CHAINS = [
+    ("tasep", (1, 1, 1), (Fraction(2), Fraction(1))),
+    ("tasep", (2, 1, 2), (Fraction(3, 7), Fraction(5, 3))),
+    ("fm", (1, 1, 1), (Fraction(1), Fraction(1))),
+    ("fm3", (1, 2, 1), (Fraction(2), Fraction(1, 3))),
+    ("fm1", (1, 1, 2), (Fraction(7, 10), Fraction(2))),
+    ("coupe", (1, 2, 1), (Fraction(2), Fraction(1))),
+]
+
+
+@pytest.mark.parametrize("process, m, rates", ORACLE_CHAINS)
+@pytest.mark.parametrize("burn_in", [0.0, 0.1, 0.5, 0.99])
+@pytest.mark.parametrize("seed", [0, 1, 20240])
+def test_gillespie_run_equals_the_expovariate_loop(process, m, rates, burn_in, seed):
+    chain = _small_chain(process, m)
+    cfg = SimConfig(process, m, rates, seed=seed, events=3_000, burn_in=burn_in)
+    emp = gillespie_run(cfg, chain)
+    # exact equality of every field: labels, fractions, total_time, events
+    assert emp == reference_gillespie_run(cfg, chain)
+    assert emp.events == 3_000 and emp.total_time > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chain_case=st.sampled_from(ORACLE_CHAINS),
+    seed=st.integers(0, 2**64),
+    burn_in=st.floats(0.0, 1.0, exclude_max=True),
+    events=st.integers(1, 2_000),
+)
+def test_gillespie_run_equals_the_expovariate_loop_on_drawn_runs(chain_case, seed, burn_in, events):
+    process, m, rates = chain_case
+    chain = _small_chain(process, m)
+    cfg = SimConfig(process, m, rates, seed=seed, events=events, burn_in=burn_in)
+    assert _outcome(gillespie_run, cfg, chain) == _outcome(reference_gillespie_run, cfg, chain)
+
+
+def test_gillespie_run_refuses_what_the_expovariate_loop_refuses():
+    chain = _small_chain("tasep", (1, 1, 1))
+    huge, tiny = Fraction(10**400), Fraction(1, 10**400)
+    for rates, burn_in in [((huge, tiny), 0.1), ((tiny, huge), 0.1), ((0, 1), 0.1), ((2, 1), 1.0)]:
+        cfg = SimConfig("tasep", (1, 1, 1), rates, seed=1, events=10, burn_in=burn_in)
+        expected = _outcome(reference_gillespie_run, cfg, chain)
+        assert expected[0] is ValueError
+        assert _outcome(gillespie_run, cfg, chain) == expected
 
 
 def test_csv_output_stable():

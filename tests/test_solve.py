@@ -298,6 +298,26 @@ def test_isolated_state_not_irreducible():
     assert not irreducible(g)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # state 0 reaches every state, but no state reaches state 0
+        ((0, 1), (1, 2), (2, 1)),
+        # every state reaches state 0, but state 0 does not reach state 2
+        ((0, 1), (1, 0), (2, 0)),
+    ],
+)
+def test_one_way_reachability_not_irreducible(edges):
+    g = ChainGraph(
+        kind="custom",
+        composition=build_composition((1, 1)),
+        states=((0,), (1,), (2,)),
+        transitions=tuple(TransitionRecord(src, dst, ONE, "a") for src, dst in edges),
+        nvars=2,
+    )
+    assert not irreducible(g)
+
+
 # ---------------------------------------------------------------------------
 # Consistency triangle: zero residual + irreducibility = solver agreement
 # ---------------------------------------------------------------------------
