@@ -30,6 +30,7 @@ from .sim import (
     AbsorbingStateError,
     SimConfig,
     build_process_chain,
+    check_config,
     check_tolerance,
     compare_to_exact,
     gillespie_run,
@@ -194,7 +195,6 @@ def cmd_simulate(args) -> int:
     rates = _parse_rates(args.rates, comp.n - 1)
     if args.compare_exact:
         check_tolerance(args.tolerance)  # before the sampler runs
-    chain = build_process_chain(args.process, comp)
     cfg = SimConfig(
         process=args.process,
         m=comp.m,
@@ -203,6 +203,8 @@ def cmd_simulate(args) -> int:
         events=args.events,
         burn_in=args.burn_in,
     )
+    check_config(cfg)  # before the chain is built
+    chain = build_process_chain(args.process, comp)
     start = perf_counter()
     emp = gillespie_run(cfg, chain)
     seconds = perf_counter() - start

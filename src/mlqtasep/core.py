@@ -350,53 +350,41 @@ class QueueProjection:
 
 
 def project_queues(c: Composition) -> QueueProjection:
-    """Enumerate and project every queue of c in one depth-first search.
+    """Enumerate and project every queue of c, one row of all queues at a time.
 
-    The search chooses the rows top down in enumerate_mlqs order and labels
-    each new row with one project_row step, so every queue prefix is
-    projected once; the covers of each step add to the exponents on the
-    way down.  Raises ValueError, before building any queue, when there are
-    more than MAX_QUEUES of them.
+    Per queue prefix, in enumerate_mlqs order, the pass keeps its last row's
+    classes, its exponents and that row's covers.  Each depth steps every
+    distinct labeled upper row once per pattern of the next row
+    (project_row) and adds the covers of each distinct (exponents, cover)
+    pair once (add_covers).  Raises ValueError, before building any queue,
+    when there are more than MAX_QUEUES of them.
     """
     check_queue_count(c)
     rows = [_row_patterns(c.N, M) for M in c.M[:-1]]
-    last = len(rows) - 1
-    queues: list[Queue] = []
-    words: list[Word] = []
-    exponents: list[tuple[int, ...]] = []
-    covered: list[int] = []
-    # bottom-row classes -> word, bottom-row covers -> mask, exponents -> themselves
-    word_of: dict[tuple[int, ...], Word] = {}
-    mask_of: dict[tuple[int, ...], int] = {}
-    shared_exponents: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def leaf(q: Queue, classes: tuple[int, ...], exps: tuple[int, ...], cover: tuple[int, ...]):
-        queues.append(q)
-        word = word_of.get(classes)
-        if word is None:
-            word = word_of[classes] = tuple(cls or c.n for cls in classes)
-        words.append(word)
-        exponents.append(shared_exponents.setdefault(exps, exps))
-        mask = mask_of.get(cover)
-        if mask is None:
-            mask = mask_of[cover] = sum(1 << col for col, cls in enumerate(cover) if cls)
-        covered.append(mask)
-
-    def visit(depth: int, prefix: Queue, upper: tuple[int, ...], exps: tuple[int, ...]):
-        for bits in rows[depth]:
-            classes, cover = project_row(upper, bits, depth + 1)
-            step = add_covers(exps, depth, cover)
-            if depth < last:
-                visit(depth + 1, prefix + (bits,), classes, step)
-            else:
-                leaf(prefix + (bits,), classes, step, cover)
-
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal exponent tuples -> one object
     # the top row's bits are its classes: every particle there is class 1
-    for top in rows[0]:
-        if last:
-            visit(1, (top,), top, c.V)
-        else:
-            leaf((top,), top, c.V, ())
+    labels, exponents, covers = rows[0], [c.V] * len(rows[0]), [()] * len(rows[0])
+    for depth, patterns in enumerate(rows[1:], start=1):
+        steps, added = {}, {}  # upper row -> its project_row steps; (exps, cover) -> add_covers
+        lower_labels, lower_exponents, covers = [], [], []
+        for upper, exps in zip(labels, exponents):
+            labeled = steps.get(upper)
+            if labeled is None:
+                labeled = steps[upper] = [project_row(upper, bits, depth + 1) for bits in patterns]
+            for classes, cover in labeled:
+                step = added.get((exps, cover))
+                if step is None:
+                    step = add_covers(exps, depth, cover)
+                    step = added[exps, cover] = shared.setdefault(step, step)
+                lower_labels.append(classes)
+                lower_exponents.append(step)
+                covers.append(cover)
+        labels, exponents = lower_labels, lower_exponents
+    # bottom-row classes -> word, bottom-row covers -> covered mask
+    word_of = {row: tuple(cls or c.n for cls in row) for row in set(labels)}
+    mask_of = {cover: sum(1 << col for col, cls in enumerate(cover) if cls) for cover in set(covers)}
+    words, covered = map(word_of.__getitem__, labels), map(mask_of.__getitem__, covers)
+    queues = itertools.product(*rows)
     return QueueProjection(tuple(queues), tuple(words), tuple(exponents), tuple(covered))
 
 

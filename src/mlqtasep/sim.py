@@ -61,6 +61,17 @@ class SimConfig:
         return build_composition(self.m)
 
 
+def check_config(cfg: SimConfig) -> None:
+    """ValueError unless the rates are positive, the event horizon is positive
+    and the burn-in fraction lies in [0, 1)."""
+    if any(rate <= 0 for rate in cfg.rates):
+        raise ValueError("rates must be positive")
+    if cfg.events <= 0:
+        raise ValueError("event horizon must be positive")
+    if not 0 <= cfg.burn_in < 1:
+        raise ValueError(f"burn-in must lie in [0, 1), got {cfg.burn_in}")
+
+
 @dataclass
 class EmpiricalDistribution:
     labels: list[str]
@@ -82,14 +93,9 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalD
     -log(1.0 - random()) / total is expovariate(total)'s body on Python
     3.10-3.13, so the draws and every float match a loop calling it.
     """
+    check_config(cfg)
     if chain is None:
         chain = build_process_chain(cfg.process, cfg.composition())
-    if any(rate <= 0 for rate in cfg.rates):
-        raise ValueError("rates must be positive")
-    if cfg.events <= 0:
-        raise ValueError("event horizon must be positive")
-    if not 0 <= cfg.burn_in < 1:
-        raise ValueError(f"burn-in must lie in [0, 1), got {cfg.burn_in}")
     out = chain.out_records()
     distinct = {id(rate): rate for records in out for _, _, rate, _ in records}
     floats = {key: _float_rate(rate, cfg.rates) for key, rate in distinct.items()}

@@ -196,7 +196,9 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
     failure = None
     checked = 0
     projection = project_queues(c)
-    queues = zip(projection.queues, projection.words, projection.covered, ring_successors(c))
+    # both in enumerate_mlqs order; strict, so a length mismatch raises
+    fields = (projection.queues, projection.words, projection.covered)
+    queues = zip(*fields, ring_successors(c), strict=True)
     for q, word, mask, (sid, successors) in queues:
         # the covered vacancies of the bottom row are the covered 3s
         covered = {i for i in range(c.N) if mask >> i & 1}

@@ -116,6 +116,29 @@ def test_simulate_checks_the_tolerance_before_sampling(monkeypatch, capsys):
     assert calls == []
 
 
+def test_simulate_checks_events_and_burn_in_before_building_the_chain(monkeypatch, capsys):
+    import mlqtasep.cli as cli
+
+    calls = []
+    original = cli.build_process_chain
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "build_process_chain", spy)
+    for flags, message in (
+        (("--events", "0"), "event horizon must be positive"),
+        (("--events", "10", "--burn-in", "1"), "burn-in must lie in [0, 1), got 1.0"),
+    ):
+        code, out, err = run_cli(
+            capsys, "simulate", "fm", "-m", "1,1,2,2,1", "--rates", "2,1,1,1", *flags
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+    assert calls == []
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "mlqs", "-m", "1,1", "--format", "json")
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import comb, factorial, prod
 
 import pytest
@@ -23,6 +24,7 @@ from mlqtasep.core import (
     queue_to_text,
     ring_successors,
     ringing_transition,
+    rotate,
     word_count,
     word_to_text,
 )
@@ -497,9 +499,34 @@ def test_project_queues_five_species():
     _assert_projection_matches_the_oracle(build_composition((1, 1, 2, 1, 1)))
 
 
-def test_project_queues_projects_each_prefix_once(monkeypatch):
-    # (1,1,2,1,1) has rows of 6, 15, 15 and 6 patterns: 6*15 + 6*15*15 +
-    # 6*15*15*6 = 9,540 prefixes below the top row, one row step each
+@pytest.mark.parametrize(
+    "m", [c.m for c in iter_compositions(6, lambda m: sum(m) == 6 and len(m) <= 4)], ids=str
+)
+def test_project_queues_matches_the_oracle_at_six(m):
+    _assert_projection_matches_the_oracle(build_composition(m))
+
+
+def test_rotating_a_queue_rotates_its_projection():
+    # every queue of N <= 6 with at most four species: turning all rows one
+    # column right turns the word, keeps the exponents, and moves each
+    # covered bottom-row column one bit up, the last column wrapping to bit 0
+    for c in iter_compositions(6, lambda m: len(m) <= 4):
+        projection = project_queues(c)
+        index = {q: i for i, q in enumerate(projection.queues)}
+        full = (1 << c.N) - 1
+        for i, q in enumerate(projection.queues):
+            j = index[rotate(q)]
+            mask = projection.covered[i]
+            assert projection.words[j] == rotate(projection.words[i])
+            assert projection.exponents[j] == projection.exponents[i]
+            assert projection.covered[j] == (mask << 1 | mask >> (c.N - 1)) & full
+
+
+def test_project_queues_steps_each_labeled_row_once(monkeypatch):
+    # (1,1,2,1,1) has rows of 6, 15, 15 and 6 patterns.  Each distinct
+    # labeled upper row is stepped once per pattern of the row below: the 6
+    # top rows, the 15 * 2 labelings of the second row (its leftover takes
+    # class 2) and the 15 * 12 of the third (classes 1, 2, 3, 3)
     import mlqtasep.core as core
 
     calls = []
@@ -511,7 +538,8 @@ def test_project_queues_projects_each_prefix_once(monkeypatch):
 
     monkeypatch.setattr(core, "project_row", spy)
     project_queues(build_composition((1, 1, 2, 1, 1)))
-    assert len(calls) == 9540
+    assert Counter(calls) == {2: 6 * 15, 3: 30 * 15, 4: 180 * 6}
+    assert len(calls) == 1620
 
 
 def test_project_queues_refuses_a_queue_space_too_large():

@@ -75,6 +75,17 @@ def test_fm3_lemma():
         assert report.ok, report.counterexample
 
 
+def test_fm3_lemma_refuses_successors_out_of_step_with_the_projection(monkeypatch):
+    # the lemma pairs each projected queue with its ring successors by
+    # position; one successor row short must raise, not drop the last queue
+    import mlqtasep.verify as verify
+
+    original = verify.ring_successors
+    monkeypatch.setattr(verify, "ring_successors", lambda c: list(original(c))[:-1])
+    with pytest.raises(ValueError, match="shorter"):
+        check_three_species_lemma(build_composition((1, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Single first-class particle
 # ---------------------------------------------------------------------------
