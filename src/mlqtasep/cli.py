@@ -65,7 +65,7 @@ def _parse_rates(text: str, nvars: int) -> tuple[Fraction, ...]:
 
 
 def _parse_solve_point(text: str, nvars: int) -> tuple[Fraction, ...]:
-    point = [Fraction(1)] * nvars
+    point: dict[int, Fraction] = {}
     for part in text.split(","):
         name, equals, value = part.partition("=")
         name = name.strip()
@@ -74,8 +74,10 @@ def _parse_solve_point(text: str, nvars: int) -> tuple[Fraction, ...]:
         index = int(name[1:]) - 1
         if not 0 <= index < nvars:
             raise ValueError(f"variable {name} out of range, chain has x1..x{nvars}")
+        if index in point:
+            raise ValueError(f"variable {name} given twice")
         point[index] = _parse_rate(value)
-    return tuple(point)
+    return tuple(point.get(i, Fraction(1)) for i in range(nvars))
 
 
 def build_parser() -> argparse.ArgumentParser:

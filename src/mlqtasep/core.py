@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -340,13 +341,18 @@ class QueueProjection:
     its projected word, the exponents of its conjectured weight, and
     covered, the bitmask of the bottom-row vacancies some bully path queues
     through (bit col for column col; for n = 3 these are the covered 3s).
-    Equal words, and equal exponent tuples, are one shared object.
+    Equal words, and equal exponent tuples, are one shared object.  The
+    queues are built from rows, each row's bit patterns, on first read.
     """
 
-    queues: tuple[Queue, ...]
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
     words: tuple[Word, ...]
     exponents: tuple[tuple[int, ...], ...]
     covered: tuple[int, ...]
+
+    @functools.cached_property
+    def queues(self) -> tuple[Queue, ...]:
+        return tuple(itertools.product(*self.rows))
 
 
 def project_queues(c: Composition) -> QueueProjection:
@@ -384,8 +390,7 @@ def project_queues(c: Composition) -> QueueProjection:
     word_of = {row: tuple(cls or c.n for cls in row) for row in set(labels)}
     mask_of = {cover: sum(1 << col for col, cls in enumerate(cover) if cls) for cover in set(covers)}
     words, covered = map(word_of.__getitem__, labels), map(mask_of.__getitem__, covers)
-    queues = itertools.product(*rows)
-    return QueueProjection(tuple(queues), tuple(words), tuple(exponents), tuple(covered))
+    return QueueProjection(tuple(map(tuple, rows)), tuple(words), tuple(exponents), tuple(covered))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 
@@ -152,41 +152,9 @@ class LaurentPoly:
     # -- evaluation and predicates ------------------------------------------
 
     def eval(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact evaluation at a rational point.
-
-        With x_i = p_i / q_i and exponents between lo_i and hi_i, the sum
-        times prod p_i^-lo_i q_i^hi_i is an integer whose terms are coeff *
-        prod p_i^(e_i - lo_i) q_i^(hi_i - e_i); those powers are tabled once
-        per variable and one Fraction is built at the end.  Raises
-        ZeroDivisionError if a zero coordinate meets a negative exponent.
-        """
-        if len(point) != self.nvars:
-            raise ValueError(f"point has {len(point)} coordinates, need {self.nvars}")
-        if not self.terms:
-            return Fraction(0)
-        numerator, denominator = 1, 1
-        tables = []
-        for value, column in zip(point, zip(*self.terms)):
-            value = Fraction(value)
-            p, q = value.numerator, value.denominator
-            lo, hi = min(column), max(column)
-            if lo < 0:
-                if not p:
-                    raise ZeroDivisionError("zero substituted into a negative exponent")
-                denominator *= p**-lo
-            else:
-                numerator *= p**lo
-            if hi < 0:
-                numerator *= q**-hi
-            else:
-                denominator *= q**hi
-            tables.append({e: p ** (e - lo) * q ** (hi - e) for e in range(lo, hi + 1)})
-        total = 0
-        for exps, coeff in self.terms.items():
-            for e, table in zip(exps, tables):
-                coeff *= table[e]
-            total += coeff
-        return Fraction(total * numerator, denominator)
+        """Exact value at a rational point: eval_common on this polynomial alone."""
+        (numerator,), denominator = eval_common([self], point)
+        return Fraction(numerator, denominator)
 
     def is_positive(self) -> bool:
         """True iff every coefficient is > 0 and every exponent is >= 0."""
@@ -232,6 +200,52 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+def eval_common(
+    polys: Sequence[LaurentPoly], point: Sequence[Fraction | int]
+) -> tuple[list[int], int]:
+    """Every polynomial's exact value at a rational point, as integer
+    numerators over one positive common denominator.
+
+    With x_i = p_i / q_i and exponents of all the polynomials between lo_i
+    and hi_i, each value times prod p_i^-lo_i q_i^hi_i is an integer whose
+    terms are coeff * prod p_i^(e_i - lo_i) q_i^(hi_i - e_i).  Those powers
+    are tabled once per variable and their products once per distinct
+    exponent tuple, for the whole list; no value is made a Fraction.  Raises
+    ValueError for a point of the wrong length and ZeroDivisionError if a
+    zero coordinate meets a negative exponent.
+    """
+    for poly in polys:
+        if len(point) != poly.nvars:
+            raise ValueError(f"point has {len(point)} coordinates, need {poly.nvars}")
+    distinct = {exps for poly in polys for exps in poly.terms}
+    # each variable's exponents; (0,) when there are no terms
+    columns = list(zip(*distinct)) or [(0,)] * len(point)
+    numerator, denominator = 1, 1
+    tables = []
+    for value, column in zip(point, columns):
+        value = Fraction(value)
+        p, q = value.numerator, value.denominator
+        lo, hi = min(column), max(column)
+        if lo < 0:
+            if not p:
+                raise ZeroDivisionError("zero substituted into a negative exponent")
+            denominator *= p**-lo
+        else:
+            numerator *= p**lo
+        if hi < 0:
+            numerator *= q**-hi
+        else:
+            denominator *= q**hi
+        tables.append({e: p ** (e - lo) * q ** (hi - e) for e in range(lo, hi + 1)})
+    if denominator < 0:
+        numerator, denominator = -numerator, -denominator
+    monomials = {exps: prod(map(dict.__getitem__, tables, exps)) for exps in distinct}
+    return [
+        numerator * sum(coeff * monomials[exps] for exps, coeff in poly.terms.items())
+        for poly in polys
+    ], denominator
 
 
 _TERM_FACTOR = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?$")

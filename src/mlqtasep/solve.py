@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .chains import ChainGraph
 from .core import rotate
-from .poly import LaurentPoly
+from .poly import LaurentPoly, eval_common
 
 
 class ReducibleChainError(Exception):
@@ -148,12 +148,12 @@ def _reconstruct(residue: int, modulus: int) -> Fraction | None:
 def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """Exact stationary vector at a rate point, as coprime positive integers.
 
-    Builds the integer generator (each distinct rate evaluated once and
-    scaled by the lcm of their denominators) and solves it on the rotation
-    orbits of its states.  The orbits are used when two exact conditions
-    hold: rotate maps the integer rows onto themselves, and the chain is
-    strongly connected with every evaluated rate positive.  Then the
-    stationary vector is unique and constant on orbits.  Otherwise every
+    Builds the integer generator, its rates the numerators of the chain's
+    distinct rate objects in one eval_common call, and solves it on the
+    rotation orbits of its states.  The orbits are used when two exact
+    conditions hold: rotate maps the integer rows onto themselves, and the
+    chain is strongly connected with every evaluated rate positive.  Then
+    the stationary vector is unique and constant on orbits.  Otherwise every
     orbit is a single state.  Each orbit's row is its first state's row with
     the columns summed per orbit; the first is dropped, as the rows weighted
     by orbit sizes sum to zero.  The orbit unknowns are eliminated mod
@@ -174,9 +174,8 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     n = len(g.states)
     # records share their chain's few rate objects: evaluate each one once
     distinct = {id(rate): rate for _, _, rate, _ in g.transitions}
-    values = {key: rate.eval(point) for key, rate in distinct.items()}
-    scale = lcm(*(value.denominator for value in values.values()))
-    values = {key: v.numerator * (scale // v.denominator) for key, v in values.items()}
+    numerators, _ = eval_common(list(distinct.values()), point)
+    values = dict(zip(distinct, numerators))
     rates = [values[id(rate)] for _, _, rate, _ in g.transitions]
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     for (src, dst, _, _), value in zip(g.transitions, rates):
@@ -246,6 +245,13 @@ def _rotation_orbits(g: ChainGraph, rows: Sequence[dict[int, int]]) -> list[int]
                 state = rot[state]
             k += 1
     return orbit
+
+
+def point_vector(weights: Sequence[LaurentPoly], point: Sequence[Fraction]) -> list[int]:
+    """The weights at a rate point as coprime integers, a positive multiple of their values."""
+    numerators, _ = eval_common(weights, point)
+    common = gcd(*numerators)
+    return [v // common for v in numerators]
 
 
 def normalize_rationals(values: Sequence[Fraction]) -> list[int]:

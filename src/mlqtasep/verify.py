@@ -42,7 +42,7 @@ from .solve import (
     irreducible,
     lump,
     master_residual,
-    normalize_rationals,
+    point_vector,
     stationary_solve,
 )
 
@@ -181,8 +181,7 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
                 # large ring: confirm the block sums really solve the word
                 # process at random positive rational rate points too
                 for point in rate_points(2, 5, seed):
-                    values = [w.eval(point) for w in sums]
-                    if stationary_solve(word_chain, point) != normalize_rationals(values):
+                    if stationary_solve(word_chain, point) != point_vector(sums, point):
                         failure = {"check": "point-solve", "point": [str(x) for x in point]}
                         break
     return _report("fm3", c, "theorem", started, failure, details)
@@ -276,8 +275,7 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     if failure is None and len(chain.states) <= SOLVE_CAP:
         for x1 in (Fraction(2), Fraction(3), Fraction(5, 2)):
             point = (x1,) + (Fraction(1),) * (c.n - 2)
-            values = [w.eval(point) for w in weights]
-            if stationary_solve(chain, point) != normalize_rationals(values):
+            if stationary_solve(chain, point) != point_vector(weights, point):
                 failure = {"check": "point-solve", "x1": str(x1)}
                 break
         details["solver_points"] = 3
@@ -359,8 +357,7 @@ def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteRepo
         details["symbolic_residual"] = "zero" if failure is None else "nonzero"
     if failure is None:
         for point in rate_points(c.n - 1, 5, seed):
-            values = [s.eval(point) for s in sums]
-            if stationary_solve(chain, point) != normalize_rationals(values):
+            if stationary_solve(chain, point) != point_vector(sums, point):
                 failure = {
                     "check": "point-proportionality",
                     "point": [str(x) for x in point],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mlqtasep.poly import (
     LaurentPoly,
     complete_homogeneous,
+    eval_common,
     parse_poly,
     q_int_derivative,
     x_vars,
@@ -165,10 +166,13 @@ def test_str_parse_round_trip():
 
 
 @st.composite
-def laurent_polys(draw):
-    """Up to 6 terms in 1-4 variables, exponents in -4..4, signed coefficients."""
-    nvars = draw(st.integers(1, 4))
-    exps = st.tuples(*[st.integers(-4, 4)] * nvars)
+def laurent_polys(draw, nvars=None):
+    """Up to 6 terms in 1-4 variables, signed coefficients, exponents in a
+    range of its own inside -4..4."""
+    if nvars is None:
+        nvars = draw(st.integers(1, 4))
+    lo = draw(st.integers(-4, 4))
+    exps = st.tuples(*[st.integers(lo, draw(st.integers(lo, 4)))] * nvars)
     return LaurentPoly(nvars, draw(st.dictionaries(exps, st.integers(-50, 50), max_size=6)))
 
 
@@ -186,15 +190,28 @@ def _outcome(evaluate, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(laurent_polys(), st.data())
-def test_eval_matches_termwise_oracle(p, data):
-    # points with zero and negative coordinates, of the right length and of
-    # a wrong one: the same value, or the same exception
-    nvars = data.draw(st.sampled_from([p.nvars, p.nvars, p.nvars + 1, max(p.nvars - 1, 0)]))
+@given(st.data())
+def test_eval_matches_termwise_oracle(data):
+    # lists of 0-4 polynomials, zero ones among them, at points with zero
+    # and negative coordinates, of the right length and of a wrong one: eval
+    # gives each oracle value or exception; eval_common gives the values
+    # over one positive denominator, or the first exception the oracle met
+    nvars = data.draw(st.integers(1, 4))
+    polys = data.draw(st.lists(laurent_polys(nvars), max_size=4))
+    size = data.draw(st.sampled_from([nvars, nvars, nvars + 1, nvars - 1]))
     coordinate = st.fractions(min_value=-5, max_value=5, max_denominator=7) | st.just(Fraction(0))
-    point = data.draw(st.lists(coordinate, min_size=nvars, max_size=nvars))
-    got, expected = _outcome(p.eval, point), _outcome(reference_eval, p, point)
-    assert got == expected and type(got) is type(expected)
+    point = data.draw(st.lists(coordinate, min_size=size, max_size=size))
+    expected = [_outcome(reference_eval, p, point) for p in polys]
+    for p, want in zip(polys, expected):
+        got = _outcome(p.eval, point)
+        assert got == want and type(got) is type(want)
+    errors = [want for want in expected if isinstance(want, tuple)]
+    if errors:
+        assert _outcome(eval_common, polys, point) == errors[0]
+    else:
+        numerators, denominator = eval_common(polys, point)
+        assert denominator > 0
+        assert [Fraction(v, denominator) for v in numerators] == expected
 
 
 def test_str_canonical_order():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mlqtasep import solve
 from mlqtasep.chains import (
     ChainGraph,
     TransitionRecord,
@@ -23,12 +24,14 @@ from mlqtasep.solve import (
     lump,
     master_residual,
     normalize_rationals,
+    point_vector,
     residual_at_point,
     stationary_solve,
 )
 from helpers import (
     bully_partition,
     first_state_quotient,
+    reference_eval,
     three_species_weight,
     transition_matrix,
 )
@@ -130,16 +133,18 @@ def test_stationary_solve_evaluates_each_distinct_rate_once(monkeypatch):
     # the 110 records of the three-species chain on (1,2,2) share x1 and x2
     g = build_fm_chain(build_composition((1, 2, 2)), "three_species")
     point = (Fraction(2), Fraction(3))
-    evaluated = []
-    original = LaurentPoly.eval
+    calls = []
+    original = solve.eval_common
 
-    def spy(self, values):
-        evaluated.append(self)
-        return original(self, values)
+    def spy(polys, values):
+        calls.append(polys)
+        return original(polys, values)
 
-    monkeypatch.setattr(LaurentPoly, "eval", spy)
+    monkeypatch.setattr(solve, "eval_common", spy)
     solved = stationary_solve(g, point)
-    assert len(evaluated) == len({id(rec.rate) for rec in g.transitions}) == 2
+    distinct = {id(rec.rate) for rec in g.transitions}
+    assert len(calls) == 1 and len(calls[0]) == len(distinct) == 2
+    assert {id(rate) for rate in calls[0]} == distinct
     monkeypatch.undo()
     # a fresh rate object per record gives the same vector
     copies = tuple(rec._replace(rate=rec.rate + 0) for rec in g.transitions)
@@ -336,6 +341,20 @@ def test_consistency_triangle():
         rates = [rec.rate.eval(point) for rec in g.transitions]
         assert all(r == 0 for r in residual_at_point(g, values, rates))
         assert stationary_solve(g, point) == normalize_rationals(values)
+
+
+def test_point_vector_scales_the_oracle_values():
+    # positive weights with negative exponents and differing ranges
+    weights = [
+        *THREE_PARTICLE_WEIGHTS,
+        LaurentPoly.monomial(3, (-2, 1)) + X1,
+        LaurentPoly(2, {(0, -3): 5, (4, 0): 1}),
+    ]
+    rng = random.Random(15)
+    for _ in range(20):
+        point = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
+        values = [reference_eval(w, point) for w in weights]
+        assert point_vector(weights, point) == normalize_rationals(values)
 
 
 def test_residual_at_point_stays_integer_on_integer_input():
