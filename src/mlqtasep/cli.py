@@ -161,20 +161,20 @@ def cmd_project(args) -> int:
 
 def cmd_chain(args) -> int:
     comp = build_composition(_parse_m(args.composition))
-    point = _parse_solve_point(args.solve, comp.n - 1) if args.solve else None  # before output
+    point = None if args.solve is None else _parse_solve_point(args.solve, comp.n - 1)  # before output
     graph = build_process_chain(args.process, comp)
     if args.export == "dot":
         print(to_dot(graph))
     elif args.export == "json":
         print(to_json(graph))
-    if point:
+    if point is not None:
         weights = stationary_solve(graph, point)
         print(
             " ".join(
                 f"{graph.state_label(i)}:{weights[i]}" for i in range(len(graph.states))
             )
         )
-    if not args.export and not args.solve:
+    if not args.export and args.solve is None:
         print(
             f"{graph.kind}: {len(graph.states)} states, "
             f"{len(graph.transitions)} transitions",

@@ -192,26 +192,29 @@ def ringing_transition(q: Queue, i: int) -> Queue:
     return tuple(rows)
 
 
-def ring_successors(c: Composition) -> Iterator[tuple[int, list[int]]]:
-    """Each queue's id, in enumerate_mlqs order, and its successors' ids when
-    columns 0..N-1 ring (its own id for a loop), all from one shared list.
-
+def _ring_rows(c: Composition) -> tuple[list, int]:
+    """Per row of c, bottom row first, (its stride, its patterns' ranks, each
+    pattern's _ring_row step at every column); and the number of queue ids.
     An id is the mixed-radix number of the row ranks in _row_patterns order,
-    top row most significant.  A row's ring table maps (rank, entry column)
-    to (rank change times the row's stride, exit column); a ring adds up
-    n - 1 entries, bottom row up.
-    """
+    top row most significant."""
     check_queue_count(c)
-    tables, stride = [], 1  # bottom row first
+    rows, stride = [], 1
     for M in reversed(c.M[:-1]):
         patterns = _row_patterns(c.N, M)
-        rank = {p: k for k, p in enumerate(patterns)}
         moves = [[_ring_row(p, col) for col in range(c.N)] for p in patterns]
-        tables.append([[((rank[row] - k) * stride, out) for row, out in m] for k, m in enumerate(moves)])
+        rows.append((stride, {p: k for k, p in enumerate(patterns)}, moves))
         stride *= len(patterns)
-    ids = list(range(stride))
-    for sid, rows in zip(ids, itertools.product(*reversed(tables))):
-        bottom, *upper = reversed(rows)
+    return rows, stride
+
+
+def _ring_walk(rows: list, sids: list[int], ids: Sequence) -> Iterator[tuple[int, list]]:
+    """Ids sids (0, 1, ...) and ids[successor id] per ringing column.  A row's
+    ring table maps (rank, entry column) to (rank change times the row's
+    stride, exit column), so a ring adds up n - 1 entries, bottom row up."""
+    tables = [[[((rank[row] - k) * stride, out) for row, out in m] for k, m in enumerate(moves)]
+              for stride, rank, moves in rows]
+    for sid, steps in zip(sids, itertools.product(*reversed(tables))):
+        bottom, *upper = reversed(steps)
         succ = []
         for s, col in bottom:
             s += sid
@@ -220,6 +223,40 @@ def ring_successors(c: Composition) -> Iterator[tuple[int, list[int]]]:
                 s += d
             succ.append(ids[s])
         yield sid, succ
+
+
+def ring_successors(c: Composition) -> Iterator[tuple[int, list[int]]]:
+    """Each queue's id, in enumerate_mlqs order, and its successors' ids when
+    columns 0..N-1 ring (its own id for a loop), all from one shared list."""
+    rows, count = _ring_rows(c)
+    ids = list(range(count))
+    yield from _ring_walk(rows, ids, ids)
+
+
+def orbit_ring_successors(c: Composition) -> tuple[Iterator[tuple[int, list[tuple[int, int]]]], bool]:
+    """For m_1 = 1, the rotation-orbit representatives, ids 0..B-1 whose
+    top-row particle sits in column N - 1 (B = mlq_count / N), each with
+    (w, v) per ringing column: the destination turned v columns right is w,
+    v = 1 when the ring moves the particle.  And the certificate that each
+    orbit rings as its representative turned: _ring_row on each pattern
+    turned one column right, entered one column on, gives the turned row
+    and exits one column on."""
+    if c.m[0] != 1:
+        raise ValueError("orbit representatives need m_1 = 1")
+    rows, count = _ring_rows(c)
+    B, N = count // c.N, c.N
+    assert B * N == count
+    commutes = all(
+        moves[rank[rotate(p)]][(col + 1) % N] == (rotate(row), (out + 1) % N)
+        for _, rank, moves in rows
+        for p, k in rank.items()
+        for col, (row, out) in enumerate(moves[k])
+    )
+    sids = list(range(B))
+    # block 1's ids with each lower row turned one column right; beyond, IndexError
+    turns = [[rank[rotate(p)] * stride for p in rank] for stride, rank, _ in reversed(rows[:-1])]
+    turned = [(sids[sum(parts)], 1) for parts in itertools.product(*turns)]
+    return _ring_walk(rows, sids, [(w, 0) for w in sids] + turned), commutes
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +402,42 @@ def project_queues(c: Composition) -> QueueProjection:
     pair once (add_covers).  Raises ValueError, before building any queue,
     when there are more than MAX_QUEUES of them.
     """
-    check_queue_count(c)
+    return _project(c, [_row_patterns(c.N, M) for M in c.M[:-1]])[0]
+
+
+def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool]:
+    """For m_1 = 1, project_queues on the first mlq_count / N queues, the
+    rotation-orbit representatives, and the certificate that each step made,
+    inputs turned k = 1..N-1 columns right, gives its outputs turned k: so
+    the rest of each orbit projects as its representative turned.
+    """
+    if c.m[0] != 1:
+        raise ValueError("orbit representatives need m_1 = 1")
     rows = [_row_patterns(c.N, M) for M in c.M[:-1]]
+    projection, steps = _project(c, [rows[0][:1], *rows[1:]])
+    made = {(depth, upper, bits): step for depth, cache in enumerate(steps, start=1)
+            for upper, labeled in cache.items() for bits, step in zip(rows[depth], labeled)}
+    for (depth, upper, bits), step in list(made.items()):
+        for _ in range(c.N - 1):
+            upper, bits, *step = rotate((upper, bits, *step))  # every row one column right
+            if (depth, upper, bits) not in made:
+                made[depth, upper, bits] = project_row(upper, bits, depth + 1)
+            if made[depth, upper, bits] != tuple(step):
+                return projection, False
+    return projection, True
+
+
+def _project(c: Composition, rows: list) -> tuple[QueueProjection, list[dict]]:
+    """project_queues over the given row patterns, and per depth 1.. its
+    project_row steps: upper classes -> (classes, cover) per pattern."""
+    check_queue_count(c)
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal exponent tuples -> one object
     # the top row's bits are its classes: every particle there is class 1
     labels, exponents, covers = rows[0], [c.V] * len(rows[0]), [()] * len(rows[0])
+    made = []
     for depth, patterns in enumerate(rows[1:], start=1):
         steps, added = {}, {}  # upper row -> its project_row steps; (exps, cover) -> add_covers
+        made.append(steps)
         lower_labels, lower_exponents, covers = [], [], []
         for upper, exps in zip(labels, exponents):
             labeled = steps.get(upper)
@@ -390,7 +456,7 @@ def project_queues(c: Composition) -> QueueProjection:
     word_of = {row: tuple(cls or c.n for cls in row) for row in set(labels)}
     mask_of = {cover: sum(1 << col for col, cls in enumerate(cover) if cls) for cover in set(covers)}
     words, covered = map(word_of.__getitem__, labels), map(mask_of.__getitem__, covers)
-    return QueueProjection(tuple(map(tuple, rows)), tuple(words), tuple(exponents), tuple(covered))
+    return QueueProjection(tuple(map(tuple, rows)), tuple(words), tuple(exponents), tuple(covered)), made
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .chains import ChainGraph
 from .core import rotate
@@ -322,6 +322,31 @@ def irreducible(g: ChainGraph) -> bool:
     if len(g.states) <= 1:
         return len(g.states) == 1
     return _reaches_all(g, 0, 1) and _reaches_all(g, 1, 0)
+
+
+def lifted_irreducible(g: ChainGraph, voltages: Sequence[int], loops: Iterable[int], order: int) -> bool:
+    """Whether the order-fold cover of g is strongly connected: states (u, a),
+    a mod order, (u, a) -> (w, a - v) per record u -> w of voltage v =
+    voltages[i] and (u, a) -> (u, a - v) per loop voltage v.  Exactly when g
+    is, and gcd(order, phi(u) - v - phi(w)) = 1 over all of them, phi(w) =
+    phi(u) - v along a walk from state 0 (the loops' phi(w) = phi(u))."""
+    if not irreducible(g):
+        return False
+    out: list[list[int]] = [[] for _ in g.states]
+    for k, rec in enumerate(g.transitions):
+        out[rec.src].append(k)
+    phi: list = [None] * len(g.states)
+    phi[0], stack = 0, [0]
+    while stack:
+        for k in out[stack.pop()]:
+            src, dst, _, _ = g.transitions[k]
+            if phi[dst] is None:
+                phi[dst] = phi[src] - voltages[k]
+                stack.append(dst)
+    common = gcd(order, *loops)
+    for (src, dst, _, _), v in zip(g.transitions, voltages, strict=True):
+        common = gcd(common, phi[src] - v - phi[dst])
+    return common == 1
 
 
 def _reaches_all(g: ChainGraph, head: int, tail: int) -> bool:

@@ -21,6 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 from .chains import (
     ChainGraph,
+    TransitionRecord,
+    _ringing_rate,
     build_coupe_chain,
     build_fm_chain,
     build_tasep_chain,
@@ -32,14 +34,17 @@ from .core import (
     check_queue_count,
     enumerate_words,
     mlq_count,
+    orbit_ring_successors,
+    project_orbit_representatives,
     project_queues,
     queue_label,
     ring_successors,
     word_label,
 )
-from .poly import LaurentPoly, complete_homogeneous, q_int_derivative
+from .poly import LaurentPoly, complete_homogeneous, q_int_derivative, x_vars
 from .solve import (
     irreducible,
+    lifted_irreducible,
     lump,
     master_residual,
     point_vector,
@@ -261,18 +266,41 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
 
     V1 - z1 is the x1 exponent of the conjectured weight; the states share
     one monomial per distinct exponent, as the chain's records share rates.
+    The residual and irreducibility run on one queue per rotation orbit,
+    once rates and weights are certified rotation-invariant; the residual
+    at a representative is the full chain's.  Point solves, up to SOLVE_CAP
+    states, run on the full chain.
     """
     started = time.perf_counter()
     if c.m[0] != 1 or c.n < 3:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
-    chain = build_fm_chain(c, "one_first_class")
+    projection, equivariant = project_orbit_representatives(c)
+    successors, commutes = orbit_ring_successors(c)
     power = functools.cache(lambda e: LaurentPoly.monomial(1, (e,) + (0,) * (c.n - 2)))
-    weights = [power(exps[0]) for exps in chain.projection.exponents]
-    details: dict = {"states": len(chain.states)}
-    failure = _residual_failure(chain, weights)
-    if failure is None and not irreducible(chain):
-        failure = {"check": "irreducible"}
-    if failure is None and len(chain.states) <= SOLVE_CAP:
+    details: dict = {"states": mlq_count(c)}
+    failure = None if equivariant else {"check": "projection-rotation"}
+    if failure is None and not commutes:
+        failure = {"check": "ring-rotation"}
+    if failure is None:
+        x, one = x_vars(c.n - 1), LaurentPoly.one(c.n - 1)
+        mechanisms = [f"ringing({i + 1})" for i in range(c.N)]
+        records, voltages, loops = [], [], []  # loops cancel in the residual
+        for sid, succ in successors:
+            word, covered = projection.words[sid], projection.covered[sid]
+            for i, (dst, voltage) in enumerate(succ):
+                if dst == sid:
+                    loops.append(voltage)
+                else:
+                    rate = _ringing_rate("one_first_class", word, covered, i, x, one)
+                    records.append(TransitionRecord(sid, dst, rate, mechanisms[i]))
+                    voltages.append(voltage)
+        orbits = ChainGraph("fm-one_first_class", c, projection.queues, tuple(records), c.n - 1)
+        failure = _residual_failure(orbits, [power(exps[0]) for exps in projection.exponents])
+        if failure is None and not lifted_irreducible(orbits, voltages, loops, c.N):
+            failure = {"check": "irreducible"}
+    if failure is None and details["states"] <= SOLVE_CAP:
+        chain = build_fm_chain(c, "one_first_class")
+        weights = [power(exps[0]) for exps in chain.projection.exponents]
         for x1 in (Fraction(2), Fraction(3), Fraction(5, 2)):
             point = (x1,) + (Fraction(1),) * (c.n - 2)
             if stationary_solve(chain, point) != point_vector(weights, point):

@@ -16,13 +16,20 @@ of solve.lump's one-pass comparison; first_state_quotient makes a target
 from each block's first state whether g lumps or not.
 reference_gillespie_run is the sampler loop that calls expovariate and
 clamps the bisect index every event, the oracle of sim.gillespie_run's jump
-table: their results must be equal, float for float.  bound_suite_inputs
+table: their results must be equal, float for float.
+reference_fm1_theorem is the fm1 check on the whole ringing chain, the
+oracle of check_fm1_theorem's orbit chain; unrolled_chain spells out the
+cover of a voltage graph, the oracle of solve.lifted_irreducible, and
+turn_to_representative turns a queue with m_1 = 1 to its orbit's
+representative.  bound_suite_inputs
 caps how far run_suites may list a suite's inputs.  golden_form puts
 reports in the form of the benchmark's golden files under GOLDEN_DIR.
 """
 
+import functools
 import json
 import random
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -31,7 +38,7 @@ from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
-from mlqtasep.chains import ChainGraph, TransitionRecord
+from mlqtasep.chains import ChainGraph, TransitionRecord, build_fm_chain
 from mlqtasep.core import (
     BullyLabeling,
     Composition,
@@ -42,6 +49,7 @@ from mlqtasep.core import (
     composition_of_queue,
     enumerate_words,
     queue_label,
+    rotate,
 )
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.sim import (
@@ -51,6 +59,7 @@ from mlqtasep.sim import (
     _float_rate,
     build_process_chain,
 )
+from mlqtasep.solve import irreducible, point_vector, stationary_solve
 from mlqtasep import verify
 
 
@@ -374,6 +383,56 @@ def reference_gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> 
     return EmpiricalDistribution(
         labels=labels, fractions=fractions, total_time=clock, events=done
     )
+
+
+def reference_fm1_theorem(c: Composition) -> verify.SuiteReport:
+    """The fm1 report checked on the whole ringing chain: residual,
+    irreducibility and, up to SOLVE_CAP states, point solves."""
+    started = time.perf_counter()
+    if c.m[0] != 1 or c.n < 3:
+        raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
+    chain = build_fm_chain(c, "one_first_class")
+    power = functools.cache(lambda e: LaurentPoly.monomial(1, (e,) + (0,) * (c.n - 2)))
+    weights = [power(exps[0]) for exps in chain.projection.exponents]
+    details: dict = {"states": len(chain.states)}
+    failure = verify._residual_failure(chain, weights)
+    if failure is None and not irreducible(chain):
+        failure = {"check": "irreducible"}
+    if failure is None and len(chain.states) <= verify.SOLVE_CAP:
+        for x1 in (Fraction(2), Fraction(3), Fraction(5, 2)):
+            point = (x1,) + (Fraction(1),) * (c.n - 2)
+            if stationary_solve(chain, point) != point_vector(weights, point):
+                failure = {"check": "point-solve", "x1": str(x1)}
+                break
+        details["solver_points"] = 3
+    return verify._report("fm1", c, "theorem", started, failure, details)
+
+
+def turn_to_representative(q: Queue) -> Queue:
+    """The queue of q's rotation orbit whose top-row particle sits in the
+    last column (m_1 = 1)."""
+    while not q[0][-1]:
+        q = rotate(q)
+    return q
+
+
+def unrolled_chain(
+    g: ChainGraph, voltages: Sequence[int], loops: Sequence[tuple[int, int]], order: int
+) -> ChainGraph:
+    """The order-fold cover of g spelled out: state (u, a) for a mod order,
+    a record (u, a) -> (w, a - v) per record u -> w of g with voltage v and
+    per loop (u, v), the cover's own loops dropped."""
+    states = tuple((u, a) for u in range(len(g.states)) for a in range(order))
+    arcs = [(rec.src, rec.dst, v) for rec, v in zip(g.transitions, voltages, strict=True)]
+    arcs += [(u, u, v) for u, v in loops]
+    one = LaurentPoly.one(g.nvars)
+    records = tuple(
+        TransitionRecord(u * order + a, w * order + (a - v) % order, one, "lift")
+        for u, w, v in arcs
+        for a in range(order)
+        if (u, a) != (w, (a - v) % order)
+    )
+    return ChainGraph(f"{g.kind}/lift", g.composition, states, records, g.nvars)
 
 
 def bound_suite_inputs(monkeypatch, suite: str, bound: int) -> None:

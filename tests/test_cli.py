@@ -373,6 +373,7 @@ def test_chain_solve_gives_up_with_exit_3(capsys):
             "tolerance must lie in [0, 1], got nan",
         ),
         (["chain", "tasep", "--solve", "x1=2,x1=3"], "variable x1 given twice"),
+        (["chain", "tasep", "--solve="], "bad assignment '', expected x<i>=<value>"),
     ],
 )
 def test_bad_rate_input_is_named(capsys, argv, message):

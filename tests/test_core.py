@@ -16,6 +16,8 @@ from mlqtasep.core import (
     enumerate_mlqs,
     enumerate_words,
     mlq_count,
+    orbit_ring_successors,
+    project_orbit_representatives,
     project_queues,
     project_row,
     parse_queue,
@@ -38,6 +40,7 @@ from helpers import (
     ringing_path,
     single_first_class_weight,
     three_species_weight,
+    turn_to_representative,
 )
 
 # A five-species queue on eight sites whose projection and ringing behaviour
@@ -421,6 +424,70 @@ def test_ring_successors_match_the_oracle(m):
 @given(compositions_up_to_six(), st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
 def test_ring_successors_match_the_oracle_on_drawn_queues(c, draws):
     _assert_ring_successors_match_the_oracle(c, sorted({d % mlq_count(c) for d in draws}))
+
+
+@pytest.mark.parametrize(
+    "m", [c.m for c in iter_compositions(6, lambda m: m[0] == 1 and len(m) <= 4)], ids=str
+)
+def test_orbit_ring_successors_turn_the_full_successors(m):
+    # the representatives are the first mlq_count / N ids, and each ring's
+    # (w, v) is its full successor turned v columns right, v = 1 exactly
+    # when the successor leaves block 0
+    c = build_composition(m)
+    states = enumerate_mlqs(c)
+    index = {q: i for i, q in enumerate(states)}
+    B = mlq_count(c) // c.N
+    assert all(q[0][-1] for q in states[:B]) and not any(q[0][-1] for q in states[B:])
+    successors, commutes = orbit_ring_successors(c)
+    orbits = list(successors)
+    assert commutes and [sid for sid, _ in orbits] == list(range(B))
+    for (sid, turned), (_, full) in zip(orbits, ring_successors(c)):
+        for (w, v), dst in zip(turned, full, strict=True):
+            assert (w, v) == ((dst, 0) if dst < B else (index[rotate(states[dst])], 1))
+            assert states[w] == turn_to_representative(states[dst])
+
+
+def test_orbit_representatives_need_one_first_class_particle():
+    c = build_composition((2, 1, 1))
+    with pytest.raises(ValueError, match="m_1 = 1"):
+        orbit_ring_successors(c)
+    with pytest.raises(ValueError, match="m_1 = 1"):
+        project_orbit_representatives(c)
+
+
+@pytest.mark.parametrize("m", [(1, 1, 1), (1, 2, 1), (1, 1, 2, 1), (1, 2, 1, 1), (1, 1, 1, 1, 1)], ids=str)
+def test_orbit_projection_is_the_full_projection_on_block_zero(m):
+    c = build_composition(m)
+    B = mlq_count(c) // c.N
+    full = project_queues(c)
+    projection, equivariant = project_orbit_representatives(c)
+    assert equivariant
+    assert projection.queues == full.queues[:B]
+    for field in ("words", "exponents", "covered"):
+        assert getattr(projection, field) == getattr(full, field)[:B]
+
+
+def test_orbit_projection_certificate_makes_each_distinct_step_once(monkeypatch):
+    # the representatives' pass and the certificate's turned steps together
+    # make each distinct step of project_queues on (1,1,2,1,1) once: 1,620
+    # calls, as counted in test_project_queues_steps_each_labeled_row_once
+    import mlqtasep.core as core
+
+    calls = []
+    original = core.project_row
+
+    def spy(upper, bits, new_class):
+        calls.append(new_class)
+        return original(upper, bits, new_class)
+
+    monkeypatch.setattr(core, "project_row", spy)
+    assert project_orbit_representatives(build_composition((1, 1, 2, 1, 1)))[1]
+    assert Counter(calls) == {2: 6 * 15, 3: 30 * 15, 4: 180 * 6}
+
+
+def test_ring_rows_commute_with_rotation():
+    # the certificate holds on every composition with m_1 = 1 and N <= 6
+    assert all(orbit_ring_successors(c)[1] for c in iter_compositions(6, lambda m: m[0] == 1))
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlqtasep import solve
 from mlqtasep.chains import (
@@ -21,6 +23,7 @@ from mlqtasep.poly import LaurentPoly
 from mlqtasep.solve import (
     ReducibleChainError,
     irreducible,
+    lifted_irreducible,
     lump,
     master_residual,
     normalize_rationals,
@@ -34,6 +37,7 @@ from helpers import (
     reference_eval,
     three_species_weight,
     transition_matrix,
+    unrolled_chain,
 )
 
 X1 = LaurentPoly.variable(0, 2)
@@ -321,6 +325,64 @@ def test_one_way_reachability_not_irreducible(edges):
         nvars=2,
     )
     assert not irreducible(g)
+
+
+def _voltage_graph(size, arcs):
+    """The base chain of arcs (u, w, v) on states 0..size-1, its records'
+    voltages, and its loops' (u, v)."""
+    records = [(u, w, v) for u, w, v in arcs if u != w]
+    g = ChainGraph(
+        kind="custom",
+        composition=build_composition((1, 1)),
+        states=tuple((u,) for u in range(size)),
+        transitions=tuple(TransitionRecord(u, w, ONE, "a") for u, w, _ in records),
+        nvars=2,
+    )
+    return g, [v for _, _, v in records], [(u, v) for u, w, v in arcs if u == w]
+
+
+@st.composite
+def voltage_graphs(draw):
+    """1-5 states, an order of 1-6, and arcs with voltages, loops among them:
+    half the time a cycle through every state, so that the base is strongly
+    connected with few cycles, then up to 6 arcs more."""
+    size, order = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    voltage = st.integers(0, order - 1)
+    arcs = [(u, (u + 1) % size, draw(voltage)) for u in range(size)] if draw(st.booleans()) else []
+    arc = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), voltage)
+    return size, order, arcs + draw(st.lists(arc, max_size=6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(voltage_graphs())
+def test_lifted_irreducible_is_the_unrolled_chains_irreducible(case):
+    size, order, arcs = case
+    g, voltages, loops = _voltage_graph(size, arcs)
+    verdict = lifted_irreducible(g, voltages, [v for _, v in loops], order)
+    assert verdict == irreducible(unrolled_chain(g, voltages, loops, order))
+
+
+@pytest.mark.parametrize(
+    "size, order, arcs, expected",
+    [
+        # one orbit of 4 with a voltage-2 loop only: the cover is two 2-cycles
+        (1, 4, [(0, 0, 2)], False),
+        # the same orbit with a voltage-1 loop: one 4-cycle
+        (1, 4, [(0, 0, 1)], True),
+        # a 2-cycle of voltages 1 and 2 on a ring of 6: the cover is three 4-cycles
+        (2, 6, [(0, 1, 1), (1, 0, 2)], False),
+        # a base that is not strongly connected, whatever the voltages
+        (2, 3, [(0, 1, 1), (1, 1, 1)], False),
+        # a strongly connected base whose net voltages, 2 and 4, miss 1 mod 6
+        (2, 6, [(0, 1, 1), (1, 0, 1), (1, 1, 4)], False),
+        # the same with a net voltage of 3 more: 2 and 3 generate 1 mod 6
+        (2, 6, [(0, 1, 1), (1, 0, 1), (1, 1, 4), (0, 0, 3)], True),
+    ],
+)
+def test_lifted_irreducible_controls(size, order, arcs, expected):
+    g, voltages, loops = _voltage_graph(size, arcs)
+    assert lifted_irreducible(g, voltages, [v for _, v in loops], order) is expected
+    assert irreducible(unrolled_chain(g, voltages, loops, order)) is expected
 
 
 # ---------------------------------------------------------------------------

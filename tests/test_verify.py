@@ -1,12 +1,13 @@
 import json
 from dataclasses import replace
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from mlqtasep.chains import build_fm_chain, build_tasep_chain
-from mlqtasep.core import build_composition, bully_projection
+from mlqtasep.core import build_composition, bully_projection, enumerate_mlqs, mlq_count
 from mlqtasep.poly import LaurentPoly, q_int_derivative
+from mlqtasep.solve import irreducible
 from mlqtasep.verify import (
     check_coupe_theorem,
     check_fm1_theorem,
@@ -23,7 +24,14 @@ from mlqtasep.verify import (
     rate_points,
     run_suites,
 )
-from helpers import GOLDEN_DIR, bound_suite_inputs, golden_form, single_first_class_weight
+from helpers import (
+    GOLDEN_DIR,
+    bound_suite_inputs,
+    golden_form,
+    reference_fm1_theorem,
+    single_first_class_weight,
+    turn_to_representative,
+)
 
 
 def test_iter_compositions():
@@ -98,8 +106,9 @@ def test_fm1_theorem(m):
 
 
 def test_fm1_weights_share_one_monomial_per_exponent(monkeypatch):
-    # the 250 states of (1,1,2,1) hold at most V1 + 1 weight objects, one
-    # per power of x1, and each state's is the oracle's x1^(V1 - z1)
+    # the 50 orbit representatives of (1,1,2,1), whose top-row particle
+    # sits in the last column, hold at most V1 + 1 weight objects, one per
+    # power of x1, and each representative's is the oracle's x1^(V1 - z1)
     import mlqtasep.verify as verify
 
     seen = []
@@ -113,10 +122,126 @@ def test_fm1_weights_share_one_monomial_per_exponent(monkeypatch):
     c = build_composition((1, 1, 2, 1))
     assert check_fm1_theorem(c).ok
     ((chain, weights),) = seen
+    assert len(chain.states) == mlq_count(c) // c.N == 50
+    assert all(q[0][-1] for q in chain.states)
     objects = {id(w): w for w in weights}
     assert len(objects) <= c.V[0] + 1
     assert len(objects) == len(set(objects.values()))
     assert weights == [single_first_class_weight(bully_projection(q)) for q in chain.states]
+
+
+@pytest.mark.parametrize(
+    "m", [c.m for c in iter_compositions(5, lambda m: m[0] == 1 and len(m) >= 3)] + [(1, 1, 2, 1, 1)],
+    ids=str,
+)
+def test_fm1_report_equals_the_full_chain_oracle(m):
+    c = build_composition(m)
+    assert golden_form([check_fm1_theorem(c)]) == golden_form([reference_fm1_theorem(c)])
+
+
+@pytest.mark.parametrize("m, orbit", [((1, 1, 2, 1), 0), ((1, 1, 2, 1), 31), ((1, 1, 1, 2), 77)])
+def test_fm1_counterexample_equals_the_oracle_when_an_orbit_weight_is_off(monkeypatch, m, orbit):
+    # one orbit's weight times x1, on every queue of it: the first failing
+    # state and its residual are the full chain's, byte for byte
+    import mlqtasep.verify as verify
+
+    c = build_composition(m)
+    target = enumerate_mlqs(c)[orbit]
+    x1 = LaurentPoly.variable(0, c.n - 1)
+    original = verify._residual_failure
+
+    def mutant(chain, weights, *args):
+        weights = [
+            w * x1 if turn_to_representative(q) == target else w
+            for q, w in zip(chain.states, weights)
+        ]
+        return original(chain, weights, *args)
+
+    monkeypatch.setattr(verify, "_residual_failure", mutant)
+    report = check_fm1_theorem(c)
+    assert report.status == "fail" and report.counterexample["check"] == "residual"
+    assert golden_form([report]) == golden_form([reference_fm1_theorem(c)])
+
+
+def test_fm1_fails_when_a_projection_step_breaks_rotation(monkeypatch):
+    # a cover in column 1 is never recorded, so a step turned onto column 1
+    # disagrees with the step turned: the certificate fails the report
+    import mlqtasep.core as core
+
+    original = core.project_row
+
+    def mutant(upper, bits, new_class):
+        classes, cover = original(upper, bits, new_class)
+        return classes, (0,) + cover[1:]
+
+    monkeypatch.setattr(core, "project_row", mutant)
+    report = check_fm1_theorem(build_composition((1, 1, 2, 1)))
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "projection-rotation"}
+
+
+def test_fm1_fails_when_a_ring_row_breaks_rotation(monkeypatch):
+    # a particle in column 1 never moves left onto the free last column
+    import mlqtasep.core as core
+
+    original = core._ring_row
+
+    def mutant(row, col):
+        if col == 0 and row[0] and not row[-1]:
+            return row, col
+        return original(row, col)
+
+    monkeypatch.setattr(core, "_ring_row", mutant)
+    report = check_fm1_theorem(build_composition((1, 1, 2, 1)))
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "ring-rotation"}
+
+
+@pytest.mark.parametrize("m", [(1, 1, 1), (1, 2, 1), (1, 1, 2, 1), (1, 1, 1, 2)], ids=str)
+def test_fm1_lifts_every_ring_of_the_representatives(monkeypatch, m):
+    # each of the B * N rings of the representatives is a record or a
+    # loop, and N turns of the records and of the voltage-1 loops are the
+    # full chain's records
+    import mlqtasep.verify as verify
+
+    lifted, seen = verify.lifted_irreducible, []
+
+    def spy(g, voltages, loops, order):
+        seen.append((len(g.states), len(g.transitions), len(voltages), list(loops), order))
+        return lifted(g, voltages, loops, order)
+
+    monkeypatch.setattr(verify, "lifted_irreducible", spy)
+    c = build_composition(m)
+    assert check_fm1_theorem(c).ok
+    ((B, records, voltage_count, loops, order),) = seen
+    assert order == c.N and B * c.N == mlq_count(c) and voltage_count == records
+    assert records + len(loops) == B * c.N
+    assert c.N * (records + loops.count(1)) == len(build_fm_chain(c, "one_first_class").transitions)
+
+
+def test_fm1_irreducible_fails_when_the_voltages_miss_a_generator(monkeypatch):
+    # every voltage doubled on a ring of 4: the orbit chain keeps its
+    # records and stays strongly connected, but the voltages generate only
+    # the even turns, so the full chain splits in two
+    import mlqtasep.verify as verify
+
+    successors, lifted = verify.orbit_ring_successors, verify.lifted_irreducible
+    bases = []
+
+    def doubled(c):
+        walk, commutes = successors(c)
+        return ((sid, [(w, 2 * v) for w, v in succ]) for sid, succ in walk), commutes
+
+    def spy(g, voltages, loops, order):
+        bases.append(irreducible(g))
+        return lifted(g, voltages, loops, order)
+
+    monkeypatch.setattr(verify, "orbit_ring_successors", doubled)
+    monkeypatch.setattr(verify, "lifted_irreducible", spy)
+    report = check_fm1_theorem(build_composition((1, 1, 1, 1)))
+    assert bases == [True]
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "irreducible"}
 
 
 def test_partition_function_small():
@@ -275,28 +400,28 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
         (check_fm3_theorem, build_composition((1, 2, 2))),
         (check_coupe_theorem, build_composition((1, 2, 2))),
         (check_lw_normalization_and_positivity, 3),
-        (check_fm1_theorem, build_composition((1, 1, 2, 1))),
+        # 500 queues, above SOLVE_CAP, so no point solve builds the full chain
+        (check_fm1_theorem, build_composition((1, 1, 1, 2))),
         (check_partition_function, build_composition((1, 1, 2, 1))),
     ],
 )
 def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
-    # one projection of the whole queue space per report: fm3, coupe and
-    # fm1 read the one their chain carries, lw(3) and zpart make their own
-    import mlqtasep.chains as chains
+    # one projection pass per report: fm3 and coupe read the one their
+    # chain carries, lw(3) and zpart make their own, and fm1 projects its
+    # mlq_count / N orbit representatives only, never the whole queue space
     import mlqtasep.core as core
-    import mlqtasep.verify as verify
 
-    seen = []
-    original = core.project_queues
+    passes = []
+    original = core._project
 
-    def spy(c):
-        seen.append(c)
-        return original(c)
+    def spy(c, rows):
+        passes.append(prod(map(len, rows)))
+        return original(c, rows)
 
-    for module in (core, chains, verify):
-        monkeypatch.setattr(module, "project_queues", spy)
+    monkeypatch.setattr(core, "_project", spy)
     assert check(arg).ok
-    assert len(seen) == 1
+    c = build_composition((1,) * arg) if isinstance(arg, int) else arg
+    assert passes == [mlq_count(c) // c.N if check is check_fm1_theorem else mlq_count(c)]
 
 
 def test_failure_helpers_counterexamples():
