@@ -43,8 +43,10 @@ from .verify import DEFAULT_MAX_N, DEFAULT_SEED, SUITES, run_suites
 def _parse_m(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
-    except ValueError as err:
-        raise ValueError(f"bad composition {text!r}: {err}") from None
+    except ValueError:
+        raise ValueError(
+            f"bad composition {text!r}, expected comma-separated positive integers such as 1,2,2"
+        ) from None
 
 
 def _parse_rate(text: str) -> Fraction:

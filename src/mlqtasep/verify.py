@@ -30,9 +30,9 @@ from .chains import (
 )
 from .core import (
     Composition,
+    QueueProjection,
     build_composition,
     check_queue_count,
-    enumerate_words,
     mlq_count,
     orbit_ring_successors,
     project_orbit_representatives,
@@ -146,16 +146,22 @@ def _monomials(exponents: Sequence[tuple[int, ...]]) -> list[LaurentPoly]:
     return [shared[e] for e in exponents]
 
 
-def _word_lumping(
-    chain: ChainGraph, word_chain: ChainGraph, words: Sequence
-) -> tuple[list[int], dict | None]:
-    """Bully partition of a queue chain and the counterexample, if any, to
-    its lumping onto the word process.  words[i] is the word that state i
-    projects to; block ids index word_chain.states."""
+def _word_lumping(chain: ChainGraph, word_chain: ChainGraph, words: Sequence) -> dict | None:
+    """The counterexample, if any, to the lumping of a queue chain onto the
+    word process by its bully partition; words[i] is the word that state i
+    projects to."""
     index = {w: i for i, w in enumerate(word_chain.states)}
-    blocks = [index[w] for w in words]
-    counterexample = lump(chain, blocks, word_chain)
-    return blocks, None if counterexample is None else {"check": "lumpability", **counterexample}
+    counterexample = lump(chain, [index[w] for w in words], word_chain)
+    return None if counterexample is None else {"check": "lumpability", **counterexample}
+
+
+def _aggregated_weights(word_chain: ChainGraph, projection: QueueProjection) -> list[LaurentPoly]:
+    """Per state of word_chain, the sum of the conjectured monomials of the
+    queues that project to its word, counted by exponent."""
+    exponents = {w: Counter() for w in word_chain.states}
+    for word, exps in zip(projection.words, projection.exponents):
+        exponents[word][exps] += 1
+    return [LaurentPoly(word_chain.nvars, exponents[w]) for w in word_chain.states]
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +181,9 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
 
     if failure is None:
         word_chain = build_tasep_chain(c)
-        blocks, failure = _word_lumping(chain, word_chain, chain.projection.words)
+        failure = _word_lumping(chain, word_chain, chain.projection.words)
         if failure is None:
-            sums = [LaurentPoly.zero(2)] * len(word_chain.states)
-            for state, block in enumerate(blocks):
-                sums[block] = sums[block] + weights[state]
+            sums = _aggregated_weights(word_chain, chain.projection)
             details["block_sums"] = [str(w) for w in sums]
             failure = _residual_failure(word_chain, sums, "block-sum-residual", False)
             if failure is None and c.N == 6:
@@ -266,10 +270,10 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
 
     V1 - z1 is the x1 exponent of the conjectured weight; the states share
     one monomial per distinct exponent, as the chain's records share rates.
-    The residual and irreducibility run on one queue per rotation orbit,
-    once rates and weights are certified rotation-invariant; the residual
-    at a representative is the full chain's.  Point solves, up to SOLVE_CAP
-    states, run on the full chain.
+    Everything runs on one queue per rotation orbit, once rates and
+    weights are certified rotation-invariant: the residual at a
+    representative is the full chain's, and as every orbit holds N queues,
+    the orbit chain's stationary vector is the full one on representatives.
     """
     started = time.perf_counter()
     if c.m[0] != 1 or c.n < 3:
@@ -295,15 +299,14 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
                     records.append(TransitionRecord(sid, dst, rate, mechanisms[i]))
                     voltages.append(voltage)
         orbits = ChainGraph("fm-one_first_class", c, projection.queues, tuple(records), c.n - 1)
-        failure = _residual_failure(orbits, [power(exps[0]) for exps in projection.exponents])
+        weights = [power(exps[0]) for exps in projection.exponents]
+        failure = _residual_failure(orbits, weights)
         if failure is None and not lifted_irreducible(orbits, voltages, loops, c.N):
             failure = {"check": "irreducible"}
     if failure is None and details["states"] <= SOLVE_CAP:
-        chain = build_fm_chain(c, "one_first_class")
-        weights = [power(exps[0]) for exps in chain.projection.exponents]
         for x1 in (Fraction(2), Fraction(3), Fraction(5, 2)):
             point = (x1,) + (Fraction(1),) * (c.n - 2)
-            if stationary_solve(chain, point) != point_vector(weights, point):
+            if stationary_solve(orbits, point) != point_vector(weights, point):
                 failure = {"check": "point-solve", "x1": str(x1)}
                 break
         details["solver_points"] = 3
@@ -359,27 +362,16 @@ def check_partition_function(c: Composition) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _aggregated_weights(c: Composition) -> tuple[list[LaurentPoly], list]:
-    """Per word, the sum of the conjectured monomials of the queues that
-    project to it, counted by exponent."""
-    words = enumerate_words(c)
-    exponents = {w: Counter() for w in words}
-    projection = project_queues(c)
-    for word, exps in zip(projection.words, projection.exponents):
-        exponents[word][exps] += 1
-    return [LaurentPoly(c.n - 1, exponents[w]) for w in words], words
-
-
 def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Aggregated monomial queue weights against the exact word solution."""
     started = time.perf_counter()
-    sums, words = _aggregated_weights(c)
-    details: dict = {"words": len(words), "queues": mlq_count(c)}
+    chain = build_tasep_chain(c)
+    sums = _aggregated_weights(chain, project_queues(c))
+    details: dict = {"words": len(chain.states), "queues": mlq_count(c)}
     failure = None
     empty = next((i for i, s in enumerate(sums) if s.is_zero()), None)
     if empty is not None:
-        failure = {"check": "projection-misses-word", "word": word_label(words[empty])}
-    chain = build_tasep_chain(c)
+        failure = {"check": "projection-misses-word", "word": chain.state_label(empty)}
     if failure is None:
         failure = _residual_failure(chain, sums, "symbolic-residual")
         details["symbolic_residual"] = "zero" if failure is None else "nonzero"
@@ -408,13 +400,13 @@ def check_lw_normalization_and_positivity(n: int) -> SuiteReport:
     c = build_composition((1,) * n)
     failure = None
     details: dict = {}
-    sums, words = _aggregated_weights(c)
     word_chain = build_tasep_chain(c)
+    sums = _aggregated_weights(word_chain, project_queues(c))
     if _residual_failure(word_chain, sums) is not None:
         failure = {"check": "weights-not-stationary"}
     if failure is None:
         w0 = tuple(range(n, 0, -1))
-        w0_index = words.index(w0)
+        w0_index = word_chain.states.index(w0)
         normalizer = LaurentPoly.monomial(
             1, tuple(comb(n - 1 - i, 2) for i in range(n - 1))
         )
@@ -431,7 +423,7 @@ def check_lw_normalization_and_positivity(n: int) -> SuiteReport:
         if bad is not None:
             failure = {
                 "check": "positivity",
-                "word": word_label(words[bad]),
+                "word": word_chain.state_label(bad),
                 "weight": str(sums[bad]),
             }
         else:
@@ -538,7 +530,7 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
         failure = _residual_failure(chain, weights)
 
     if failure is None:
-        failure = _word_lumping(chain, build_tasep_chain(c), words)[1]
+        failure = _word_lumping(chain, build_tasep_chain(c), words)
     return _report("coupe", c, "theorem", started, failure, details)
 
 

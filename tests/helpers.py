@@ -21,7 +21,8 @@ reference_fm1_theorem is the fm1 check on the whole ringing chain, the
 oracle of check_fm1_theorem's orbit chain; unrolled_chain spells out the
 cover of a voltage graph, the oracle of solve.lifted_irreducible, and
 turn_to_representative turns a queue with m_1 = 1 to its orbit's
-representative.  bound_suite_inputs
+representative.  reference_block_sums adds up fm3's block sums queue by
+queue, the oracle of verify's word aggregation.  bound_suite_inputs
 caps how far run_suites may list a suite's inputs.  golden_form puts
 reports in the form of the benchmark's golden files under GOLDEN_DIR.
 """
@@ -176,6 +177,18 @@ def three_species_weight(labeling: BullyLabeling) -> LaurentPoly:
         raise ValueError("three-species weight needs exactly 3 classes")
     k = labeling.covered_three_count()
     return LaurentPoly.monomial(1, (comp.m[2] - k, k))
+
+
+def reference_block_sums(c: Composition) -> list[str]:
+    """fm3's block sums by the per-state loop: each queue's covered-3
+    weight added onto the sum of the word it projects to, in
+    enumerate_words order."""
+    chain = build_fm_chain(c, "three_species")
+    blocks, words = bully_partition(chain)
+    sums = [LaurentPoly.zero(2)] * len(words)
+    for q, block in zip(chain.states, blocks):
+        sums[block] = sums[block] + three_species_weight(bully_projection(q))
+    return [str(w) for w in sums]
 
 
 def single_first_class_weight(labeling: BullyLabeling) -> LaurentPoly:

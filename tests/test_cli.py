@@ -152,6 +152,15 @@ def test_enumerate_invalid_composition(capsys):
     assert "m_2 must be positive" in err
 
 
+@pytest.mark.parametrize("text", ["1,,2", "1,x"])
+def test_enumerate_unparsable_composition(capsys, text):
+    code, _, err = run_cli(capsys, "enumerate", "words", "-m", text)
+    assert code == 2
+    assert err.strip() == (
+        f"error: bad composition '{text}', expected comma-separated positive integers such as 1,2,2"
+    )
+
+
 def test_project_from_file(tmp_path, capsys):
     grid = tmp_path / "queue.txt"
     grid.write_text("001000\n011000\n100011\n110101\n111110\n")

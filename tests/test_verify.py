@@ -28,6 +28,7 @@ from helpers import (
     GOLDEN_DIR,
     bound_suite_inputs,
     golden_form,
+    reference_block_sums,
     reference_fm1_theorem,
     single_first_class_weight,
     turn_to_representative,
@@ -75,6 +76,14 @@ def test_fm3_smallest_system():
 def test_fm3_larger_systems(m):
     report = check_fm3_theorem(build_composition(m))
     assert report.ok, report.counterexample
+
+
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6, lambda m: len(m) == 3)], ids=str)
+def test_fm3_block_sums_equal_the_per_state_oracle(m):
+    c = build_composition(m)
+    report = check_fm3_theorem(c)
+    assert report.ok, report.counterexample
+    assert report.details["block_sums"] == reference_block_sums(c)
 
 
 def test_fm3_lemma():
@@ -161,6 +170,58 @@ def test_fm1_counterexample_equals_the_oracle_when_an_orbit_weight_is_off(monkey
     report = check_fm1_theorem(c)
     assert report.status == "fail" and report.counterexample["check"] == "residual"
     assert golden_form([report]) == golden_form([reference_fm1_theorem(c)])
+
+
+def test_fm1_solves_on_its_orbit_chain_only(monkeypatch):
+    # (1,1,2,1) has 250 queues, under SOLVE_CAP: one projection pass over
+    # its 50 representatives, every point solve on the 50-state orbit
+    # chain, and no full chain built
+    import mlqtasep.chains as chains
+    import mlqtasep.core as core
+    import mlqtasep.verify as verify
+
+    c = build_composition((1, 1, 2, 1))
+    built, passes, solved = [], [], []
+    original_project, original_solve = core._project, verify.stationary_solve
+
+    def project_spy(comp, rows):
+        passes.append(prod(map(len, rows)))
+        return original_project(comp, rows)
+
+    def solve_spy(g, point):
+        solved.append(len(g.states))
+        return original_solve(g, point)
+
+    def build_spy(*args):
+        built.append(args)
+        return chains.build_fm_chain(*args)
+
+    monkeypatch.setattr(core, "_project", project_spy)
+    monkeypatch.setattr(verify, "stationary_solve", solve_spy)
+    monkeypatch.setattr(verify, "build_fm_chain", build_spy)
+    report = check_fm1_theorem(c)
+    assert report.ok and report.details == {"states": 250, "solver_points": 3}
+    assert mlq_count(c) <= verify.SOLVE_CAP
+    assert built == []
+    assert passes == [mlq_count(c) // c.N] == [50]
+    assert solved == [50, 50, 50]
+
+
+def test_fm1_point_solve_failure_is_reported(monkeypatch):
+    # a weight vector off by a factor 2 at one queue disagrees with the
+    # exact solve at the first point
+    import mlqtasep.verify as verify
+
+    original = verify.point_vector
+
+    def doubled(weights, point):
+        values = original(weights, point)
+        return [2 * values[0]] + values[1:]
+
+    monkeypatch.setattr(verify, "point_vector", doubled)
+    report = check_fm1_theorem(build_composition((1, 1, 2)))
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "point-solve", "x1": "2"}
 
 
 def test_fm1_fails_when_a_projection_step_breaks_rotation(monkeypatch):
@@ -400,9 +461,11 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
         (check_fm3_theorem, build_composition((1, 2, 2))),
         (check_coupe_theorem, build_composition((1, 2, 2))),
         (check_lw_normalization_and_positivity, 3),
-        # 500 queues, above SOLVE_CAP, so no point solve builds the full chain
+        # 500 queues, above SOLVE_CAP, and 250, under it: fm1's point
+        # solves run on its orbit chain, so it never projects every queue
         (check_fm1_theorem, build_composition((1, 1, 1, 2))),
         (check_partition_function, build_composition((1, 1, 2, 1))),
+        (check_fm1_theorem, build_composition((1, 1, 2, 1))),
     ],
 )
 def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
@@ -440,11 +503,11 @@ def test_failure_helpers_counterexamples():
     }
     # the uniform chain has the same queues, so the same projected words
     projected = [bully_projection(q).word for q in queues.states]
-    assert _word_lumping(queues, words, projected)[1] is None
+    assert _word_lumping(queues, words, projected) is None
     uniform = build_fm_chain(c, "uniform")
     # it lumps, but onto the rate-one word process: 001/011 (word 321)
     # enters 231 at rate 1 where the word process has x2
-    assert _word_lumping(uniform, words, projected)[1] == {
+    assert _word_lumping(uniform, words, projected) == {
         "check": "lumpability",
         "state": "001/011",
         "into": "231",
@@ -453,7 +516,7 @@ def test_failure_helpers_counterexamples():
     }
     bent = list(queues.transitions)
     bent[3] = bent[3]._replace(rate=LaurentPoly.variable(0, 2) * LaurentPoly.variable(1, 2))
-    assert _word_lumping(replace(queues, transitions=tuple(bent)), words, projected)[1] == {
+    assert _word_lumping(replace(queues, transitions=tuple(bent)), words, projected) == {
         "check": "lumpability",
         "state": "001/101",
         "into": "213",
