@@ -8,13 +8,16 @@ and one mechanism label per kind and column once per chain, and its records
 share them; LaurentPoly is immutable, which makes the sharing safe.  The
 queue chains whose rates or jumps read the projected word build their
 states with project_queues and keep that projection on the chain, so the
-suites that check them read it instead of projecting again.
+suites that check them read it instead of projecting again.  The facts
+that do not depend on a rate point, strong connectivity and the rotation
+orbits, are properties of the chain, each computed on first read.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -28,6 +31,7 @@ from .core import (
     project_queues,
     queue_label,
     ring_successors,
+    rotate,
     word_label,
 )
 from .poly import LaurentPoly, parse_poly, x_vars
@@ -74,6 +78,63 @@ class ChainGraph:
         for rec in self.transitions:
             incoming[rec.dst].append(rec)
         return incoming
+
+    @functools.cached_property
+    def irreducible(self) -> bool:
+        """True iff the transition digraph is strongly connected: state 0
+        reaches every state, and then every state reaches state 0.  One
+        direction's adjacency lists are held at a time."""
+        if len(self.states) <= 1:
+            return len(self.states) == 1
+        return self._reaches_all(0, 1) and self._reaches_all(1, 0)
+
+    def _reaches_all(self, head: int, tail: int) -> bool:
+        """Whether state 0 reaches every state along the records read from
+        field head to field tail: (0, 1) walks them forward, (1, 0) backward."""
+        n = len(self.states)
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        for rec in self.transitions:
+            adjacency[rec[head]].append(rec[tail])
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        count = 1
+        while stack:
+            node = stack.pop()
+            for nxt in adjacency[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    count += 1
+                    stack.append(nxt)
+        return count == n
+
+    @functools.cached_property
+    def rotation_orbits(self) -> tuple[int, ...]:
+        """Each state's orbit under rotate, numbered in order of first state,
+        when rotate maps every state to a state and the multiset of (src,
+        dst, rate object) records onto itself, which makes the generator
+        invariant at every rate point; else each state is its own orbit.
+        Rates are compared by identity: the builders and from_json share one
+        object per distinct rate."""
+        n = len(self.states)
+        index = {state: i for i, state in enumerate(self.states)}
+        rot = []
+        for state in self.states:
+            rot.append(index.get(rotate(state)))
+            if rot[-1] is None:
+                return tuple(range(n))
+        records = Counter((src, dst, id(rate)) for src, dst, rate, _ in self.transitions)
+        if any(records[rot[s], rot[d], r] != count for (s, d, r), count in records.items()):
+            return tuple(range(n))
+        orbit, k = [-1] * n, 0
+        for start in range(n):
+            if orbit[start] < 0:
+                state = start
+                while orbit[state] < 0:
+                    orbit[state] = k
+                    state = rot[state]
+                k += 1
+        return tuple(orbit)
 
 
 # ---------------------------------------------------------------------------

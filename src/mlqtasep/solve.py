@@ -1,4 +1,4 @@
-"""Stationarity, lumpability and irreducibility, all in exact arithmetic.
+"""Stationarity, lumpability and lifted irreducibility, all in exact arithmetic.
 
 The generator convention follows column sums: M[to][from] holds the rate
 of from -> to, and each diagonal entry is minus the total rate leaving the
@@ -16,7 +16,6 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .chains import ChainGraph
-from .core import rotate
 from .poly import LaurentPoly, eval_common
 
 
@@ -149,16 +148,13 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """Exact stationary vector at a rate point, as coprime positive integers.
 
     Builds the integer generator, its rates the numerators of the chain's
-    distinct rate objects in one eval_common call, and solves it on the
-    rotation orbits of its states.  The orbits are used when two exact
-    conditions hold: rotate maps the integer rows onto themselves, and the
-    chain is strongly connected with every evaluated rate positive.  Then
-    the stationary vector is unique and constant on orbits.  Otherwise every
-    orbit is a single state.  Each orbit's row is its first state's row with
-    the columns summed per orbit; the first is dropped, as the rows weighted
-    by orbit sizes sum to zero.  The orbit unknowns are eliminated mod
-    2^127 - 1 with sparse pivots, and further Mersenne primes are
-    CRT-combined only while rational reconstruction fails.
+    distinct rate objects in one eval_common call, and eliminates one
+    unknown per orbit of g.rotation_orbits if the chain is strongly
+    connected with every evaluated rate positive, else one per state.  An
+    orbit's row is its first state's row with the columns summed per orbit;
+    the first row is dropped, as the rows weighted by orbit sizes sum to
+    zero.  The elimination is sparse and mod 2^127 - 1; further Mersenne
+    primes are CRT-combined only while rational reconstruction fails.
 
     The result is certified, not trusted: each orbit's value goes to all its
     states, and the vector is returned only when residual_at_point on the
@@ -177,20 +173,20 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     numerators, _ = eval_common(list(distinct.values()), point)
     values = dict(zip(distinct, numerators))
     rates = [values[id(rate)] for _, _, rate, _ in g.transitions]
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for (src, dst, _, _), value in zip(g.transitions, rates):
-        rows[dst][src] = rows[dst].get(src, 0) + value
-        rows[src][src] = rows[src].get(src, 0) - value
-    connected = all(v > 0 for v in values.values()) and irreducible(g)
-    orbit = _rotation_orbits(g, rows) if connected else list(range(n))
-    quotient: list[dict[int, int]] = []  # each orbit's row, from its first state
+    connected = all(v > 0 for v in values.values()) and g.irreducible
+    orbit = g.rotation_orbits if connected else range(n)
+    heads: list[int] = []  # each orbit's first state
     for state, block in enumerate(orbit):
-        if block == len(quotient):
-            row: dict[int, int] = {}
-            for j, v in rows[state].items():
-                row[orbit[j]] = row.get(orbit[j], 0) + v
-            quotient.append(row)
-    k = len(quotient)
+        if block == len(heads):
+            heads.append(state)
+    k = len(heads)
+    quotient: list[dict[int, int]] = [{} for _ in range(k)]
+    for (src, dst, _, _), value in zip(g.transitions, rates):
+        block, into = orbit[src], orbit[dst]
+        if heads[into] == dst:
+            quotient[into][block] = quotient[into].get(block, 0) + value
+        if heads[block] == src:
+            quotient[block][block] = quotient[block].get(block, 0) - value
     modulus, residues = 1, [0] * k
     for exponent in _MERSENNE_EXPONENTS:
         p = (1 << exponent) - 1
@@ -223,28 +219,6 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
             )
         return ints
     raise ArithmeticError("no certified stationary vector modulo the listed Mersenne primes")
-
-
-def _rotation_orbits(g: ChainGraph, rows: Sequence[dict[int, int]]) -> list[int]:
-    """Each state's rotation orbit, numbered in order of first state, when
-    rotate maps the states and the integer rows onto themselves; else each
-    state is its own orbit."""
-    n = len(rows)
-    index = {state: i for i, state in enumerate(g.states)}
-    rot = [index.get(rotate(state)) for state in g.states]
-    if None in rot or any(
-        rows[rot[i]] != {rot[j]: v for j, v in row.items()} for i, row in enumerate(rows)
-    ):
-        return list(range(n))
-    orbit, k = [-1] * n, 0
-    for start in range(n):
-        if orbit[start] < 0:
-            state = start
-            while orbit[state] < 0:
-                orbit[state] = k
-                state = rot[state]
-            k += 1
-    return orbit
 
 
 def point_vector(weights: Sequence[LaurentPoly], point: Sequence[Fraction]) -> list[int]:
@@ -315,22 +289,13 @@ def _rates_into_blocks(g: ChainGraph, blocks: Sequence[int]) -> list[dict[int, L
 # ---------------------------------------------------------------------------
 
 
-def irreducible(g: ChainGraph) -> bool:
-    """True iff the transition digraph is strongly connected: state 0 reaches
-    every state, and then every state reaches state 0.  One direction's
-    adjacency lists are held at a time."""
-    if len(g.states) <= 1:
-        return len(g.states) == 1
-    return _reaches_all(g, 0, 1) and _reaches_all(g, 1, 0)
-
-
 def lifted_irreducible(g: ChainGraph, voltages: Sequence[int], loops: Iterable[int], order: int) -> bool:
     """Whether the order-fold cover of g is strongly connected: states (u, a),
     a mod order, (u, a) -> (w, a - v) per record u -> w of voltage v =
     voltages[i] and (u, a) -> (u, a - v) per loop voltage v.  Exactly when g
     is, and gcd(order, phi(u) - v - phi(w)) = 1 over all of them, phi(w) =
     phi(u) - v along a walk from state 0 (the loops' phi(w) = phi(u))."""
-    if not irreducible(g):
+    if not g.irreducible:
         return False
     out: list[list[int]] = [[] for _ in g.states]
     for k, rec in enumerate(g.transitions):
@@ -347,24 +312,3 @@ def lifted_irreducible(g: ChainGraph, voltages: Sequence[int], loops: Iterable[i
     for (src, dst, _, _), v in zip(g.transitions, voltages, strict=True):
         common = gcd(common, phi[src] - v - phi[dst])
     return common == 1
-
-
-def _reaches_all(g: ChainGraph, head: int, tail: int) -> bool:
-    """Whether state 0 reaches every state along the records read from field
-    head to field tail: (0, 1) walks them forward, (1, 0) backward."""
-    n = len(g.states)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for rec in g.transitions:
-        adjacency[rec[head]].append(rec[tail])
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        node = stack.pop()
-        for nxt in adjacency[node]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                count += 1
-                stack.append(nxt)
-    return count == n

@@ -43,7 +43,6 @@ from .core import (
 )
 from .poly import LaurentPoly, complete_homogeneous, q_int_derivative, x_vars
 from .solve import (
-    irreducible,
     lifted_irreducible,
     lump,
     master_residual,
@@ -469,9 +468,7 @@ def check_uniform_stationarity(c: Composition) -> SuiteReport:
     started = time.perf_counter()
     chain = build_fm_chain(c, "uniform")
     details: dict = {"states": len(chain.states)}
-    failure = None
-    if not irreducible(chain):
-        failure = {"check": "irreducible"}
+    failure = None if chain.irreducible else {"check": "irreducible"}
     if failure is None:
         outs = [len(recs) for recs in chain.out_records()]
         ins = [len(recs) for recs in chain.in_records()]
@@ -510,10 +507,7 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
     chain = build_coupe_chain(c)
     words = chain.projection.words
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
-    failure = None
-
-    if not irreducible(chain):
-        failure = {"check": "irreducible"}
+    failure = None if chain.irreducible else {"check": "irreducible"}
 
     if failure is None:
         bad = next(

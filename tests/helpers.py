@@ -18,7 +18,9 @@ reference_gillespie_run is the sampler loop that calls expovariate and
 clamps the bisect index every event, the oracle of sim.gillespie_run's jump
 table: their results must be equal, float for float.
 reference_fm1_theorem is the fm1 check on the whole ringing chain, the
-oracle of check_fm1_theorem's orbit chain; unrolled_chain spells out the
+oracle of check_fm1_theorem's orbit chain; reference_rotation_orbits
+finds the rotation orbits from the generator's rows at a rate point, the
+oracle of ChainGraph.rotation_orbits; unrolled_chain spells out the
 cover of a voltage graph, the oracle of solve.lifted_irreducible, and
 turn_to_representative turns a queue with m_1 = 1 to its orbit's
 representative.  reference_block_sums adds up fm3's block sums queue by
@@ -60,7 +62,7 @@ from mlqtasep.sim import (
     _float_rate,
     build_process_chain,
 )
-from mlqtasep.solve import irreducible, point_vector, stationary_solve
+from mlqtasep.solve import point_vector, stationary_solve
 from mlqtasep import verify
 
 
@@ -409,7 +411,7 @@ def reference_fm1_theorem(c: Composition) -> verify.SuiteReport:
     weights = [power(exps[0]) for exps in chain.projection.exponents]
     details: dict = {"states": len(chain.states)}
     failure = verify._residual_failure(chain, weights)
-    if failure is None and not irreducible(chain):
+    if failure is None and not chain.irreducible:
         failure = {"check": "irreducible"}
     if failure is None and len(chain.states) <= verify.SOLVE_CAP:
         for x1 in (Fraction(2), Fraction(3), Fraction(5, 2)):
@@ -419,6 +421,33 @@ def reference_fm1_theorem(c: Composition) -> verify.SuiteReport:
                 break
         details["solver_points"] = 3
     return verify._report("fm1", c, "theorem", started, failure, details)
+
+
+def reference_rotation_orbits(g: ChainGraph, point: Sequence[Fraction]) -> tuple[int, ...]:
+    """Each state's rotation orbit, numbered in order of first state, when
+    rotate maps the states and the generator's rows at the point onto
+    themselves; else each state is its own orbit."""
+    n = len(g.states)
+    value = functools.cache(lambda rate: rate.eval(point))
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for src, dst, rate, _ in g.transitions:
+        rows[dst][src] = rows[dst].get(src, 0) + value(rate)
+        rows[src][src] = rows[src].get(src, 0) - value(rate)
+    index = {state: i for i, state in enumerate(g.states)}
+    rot = [index.get(rotate(state)) for state in g.states]
+    if None in rot or any(
+        rows[rot[i]] != {rot[j]: v for j, v in row.items()} for i, row in enumerate(rows)
+    ):
+        return tuple(range(n))
+    orbit, k = [-1] * n, 0
+    for start in range(n):
+        if orbit[start] < 0:
+            state = start
+            while orbit[state] < 0:
+                orbit[state] = k
+                state = rot[state]
+            k += 1
+    return tuple(orbit)
 
 
 def turn_to_representative(q: Queue) -> Queue:

@@ -24,7 +24,6 @@ from mlqtasep.core import build_composition, bully_projection
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.sim import SimConfig, build_process_chain, compare_to_exact, gillespie_run
 from mlqtasep.solve import (
-    irreducible,
     lump,
     master_residual,
     stationary_solve,

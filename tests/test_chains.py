@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,8 @@ from mlqtasep.core import (
 )
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.sim import build_process_chain
-from helpers import bully_partition, compositions_up_to_six
+from mlqtasep.verify import iter_compositions, rate_points
+from helpers import bully_partition, compositions_up_to_six, reference_rotation_orbits
 
 X1 = LaurentPoly.variable(0, 2)
 X2 = LaurentPoly.variable(1, 2)
@@ -481,6 +483,62 @@ def test_in_records_invert_out_records(g):
             rebuilt[rec.dst].append(id(rec))
     assert [sorted(ids) for ids in rebuilt] == [sorted(map(id, recs)) for recs in incoming]
     assert sum(map(len, out)) == len(g.transitions)
+
+
+# ---------------------------------------------------------------------------
+# Chain facts: strong connectivity and rotation orbits
+# ---------------------------------------------------------------------------
+
+
+def _suite_chains():
+    """Every word chain to N = 6, and every fm chain under each rule that
+    applies and every coupe chain to N = 5."""
+    for c in iter_compositions(6):
+        yield build_tasep_chain(c)
+        if c.N <= 5:
+            yield build_fm_chain(c, "uniform")
+            if c.m[0] == 1:
+                yield build_fm_chain(c, "one_first_class")
+            if c.n == 3:
+                yield build_fm_chain(c, "three_species")
+                yield build_coupe_chain(c)
+
+
+def test_rotation_orbits_equal_the_orbits_of_the_rows_at_a_point():
+    # the point-free check on shared rate objects finds every orbit that the
+    # integer rows at a seeded point show, on every chain the suites build
+    # and on the chain read back from its export
+    checked = 0
+    for g in _suite_chains():
+        (point,) = rate_points(g.nvars, 1, len(g.states))
+        orbits = reference_rotation_orbits(g, point)
+        assert len(set(orbits)) < len(g.states), g.kind
+        assert g.rotation_orbits == orbits, (g.kind, g.composition.m)
+        checked += 1
+    assert checked == 118
+    back = from_json(to_json(build_coupe_chain(build_composition((1, 2, 2)))))
+    assert back.rotation_orbits == reference_rotation_orbits(back, (2, 3))
+
+
+def test_replaced_chain_computes_its_own_facts():
+    # (1,1,2) has 12 words in 3 orbits; without the records leaving word 0
+    # the chain is neither strongly connected nor rotation-invariant, and
+    # the facts already read off the original stay its own
+    g = build_tasep_chain(build_composition((1, 1, 2)))
+    assert g.irreducible and g.rotation_orbits == (0, 1, 2, 2, 1, 0, 0, 1, 2, 1, 0, 2)
+    cut = replace(g, transitions=tuple(rec for rec in g.transitions if rec.src))
+    assert not cut.irreducible and cut.rotation_orbits == tuple(range(12))
+    assert g.irreducible and len(set(g.rotation_orbits)) == 3
+
+
+def test_rotation_orbits_compare_rates_by_object():
+    # the (1,1,1) word chain with every rate a fresh copy of an equal
+    # polynomial: rotation keeps the values but not the shared objects, so
+    # each state is its own orbit
+    g = build_tasep_chain(build_composition((1, 1, 1)))
+    copies = replace(g, transitions=tuple(rec._replace(rate=rec.rate + 0) for rec in g.transitions))
+    assert g.rotation_orbits == (0, 1, 1, 0, 0, 1)
+    assert copies.rotation_orbits == tuple(range(6))
 
 
 def test_dot_export_shape():

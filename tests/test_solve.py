@@ -22,7 +22,6 @@ from mlqtasep.core import (
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.solve import (
     ReducibleChainError,
-    irreducible,
     lifted_irreducible,
     lump,
     master_residual,
@@ -287,9 +286,9 @@ def test_truncated_systems_lump_to_rate_one_word_process(m):
 
 
 def test_irreducible_examples():
-    assert irreducible(build_coupe_chain(build_composition((1, 1, 1))))
+    assert build_coupe_chain(build_composition((1, 1, 1))).irreducible
     for m in [(1, 1), (1, 1, 1), (1, 2, 1), (1, 1, 1, 1)]:
-        assert irreducible(build_fm_chain(build_composition(m), "uniform"))
+        assert build_fm_chain(build_composition(m), "uniform").irreducible
 
 
 def test_isolated_state_not_irreducible():
@@ -304,7 +303,7 @@ def test_isolated_state_not_irreducible():
         ),
         nvars=2,
     )
-    assert not irreducible(g)
+    assert not g.irreducible
 
 
 @pytest.mark.parametrize(
@@ -324,7 +323,7 @@ def test_one_way_reachability_not_irreducible(edges):
         transitions=tuple(TransitionRecord(src, dst, ONE, "a") for src, dst in edges),
         nvars=2,
     )
-    assert not irreducible(g)
+    assert not g.irreducible
 
 
 def _voltage_graph(size, arcs):
@@ -359,7 +358,7 @@ def test_lifted_irreducible_is_the_unrolled_chains_irreducible(case):
     size, order, arcs = case
     g, voltages, loops = _voltage_graph(size, arcs)
     verdict = lifted_irreducible(g, voltages, [v for _, v in loops], order)
-    assert verdict == irreducible(unrolled_chain(g, voltages, loops, order))
+    assert verdict == unrolled_chain(g, voltages, loops, order).irreducible
 
 
 @pytest.mark.parametrize(
@@ -382,7 +381,7 @@ def test_lifted_irreducible_is_the_unrolled_chains_irreducible(case):
 def test_lifted_irreducible_controls(size, order, arcs, expected):
     g, voltages, loops = _voltage_graph(size, arcs)
     assert lifted_irreducible(g, voltages, [v for _, v in loops], order) is expected
-    assert irreducible(unrolled_chain(g, voltages, loops, order)) is expected
+    assert unrolled_chain(g, voltages, loops, order).irreducible is expected
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ def test_consistency_triangle():
     g = build_fm_chain(c, "three_species")
     weights = [three_species_weight(bully_projection(q)) for q in g.states]
     assert all(r.is_zero() for r in master_residual(g, weights))
-    assert irreducible(g)
+    assert g.irreducible
     rng = random.Random(424242)
     for _ in range(5):
         point = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(2)]

@@ -1,15 +1,19 @@
 """stationary_solve against a dense fraction-free (Bareiss) reference.
 
 The reference shares no code with the sparse modular solver; it is exact,
-simple and slow, so it only runs on chains of a few states.
+simple and slow, so it only runs on chains of a few states.  Random chains
+come in two kinds: 1-tuple states, where rotation finds no orbit, and
+orbit chains of whole rotation orbits of words with records closed under
+rotation, where the solve eliminates one unknown per orbit.
 """
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mlqtasep.solve as solve
@@ -237,3 +241,125 @@ def test_stationary_solve_without_rotation_symmetry_uses_every_state(monkeypatch
     assert unknowns == [60]
     assert solved == normalize_rationals(oracle_nullspace(g, point)[1])
     assert solved != stationary_solve(words, point)
+
+
+# ---------------------------------------------------------------------------
+# Chains with rotation orbits
+# ---------------------------------------------------------------------------
+
+
+def _turn(word: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The word turned k columns to the right."""
+    return word[-k:] + word[:-k]
+
+
+def _turns(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct turns of a word, in turning order: fewer than its length
+    when the word is periodic, as 1212 is."""
+    return list(dict.fromkeys(_turn(word, k) for k in range(len(word))))
+
+
+def orbit_chain(words, pairs) -> ChainGraph:
+    """States: every turn of each word, word after word.  Records: each pair
+    (i, j) of state ids with i != j, and all its turns, the class sharing
+    one rate variable; one more variable is left to no record."""
+    states = [state for word in words for state in _turns(word)]
+    index = {state: i for i, state in enumerate(states)}
+    N = len(states[0])
+    classes = dict.fromkeys(
+        frozenset((index[_turn(states[i], k)], index[_turn(states[j], k)]) for k in range(N))
+        for i, j in pairs
+        if i != j
+    )
+    nvars = len(classes) + 1
+    records = []
+    for t, turned in enumerate(classes):
+        rate = LaurentPoly.variable(t, nvars)
+        records += [TransitionRecord(src, dst, rate, "a") for src, dst in sorted(turned)]
+    return ChainGraph("custom", build_composition((1, 1)), tuple(states), tuple(records), nvars)
+
+
+@st.composite
+def orbit_chains(draw, connected: bool):
+    """An orbit_chain on words of length 2-5 over 1..3 from distinct orbits,
+    and a positive rational point.  Connected chains contain a cycle through
+    every state; in the others records only lead from a word's orbit to the
+    orbits of the same or later words, of which there are 2 or 3."""
+    N = draw(st.integers(2, 5))
+    words = draw(
+        st.lists(
+            st.tuples(*[st.integers(1, 3)] * N),
+            min_size=1 if connected else 2,
+            max_size=3,
+            unique_by=lambda word: min(_turns(word)),
+        )
+    )
+    orbit = [k for k, word in enumerate(words) for _ in _turns(word)]
+    n = len(orbit)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    if connected:
+        order = draw(st.permutations(range(n)))
+        pairs += [(order[i], order[(i + 1) % n]) for i in range(n)]
+    else:
+        pairs = [(i, j) for i, j in pairs if orbit[i] <= orbit[j]]
+    g = orbit_chain(words, pairs)
+    return g, draw(st.lists(RATES, min_size=g.nvars, max_size=g.nvars))
+
+
+def _orbit_count(g: ChainGraph) -> int:
+    return len({min(_turns(state)) for state in g.states})
+
+
+# 1212 turns into 2121 only; with 1122 it makes a chain of 2 orbits, 6 states
+SHORT_ORBIT = (
+    orbit_chain([(1, 2, 1, 2), (1, 1, 2, 2)], [(0, 2), (2, 0), (0, 1)]),
+    [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5)],
+)
+# records 1234 <-> 3412 and 4123 <-> 2341: one orbit, two components swapped by rotation
+SWAPPED_PAIRS = (orbit_chain([(1, 2, 3, 4)], [(0, 2)]), [Fraction(1), Fraction(1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_chains(connected=True))
+@example(SHORT_ORBIT)
+def test_orbit_solve_matches_bareiss_with_one_unknown_per_orbit(case):
+    g, point = case
+    nullity, solution = oracle_nullspace(g, point)
+    assert nullity == 1
+    with pytest.MonkeyPatch.context() as patch:
+        unknowns = _spy_unknowns(patch)
+        assert stationary_solve(g, point) == normalize_rationals(solution)
+    assert set(unknowns) == {_orbit_count(g)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_chains(connected=False))
+@example(SWAPPED_PAIRS)
+def test_orbit_chains_not_strongly_connected_raise_the_bareiss_nullity(case):
+    g, point = case
+    nullity, _ = oracle_nullspace(g, point)
+    with pytest.raises(ReducibleChainError) as err:
+        stationary_solve(g, point)
+    assert err.value.dimension == nullity
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_chains(connected=True))
+@example(SHORT_ORBIT)
+def test_orbit_chain_with_one_record_on_its_own_rate_uses_every_state(case):
+    # the spare variable on one record whose class has more than one record:
+    # rotation maps that record onto none, so there are no orbits to use
+    g, point = case
+    size = Counter(id(rec.rate) for rec in g.transitions)
+    k = next((k for k, rec in enumerate(g.transitions) if size[id(rec.rate)] > 1), None)
+    assume(k is not None)
+    spare = LaurentPoly.variable(g.nvars - 1, g.nvars)
+    records = list(g.transitions)
+    records[k] = records[k]._replace(rate=spare)
+    broken = replace(g, transitions=tuple(records))
+    nullity, solution = oracle_nullspace(broken, point)
+    assert nullity == 1
+    with pytest.MonkeyPatch.context() as patch:
+        unknowns = _spy_unknowns(patch)
+        assert stationary_solve(broken, point) == normalize_rationals(solution)
+    assert set(unknowns) == {len(g.states)}

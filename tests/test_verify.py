@@ -1,13 +1,13 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from math import comb, factorial, prod
 
 import pytest
 
-from mlqtasep.chains import build_fm_chain, build_tasep_chain
+from mlqtasep.chains import ChainGraph, build_fm_chain, build_tasep_chain
 from mlqtasep.core import build_composition, bully_projection, enumerate_mlqs, mlq_count
 from mlqtasep.poly import LaurentPoly, q_int_derivative
-from mlqtasep.solve import irreducible
 from mlqtasep.verify import (
     check_coupe_theorem,
     check_fm1_theorem,
@@ -207,6 +207,58 @@ def test_fm1_solves_on_its_orbit_chain_only(monkeypatch):
     assert solved == [50, 50, 50]
 
 
+def _spy_chain_facts(monkeypatch) -> tuple[list, Counter, list]:
+    """From now on: each chain verify solves on, once per solve; the
+    connectivity walks per chain id (each starts with the forward walk);
+    and every state a rotation search turns."""
+    import mlqtasep.chains as chains
+    import mlqtasep.verify as verify
+
+    solved, walks, turned = [], Counter(), []
+    solve, reaches_all, rotate = verify.stationary_solve, ChainGraph._reaches_all, chains.rotate
+
+    def solve_spy(g, point):
+        solved.append(g)
+        return solve(g, point)
+
+    def walk_spy(g, head, tail):
+        walks[id(g)] += (head, tail) == (0, 1)
+        return reaches_all(g, head, tail)
+
+    def rotate_spy(state):
+        turned.append(state)
+        return rotate(state)
+
+    monkeypatch.setattr(verify, "stationary_solve", solve_spy)
+    monkeypatch.setattr(ChainGraph, "_reaches_all", walk_spy)
+    monkeypatch.setattr(chains, "rotate", rotate_spy)
+    return solved, walks, turned
+
+
+def test_main_finds_its_word_chains_facts_once(monkeypatch):
+    # 5 point solves of the 60-word chain of (1,1,1,2): one connectivity
+    # walk and one rotation search, which turns each word once
+    solved, walks, turned = _spy_chain_facts(monkeypatch)
+    assert check_main_conjecture(build_composition((1, 1, 1, 2))).ok
+    g = solved[0]
+    assert len(solved) == 5 and all(h is g for h in solved) and len(g.states) == 60
+    assert walks == {id(g): 1}
+    assert sorted(turned) == sorted(g.states)
+    assert len(set(g.rotation_orbits)) == 12
+
+
+def test_fm1_walks_its_orbit_chain_once(monkeypatch):
+    # lifted_irreducible and the 3 point solves share one walk of the
+    # 50-state orbit chain of (1,1,2,1); its rotation search stops at the
+    # first representative, whose turn is not a representative
+    solved, walks, turned = _spy_chain_facts(monkeypatch)
+    assert check_fm1_theorem(build_composition((1, 1, 2, 1))).ok
+    g = solved[0]
+    assert len(solved) == 3 and all(h is g for h in solved) and walks == {id(g): 1}
+    assert turned == [g.states[0]]
+    assert g.rotation_orbits == tuple(range(50))
+
+
 def test_fm1_point_solve_failure_is_reported(monkeypatch):
     # a weight vector off by a factor 2 at one queue disagrees with the
     # exact solve at the first point
@@ -294,7 +346,7 @@ def test_fm1_irreducible_fails_when_the_voltages_miss_a_generator(monkeypatch):
         return ((sid, [(w, 2 * v) for w, v in succ]) for sid, succ in walk), commutes
 
     def spy(g, voltages, loops, order):
-        bases.append(irreducible(g))
+        bases.append(g.irreducible)
         return lifted(g, voltages, loops, order)
 
     monkeypatch.setattr(verify, "orbit_ring_successors", doubled)
