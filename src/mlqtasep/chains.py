@@ -299,18 +299,6 @@ def _move_left(row: Sequence[int], col: int) -> tuple[int, ...]:
     return tuple(cells)
 
 
-def _regular_jump(q: Queue, front: int) -> Queue:
-    """Occupied front-seat 1 jumps: each of its two cells moves left if free."""
-    N = len(q[0])
-    left = (front - 1) % N
-    top, bottom = q[0], q[1]
-    if not bottom[left]:
-        bottom = _move_left(bottom, front)
-    if not top[left]:
-        top = _move_left(top, front)
-    return (top, bottom)
-
-
 def _pulling_jump(q: Queue, coupes: list[Coupe], which: int) -> Queue:
     """Vacant front seat jumps; trailing top-row particles are dragged along.
 
@@ -344,15 +332,16 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
     if c.n != 3:
         raise ValueError("coupe process is defined for exactly 3 classes")
     projection = project_queues(c)
-    states = projection.queues
+    states, words = projection.queues, projection.words
     index = {q: i for i, q in enumerate(states)}
+    cuts = {word: decompose_coupes(word) for word in set(words)}
     nvars = 2
     x = x_vars(nvars)
     regular = [f"coupe-regular({col + 1})" for col in range(c.N)]
     pulling = [f"coupe-pulling({col + 1})" for col in range(c.N)]
     records = []
-    for sid, q in enumerate(states):
-        coupes = decompose_coupes(projection.words[sid])
+    for q, word, (sid, rings) in zip(states, words, ring_successors(c), strict=True):
+        coupes = cuts[word]
         for which, coupe in enumerate(coupes):
             if coupe.seat_class == 2 and coupe.full:
                 continue  # blocked behind the 1 ending the previous coupe
@@ -360,17 +349,19 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
             if coupe.seat_class == 2 and occupied:
                 raise AssertionError("front-seat 2 must sit under a vacancy")
             if occupied:
-                successor = _regular_jump(q, coupe.front)
+                # regular: the bottom, then the top cell moves left when
+                # free, which is the ring at the front seat
+                dst = rings[coupe.front]
                 mechanism = regular[coupe.front]
             else:
-                successor = _pulling_jump(q, coupes, which)
+                dst = index[_pulling_jump(q, coupes, which)]
                 mechanism = pulling[coupe.front]
-            if successor == q:
+            if dst == sid:
                 raise AssertionError("coupe jumps always change the queue")
             records.append(
                 TransitionRecord(
                     src=sid,
-                    dst=index[successor],
+                    dst=dst,
                     rate=x[coupe.seat_class - 1],
                     mechanism=mechanism,
                 )

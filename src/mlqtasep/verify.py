@@ -533,8 +533,9 @@ def _check_seat_bookkeeping(chain: ChainGraph, words) -> dict | None:
     N = chain.composition.N
     out = chain.out_records()
     incoming = chain.in_records()
+    cuts = {word: decompose_coupes(word) for word in set(words)}
     for sid, q in enumerate(chain.states):
-        coupes = decompose_coupes(words[sid])
+        coupes = cuts[words[sid]]
         c1 = sum(1 for cp in coupes if cp.seat_class == 1)
         e2 = sum(1 for cp in coupes if cp.seat_class == 2 and not cp.full)
         if len(out[sid]) != c1 + e2:

@@ -14,6 +14,9 @@ chain of a strongly lumpable partition, and same_rate_graph compares two
 chains by their summed rate per state pair: together they are the oracle
 of solve.lump's one-pass comparison; first_state_quotient makes a target
 from each block's first state whether g lumps or not.
+reference_regular_jump moves an occupied front seat's two cells one by
+one, the oracle of the coupe chain's regular jumps, which it reads off
+the ring at the front seat.
 reference_gillespie_run is the sampler loop that calls expovariate and
 clamps the bisect index every event, the oracle of sim.gillespie_run's jump
 table: their results must be equal, float for float.
@@ -41,7 +44,7 @@ from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
-from mlqtasep.chains import ChainGraph, TransitionRecord, build_fm_chain
+from mlqtasep.chains import ChainGraph, TransitionRecord, _move_left, build_fm_chain
 from mlqtasep.core import (
     BullyLabeling,
     Composition,
@@ -234,6 +237,18 @@ def reference_ringing(q: Queue, i: int) -> Queue:
         else:
             new_rows.append(row)
     return tuple(new_rows)
+
+
+def reference_regular_jump(q: Queue, front: int) -> Queue:
+    """Occupied front-seat 1 jumps: each of its two cells moves left if free."""
+    N = len(q[0])
+    left = (front - 1) % N
+    top, bottom = q[0], q[1]
+    if not bottom[left]:
+        bottom = _move_left(bottom, front)
+    if not top[left]:
+        top = _move_left(top, front)
+    return (top, bottom)
 
 
 def _exponents_of_z(comp: Composition, z: dict[tuple[int, int], int]) -> tuple[int, ...]:

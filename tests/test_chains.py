@@ -26,7 +26,12 @@ from mlqtasep.core import (
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.sim import build_process_chain
 from mlqtasep.verify import iter_compositions, rate_points
-from helpers import bully_partition, compositions_up_to_six, reference_rotation_orbits
+from helpers import (
+    bully_partition,
+    compositions_up_to_six,
+    reference_regular_jump,
+    reference_rotation_orbits,
+)
 
 X1 = LaurentPoly.variable(0, 2)
 X2 = LaurentPoly.variable(1, 2)
@@ -329,6 +334,24 @@ def test_pulling_jump_back_seat_drags_next_coupe():
     assert (expected, "x2", "coupe-pulling(3)") in succ
 
 
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(7, lambda m: len(m) == 3)], ids=str)
+def test_regular_jumps_are_three_species_rings(m):
+    # each regular jump moves its two cells one by one as the oracle does,
+    # and is the fm3 chain's ring at the front seat, at the same rate x1
+    c = build_composition(m)
+    coupe = build_coupe_chain(c)
+    rings = {tuple(rec) for rec in build_fm_chain(c, "three_species").transitions}
+    regular = 0
+    for src, dst, rate, mechanism in coupe.transitions:
+        kind, _, col = mechanism.partition("(")
+        if kind == "coupe-regular":
+            front = int(col.rstrip(")")) - 1
+            regular += 1
+            assert coupe.states[dst] == reference_regular_jump(coupe.states[src], front)
+            assert (src, dst, rate, f"ringing({front + 1})") in rings
+    assert regular
+
+
 # Coupe process on the (1,1,1) system, same state order as the
 # three-species chain above; minimal: no edges within a word class.
 COUPE_EDGES = {
@@ -367,6 +390,22 @@ def test_coupe_chain_minimality_and_degrees(m):
         c1 = sum(1 for cp in coupes if cp.seat_class == 1)
         e2 = sum(1 for cp in coupes if cp.seat_class == 2 and not cp.full)
         assert len(out[sid]) == c1 + e2
+
+
+def test_coupe_chain_cuts_each_word_once(monkeypatch):
+    import mlqtasep.chains as chains
+
+    calls = []
+    original = chains.decompose_coupes
+
+    def spy(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(chains, "decompose_coupes", spy)
+    # 50 queues project to the 30 words of (1,2,2)
+    build_coupe_chain(build_composition((1, 2, 2)))
+    assert len(calls) == len(set(calls)) == 30
 
 
 def test_coupe_chain_needs_three_species():

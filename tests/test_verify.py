@@ -6,7 +6,13 @@ from math import comb, factorial, prod
 import pytest
 
 from mlqtasep.chains import ChainGraph, build_fm_chain, build_tasep_chain
-from mlqtasep.core import build_composition, bully_projection, enumerate_mlqs, mlq_count
+from mlqtasep.core import (
+    build_composition,
+    bully_projection,
+    enumerate_mlqs,
+    mlq_count,
+    queue_label,
+)
 from mlqtasep.poly import LaurentPoly, q_int_derivative
 from mlqtasep.verify import (
     check_coupe_theorem,
@@ -101,6 +107,87 @@ def test_fm3_lemma_refuses_successors_out_of_step_with_the_projection(monkeypatc
     monkeypatch.setattr(verify, "ring_successors", lambda c: list(original(c))[:-1])
     with pytest.raises(ValueError, match="shorter"):
         check_three_species_lemma(build_composition((1, 1, 1)))
+
+
+def _redirect_ring(monkeypatch, c, queue, col, target):
+    """Make the ring at column col of one queue of c land on target, both
+    given as labels, in the successors the lemma reads."""
+    import mlqtasep.verify as verify
+
+    labels = [queue_label(q) for q in enumerate_mlqs(c)]
+    sid, dst = labels.index(queue), labels.index(target)
+    original = verify.ring_successors
+
+    def redirected(c):
+        for s, successors in original(c):
+            if s == sid:
+                successors = list(successors)
+                successors[col] = dst
+            yield s, successors
+
+    monkeypatch.setattr(verify, "ring_successors", redirected)
+
+
+def test_fm3_lemma_part_1_catches_a_2_off_its_cell(monkeypatch):
+    # 00001/00011 projects to 33321; read column 1, empty in both rows, as a 2
+    import mlqtasep.verify as verify
+
+    c = build_composition((1, 1, 3))
+    original = verify.project_queues
+
+    def misread(c):
+        projection = original(c)
+        words = list(projection.words)
+        words[0] = (2,) + words[0][1:]
+        return replace(projection, words=tuple(words))
+
+    monkeypatch.setattr(verify, "project_queues", misread)
+    report = check_three_species_lemma(c)
+    assert not report.ok
+    assert report.counterexample == {
+        "part": 1, "queue": "00001/00011", "site": 1, "word": "23321"
+    }
+
+
+def test_fm3_lemma_part_2_catches_a_2_behind_a_1_that_moves(monkeypatch):
+    # 00001/00110 projects to 33123: its ring at column 4 is a loop
+    c = build_composition((1, 1, 3))
+    _redirect_ring(monkeypatch, c, "00001/00110", 3, "00001/00011")
+    report = check_three_species_lemma(c)
+    assert not report.ok
+    assert report.counterexample == {"part": 2, "site": 4, "word": "33123"}
+
+
+def test_fm3_lemma_part_3_catches_two_moving_3s_in_a_block(monkeypatch):
+    # 00010/00011 projects to 33312, no 3 covered: of the block at columns
+    # 1-3 only column 3 rings effectively, and column 1 is made to as well,
+    # onto a queue with as many covered 3s, so parts 1, 2 and 4 hold
+    c = build_composition((1, 1, 3))
+    _redirect_ring(monkeypatch, c, "00010/00011", 0, "00001/00011")
+    report = check_three_species_lemma(c)
+    assert not report.ok
+    assert report.counterexample == {"part": 3, "word": "33312", "sites": [1, 3]}
+
+
+@pytest.mark.parametrize(
+    "queue, col, target, direction, word",
+    [
+        # 33321, no 3 covered: the 2 at column 4 rings onto three covered 3s
+        ("00001/00011", 3, "00001/00110", "increase", "33321"),
+        # 33123, three 3s covered: the covered 3 at column 1 rings onto none
+        ("00001/00110", 0, "00001/00011", "decrease", "33123"),
+    ],
+)
+def test_fm3_lemma_part_4_catches_a_covered_count_moving_the_wrong_way(
+    monkeypatch, queue, col, target, direction, word
+):
+    c = build_composition((1, 1, 3))
+    _redirect_ring(monkeypatch, c, queue, col, target)
+    report = check_three_species_lemma(c)
+    assert not report.ok
+    assert report.counterexample == {
+        "part": 4, "direction": direction, "site": col + 1, "word": word
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +574,25 @@ def test_uniform_stationarity_certificate_path():
 def test_coupe_theorem(m):
     report = check_coupe_theorem(build_composition(m))
     assert report.ok, report.counterexample
+
+
+def test_coupe_theorem_cuts_each_word_once_per_use(monkeypatch):
+    # once in the chain build and once in the seat bookkeeping
+    import mlqtasep.chains as chains
+    import mlqtasep.verify as verify
+
+    calls = Counter()
+    original = chains.decompose_coupes
+
+    def spy(word):
+        calls[word] += 1
+        return original(word)
+
+    monkeypatch.setattr(chains, "decompose_coupes", spy)
+    monkeypatch.setattr(verify, "decompose_coupes", spy)
+    # 50 queues project to the 30 words of (1,2,2)
+    assert check_coupe_theorem(build_composition((1, 2, 2))).ok
+    assert len(calls) == 30 and set(calls.values()) == {2}
 
 
 @pytest.mark.parametrize("check", [check_coupe_theorem, check_fm3_theorem])
