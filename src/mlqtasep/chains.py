@@ -230,8 +230,7 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coupe:
+class Coupe(NamedTuple):
     """One segment of the circular cut decomposition of a word.
 
     columns walks the segment in ring order: a possibly empty run of 3s
@@ -249,43 +248,30 @@ class Coupe:
 
 
 def decompose_coupes(word: Word) -> list[Coupe]:
-    """Cut the circular word after every maximal run of 1s and of 2s."""
+    """Cut the circular word after every maximal run of 1s and of 2s.
+
+    The cuts are the run ends, the columns i with word[i] != 3 and
+    word[i + 1] != word[i], and each coupe spans the columns after the
+    previous cut up to its own.  Such a span is always a run of 3s and then
+    one run of 1s or of 2s, since the letter before a run of 1s or 2s, past
+    any 3s, is itself a run end; so front is the span's first column that
+    is not a 3, and the coupe is full when the span holds no 3s.
+    """
     N = len(word)
     if any(cls not in (1, 2, 3) for cls in word):
         raise ValueError("coupe decomposition is defined for classes 1..3")
-    cuts = [
-        i
-        for i in range(N)
-        if word[i] in (1, 2) and word[(i + 1) % N] != word[i]
-    ]
+    cuts = [i for i in range(N) if word[i] != 3 and word[(i + 1) % N] != word[i]]
     if not cuts:
         raise ValueError("word has no 1s or 2s, nothing to cut")
     coupes = []
-    for pos, cut in enumerate(cuts):
-        start = (cuts[pos - 1] + 1) % N
-        columns = []
-        col = start
-        while True:
-            columns.append(col)
-            if col == cut:
-                break
-            col = (col + 1) % N
-        letters = tuple(word[cc] for cc in columns)
-        seat_class = next(cls for cls in letters if cls != 3)
-        front = next(cc for cc, cls in zip(columns, letters) if cls != 3)
-        run = [cls for cls in letters if cls != 3]
-        if letters[letters.index(seat_class) :].count(3) or set(run) != {seat_class}:
-            raise AssertionError(f"malformed coupe {letters} in {word}")
-        coupes.append(
-            Coupe(
-                columns=tuple(columns),
-                letters=letters,
-                seat_class=seat_class,
-                front=front,
-                back=cut,
-                full=letters[0] != 3,
-            )
-        )
+    start = cuts[-1] + 1 - N  # the first span may wrap past column N - 1
+    for cut in cuts:
+        span = range(start, cut + 1)
+        columns = tuple(col % N for col in span)
+        letters = tuple(word[col] for col in span)
+        threes = letters.count(3)
+        coupes.append(Coupe(columns, letters, word[cut], columns[threes], cut, not threes))
+        start = cut + 1
     return coupes
 
 
@@ -304,17 +290,14 @@ def _pulling_jump(q: Queue, coupes: list[Coupe], which: int) -> Queue:
 
     The jumper's bottom cell moves one step left.  Top-row particles
     strictly right of the jumper inside its own coupe each move one step
-    left; when the jumper is also the back seat, the top-row particles of
-    the whole next coupe move instead.
+    left; when no column is left there, the jumper being the back seat,
+    the top-row particles of the whole next coupe move instead.
     """
     coupe = coupes[which]
-    front = coupe.front
     N = len(q[0])
-    bottom = _move_left(q[1], front)
-    if front == coupe.back:
-        pull_range = coupes[(which + 1) % len(coupes)].columns
-    else:
-        pull_range = coupe.columns[coupe.columns.index(front) + 1 :]
+    bottom = _move_left(q[1], coupe.front)
+    behind = coupe.columns[coupe.columns.index(coupe.front) + 1 :]
+    pull_range = behind or coupes[(which + 1) % len(coupes)].columns
     movers = [col for col in pull_range if q[0][col]]
     top = list(q[0])
     for col in movers:

@@ -545,35 +545,24 @@ def _check_seat_bookkeeping(chain: ChainGraph, words) -> dict | None:
                 "expected": c1 + e2,
                 "got": len(out[sid]),
             }
-        occupied_backs = {
-            cp.back for cp in coupes if cp.seat_class == 1 and q[0][cp.back]
-        }
-        pulling_backs = set()
-        for which, cp in enumerate(coupes):
-            nxt = coupes[(which + 1) % len(coupes)]
-            if nxt.seat_class == 2 and nxt.full:
-                continue
-            if q[0][nxt.back]:
-                continue
-            pulling_backs.add(cp.back)
-        landings = {"coupe-regular": [], "coupe-pulling": []}
+        expected = {"regular": [], "pulling": []}
+        for cp, nxt in zip(coupes, coupes[1:] + coupes[:1]):
+            if cp.seat_class == 1 and q[0][cp.back]:
+                expected["regular"].append(cp.back)
+            if not (nxt.seat_class == 2 and nxt.full) and not q[0][nxt.back]:
+                expected["pulling"].append(cp.back)
+        landings = {kind: [] for kind in expected}
         for rec in incoming[sid]:
             mech, _, col = rec.mechanism.partition("(")
-            landings[mech].append((int(col.rstrip(")")) - 1 - 1) % N)
-        if sorted(landings["coupe-regular"]) != sorted(occupied_backs):
-            return {
-                "check": "incoming-regular",
-                "state": chain.state_label(sid),
-                "expected": sorted(col + 1 for col in occupied_backs),
-                "got": sorted(col + 1 for col in landings["coupe-regular"]),
-            }
-        if sorted(landings["coupe-pulling"]) != sorted(pulling_backs):
-            return {
-                "check": "incoming-pulling",
-                "state": chain.state_label(sid),
-                "expected": sorted(col + 1 for col in pulling_backs),
-                "got": sorted(col + 1 for col in landings["coupe-pulling"]),
-            }
+            landings[mech.removeprefix("coupe-")].append((int(col.rstrip(")")) - 1 - 1) % N)
+        for kind, backs in expected.items():
+            if sorted(landings[kind]) != sorted(backs):
+                return {
+                    "check": f"incoming-{kind}",
+                    "state": chain.state_label(sid),
+                    "expected": sorted(col + 1 for col in backs),
+                    "got": sorted(col + 1 for col in landings[kind]),
+                }
     return None
 
 

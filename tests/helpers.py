@@ -16,7 +16,9 @@ of solve.lump's one-pass comparison; first_state_quotient makes a target
 from each block's first state whether g lumps or not.
 reference_regular_jump moves an occupied front seat's two cells one by
 one, the oracle of the coupe chain's regular jumps, which it reads off
-the ring at the front seat.
+the ring at the front seat.  reference_decompose_coupes walks each
+coupe column by column and re-checks its shape, the oracle of the
+one-pass cut at the run ends in chains.decompose_coupes.
 reference_gillespie_run is the sampler loop that calls expovariate and
 clamps the bisect index every event, the oracle of sim.gillespie_run's jump
 table: their results must be equal, float for float.
@@ -44,7 +46,7 @@ from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
-from mlqtasep.chains import ChainGraph, TransitionRecord, _move_left, build_fm_chain
+from mlqtasep.chains import ChainGraph, Coupe, TransitionRecord, _move_left, build_fm_chain
 from mlqtasep.core import (
     BullyLabeling,
     Composition,
@@ -249,6 +251,47 @@ def reference_regular_jump(q: Queue, front: int) -> Queue:
     if not top[left]:
         top = _move_left(top, front)
     return (top, bottom)
+
+
+def reference_decompose_coupes(word: Word) -> list[Coupe]:
+    """Cut the circular word after every maximal run of 1s and of 2s."""
+    N = len(word)
+    if any(cls not in (1, 2, 3) for cls in word):
+        raise ValueError("coupe decomposition is defined for classes 1..3")
+    cuts = [
+        i
+        for i in range(N)
+        if word[i] in (1, 2) and word[(i + 1) % N] != word[i]
+    ]
+    if not cuts:
+        raise ValueError("word has no 1s or 2s, nothing to cut")
+    coupes = []
+    for pos, cut in enumerate(cuts):
+        start = (cuts[pos - 1] + 1) % N
+        columns = []
+        col = start
+        while True:
+            columns.append(col)
+            if col == cut:
+                break
+            col = (col + 1) % N
+        letters = tuple(word[cc] for cc in columns)
+        seat_class = next(cls for cls in letters if cls != 3)
+        front = next(cc for cc, cls in zip(columns, letters) if cls != 3)
+        run = [cls for cls in letters if cls != 3]
+        if letters[letters.index(seat_class) :].count(3) or set(run) != {seat_class}:
+            raise AssertionError(f"malformed coupe {letters} in {word}")
+        coupes.append(
+            Coupe(
+                columns=tuple(columns),
+                letters=letters,
+                seat_class=seat_class,
+                front=front,
+                back=cut,
+                full=letters[0] != 3,
+            )
+        )
+    return coupes
 
 
 def _exponents_of_z(comp: Composition, z: dict[tuple[int, int], int]) -> tuple[int, ...]:

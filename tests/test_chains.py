@@ -20,6 +20,7 @@ from mlqtasep.core import (
     build_composition,
     bully_projection,
     enumerate_mlqs,
+    enumerate_words,
     parse_queue,
     project_queues,
 )
@@ -29,6 +30,7 @@ from mlqtasep.verify import iter_compositions, rate_points
 from helpers import (
     bully_partition,
     compositions_up_to_six,
+    reference_decompose_coupes,
     reference_regular_jump,
     reference_rotation_orbits,
 )
@@ -287,6 +289,48 @@ def test_decompose_classification():
     assert set(by_letters) == {(3, 3, 3, 2), (3, 3, 1, 1)}
     first = by_letters[(3, 3, 1, 1)]
     assert first.seat_class == 1 and first.front == 5 and first.back == 6
+
+
+def test_decompose_matches_the_column_walk_on_every_three_species_word():
+    # the 8,334 words of the compositions with n = 3 and N <= 8
+    words = [
+        word
+        for c in iter_compositions(8, lambda m: len(m) == 3)
+        for word in enumerate_words(c)
+    ]
+    assert len(words) == 8334
+    for word in words:
+        assert decompose_coupes(word) == reference_decompose_coupes(word), word
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=12)
+    .map(tuple)
+    .filter(lambda word: set(word) != {3})
+)
+def test_decompose_matches_the_column_walk_on_random_words(word):
+    # a word of one letter, such as (1, 1), has no run end: both refuse it
+    def cut(decompose):
+        try:
+            return decompose(word)
+        except ValueError as err:
+            return str(err)
+
+    assert cut(decompose_coupes) == cut(reference_decompose_coupes)
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ((1, 4, 3), "coupe decomposition is defined for classes 1..3"),
+        ((3, 3), "word has no 1s or 2s, nothing to cut"),
+    ],
+)
+def test_decompose_refuses_words_it_cannot_cut(word, message):
+    with pytest.raises(ValueError) as excinfo:
+        decompose_coupes(word)
+    assert str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -595,6 +595,71 @@ def test_coupe_theorem_cuts_each_word_once_per_use(monkeypatch):
     assert len(calls) == 30 and set(calls.values()) == {2}
 
 
+def _edit_coupe_record(monkeypatch, source, mechanism, target=None):
+    """Make the coupe suite check the real chain with its one record of the
+    given source label and mechanism dropped, or retargeted to the queue
+    labeled target."""
+    import mlqtasep.verify as verify
+
+    original = verify.build_coupe_chain
+
+    def edited(c):
+        chain = original(c)
+        labels = [chain.state_label(sid) for sid in range(len(chain.states))]
+        records, hits = [], 0
+        for rec in chain.transitions:
+            if labels[rec.src] == source and rec.mechanism == mechanism:
+                hits += 1
+                if target is None:
+                    continue
+                rec = rec._replace(dst=labels.index(target))
+            records.append(rec)
+        assert hits == 1
+        return replace(chain, transitions=tuple(records))
+
+    monkeypatch.setattr(verify, "build_coupe_chain", edited)
+
+
+@pytest.mark.parametrize(
+    "source, mechanism, target, counterexample",
+    [
+        pytest.param(
+            # this ring is the only record into 0010/0011
+            "0001/0011", "coupe-regular(4)", None, {"check": "irreducible"},
+            id="irreducible",
+        ),
+        pytest.param(
+            # 0010/0101 projects to 3231, the word of 0001/0101
+            "0001/0101", "coupe-regular(4)", "0010/0101",
+            {"check": "minimality", "state": "0001/0101"},
+            id="minimality",
+        ),
+        pytest.param(
+            "0001/0011", "coupe-pulling(3)", None,
+            {"check": "outgoing-count", "state": "0001/0011", "expected": 2, "got": 1},
+            id="outgoing-count",
+        ),
+        pytest.param(
+            "0001/0101", "coupe-regular(4)", "0001/0011",
+            {"check": "incoming-regular", "state": "0001/0011", "expected": [4], "got": [3, 4]},
+            id="incoming-regular",
+        ),
+        pytest.param(
+            "0001/0011", "coupe-pulling(3)", "0001/0101",
+            {"check": "incoming-pulling", "state": "0001/0101", "expected": [4], "got": [2, 4]},
+            id="incoming-pulling",
+        ),
+    ],
+)
+def test_coupe_theorem_catches_an_edited_record(
+    monkeypatch, source, mechanism, target, counterexample
+):
+    _edit_coupe_record(monkeypatch, source, mechanism, target)
+    report = check_coupe_theorem(build_composition((1, 1, 2)))
+    assert not report.ok
+    assert report.counterexample == counterexample
+
+
 @pytest.mark.parametrize("check", [check_coupe_theorem, check_fm3_theorem])
 def test_lumpability_checked_once_per_report(monkeypatch, check):
     import mlqtasep.solve as solve
