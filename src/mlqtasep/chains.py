@@ -261,8 +261,10 @@ def decompose_coupes(word: Word) -> list[Coupe]:
     if any(cls not in (1, 2, 3) for cls in word):
         raise ValueError("coupe decomposition is defined for classes 1..3")
     cuts = [i for i in range(N) if word[i] != 3 and word[(i + 1) % N] != word[i]]
-    if not cuts:
+    if not cuts and set(word) <= {3}:
         raise ValueError("word has no 1s or 2s, nothing to cut")
+    if not cuts:
+        raise ValueError(f"word is one run of {word[0]}s, with no run end to cut at")
     coupes = []
     start = cuts[-1] + 1 - N  # the first span may wrap past column N - 1
     for cut in cuts:

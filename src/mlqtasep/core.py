@@ -291,44 +291,52 @@ class BullyLabeling:
         return self.z.get((2, 1), 0)
 
 
-def project_row(
-    upper_classes: Sequence[int], lower_bits: Sequence[int], new_class: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One step of the bully-path projection: label a row from the row above.
+def project_rows(
+    upper_classes: Sequence[int], patterns: Iterable[Sequence[int]], new_class: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The bully-path step from one labeled row to each lower row pattern.
 
     Every classified particle of the upper row (classes ascending, columns
     left to right within a class) drops straight down; if the cell below is
     vacant or already taken it queues rightward, circularly, to the first
     unclassified occupied cell.  The occupied cells no path reaches take
-    new_class.  Returns the lower row's classes (0 at vacancies) and, per
-    column, the smallest class whose path queues through that vacancy (0
-    if none does).
+    new_class.  Per pattern, returns the lower row's classes (0 at
+    vacancies) and, per column, the smallest class whose path queues
+    through that vacancy (0 if none does).  The paths are ordered once.
     """
-    N = len(lower_bits)
-    lower = [0] * N
-    cover = [0] * N
-    # a stable sort keeps the columns of one class ascending; vacancies sort first
-    for start in sorted(range(N), key=upper_classes.__getitem__):
-        cls = upper_classes[start]
-        if not cls:
-            continue
-        j = start
-        for _ in range(N):
-            if lower_bits[j]:
-                if not lower[j]:
-                    lower[j] = cls
-                    break
-            elif not cover[j]:
-                cover[j] = cls
-            j = j + 1 if j + 1 < N else 0
-        else:
-            raise ValueError(
-                f"the path from column {start + 1} finds no free particle on the lower row"
-            )
-    for col in range(N):
-        if lower_bits[col] and not lower[col]:
-            lower[col] = new_class
-    return tuple(lower), tuple(cover)
+    N = len(upper_classes)
+    cols = list(range(N))
+    # each path's class and the columns it scans, from the one below its particle
+    starts = sorted((cls, start) for start, cls in enumerate(upper_classes) if cls)
+    paths = [(cls, cols[start:] + cols[:start]) for cls, start in starts]
+    steps = []
+    for lower_bits in patterns:
+        lower = [0] * N
+        cover = [0] * N
+        for cls, scan in paths:
+            for j in scan:
+                if lower_bits[j]:
+                    if not lower[j]:
+                        lower[j] = cls
+                        break
+                elif not cover[j]:
+                    cover[j] = cls
+            else:
+                raise ValueError(
+                    f"the path from column {scan[0] + 1} finds no free particle on the lower row"
+                )
+        for col in cols:
+            if lower_bits[col] and not lower[col]:
+                lower[col] = new_class
+        steps.append((tuple(lower), tuple(cover)))
+    return steps
+
+
+def project_row(
+    upper_classes: Sequence[int], lower_bits: Sequence[int], new_class: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One step of the bully-path projection: project_rows on one pattern."""
+    return project_rows(upper_classes, [lower_bits], new_class)[0]
 
 
 def add_covers(exponents: Sequence[int], row: int, cover: Sequence[int]) -> tuple[int, ...]:
@@ -397,52 +405,61 @@ def project_queues(c: Composition) -> QueueProjection:
 
     Per queue prefix, in enumerate_mlqs order, the pass keeps its last row's
     classes, its exponents and that row's covers.  Each depth steps every
-    distinct labeled upper row once per pattern of the next row
-    (project_row) and adds the covers of each distinct (exponents, cover)
-    pair once (add_covers).  Raises ValueError, before building any queue,
-    when there are more than MAX_QUEUES of them.
+    distinct labeled upper row against all patterns of the next row in one
+    project_rows call and adds the covers of each distinct (exponents,
+    cover) pair once (add_covers).  Raises ValueError, before building any
+    queue, when there are more than MAX_QUEUES of them.
     """
     return _project(c, [_row_patterns(c.N, M) for M in c.M[:-1]])[0]
 
 
 def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool]:
     """For m_1 = 1, project_queues on the first mlq_count / N queues, the
-    rotation-orbit representatives, and the certificate that each step made,
-    inputs turned k = 1..N-1 columns right, gives its outputs turned k: so
-    the rest of each orbit projects as its representative turned.
+    rotation-orbit representatives, and the certificate that each upper row
+    stepped, its row and patterns turned k = 1..N-1 columns right, steps to
+    its steps turned k: so the rest of each orbit projects as its
+    representative turned.  Each upper-row orbit is walked once, since
+    turning N columns is the identity.
     """
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")
     rows = [_row_patterns(c.N, M) for M in c.M[:-1]]
     projection, steps = _project(c, [rows[0][:1], *rows[1:]])
-    made = {(depth, upper, bits): step for depth, cache in enumerate(steps, start=1)
-            for upper, labeled in cache.items() for bits, step in zip(rows[depth], labeled)}
-    for (depth, upper, bits), step in list(made.items()):
-        for _ in range(c.N - 1):
-            upper, bits, *step = rotate((upper, bits, *step))  # every row one column right
-            if (depth, upper, bits) not in made:
-                made[depth, upper, bits] = project_row(upper, bits, depth + 1)
-            if made[depth, upper, bits] != tuple(step):
-                return projection, False
+    for depth, made in enumerate(steps, start=1):
+        patterns = rows[depth]
+        index = {bits: i for i, bits in enumerate(patterns)}
+        back = [index[bits[1:] + bits[:1]] for bits in patterns]  # back[i] turned right is i
+        walked = set()
+        for upper, labeled in made.items():
+            if upper in walked:
+                continue
+            for _ in range(c.N - 1):
+                upper = rotate(upper)
+                walked.add(upper)
+                turned = [rotate(labeled[i]) for i in back]  # classes and cover turned right
+                labeled = made.get(upper) or project_rows(upper, patterns, depth + 1)
+                if labeled != turned:
+                    return projection, False
     return projection, True
 
 
 def _project(c: Composition, rows: list) -> tuple[QueueProjection, list[dict]]:
     """project_queues over the given row patterns, and per depth 1.. its
-    project_row steps: upper classes -> (classes, cover) per pattern."""
+    steps: each distinct upper row's classes -> its project_rows result,
+    one (classes, cover) per pattern of that depth."""
     check_queue_count(c)
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal exponent tuples -> one object
     # the top row's bits are its classes: every particle there is class 1
     labels, exponents, covers = rows[0], [c.V] * len(rows[0]), [()] * len(rows[0])
     made = []
     for depth, patterns in enumerate(rows[1:], start=1):
-        steps, added = {}, {}  # upper row -> its project_row steps; (exps, cover) -> add_covers
+        steps, added = {}, {}  # upper row -> its project_rows steps; (exps, cover) -> add_covers
         made.append(steps)
         lower_labels, lower_exponents, covers = [], [], []
         for upper, exps in zip(labels, exponents):
             labeled = steps.get(upper)
             if labeled is None:
-                labeled = steps[upper] = [project_row(upper, bits, depth + 1) for bits in patterns]
+                labeled = steps[upper] = project_rows(upper, patterns, depth + 1)
             for classes, cover in labeled:
                 step = added.get((exps, cover))
                 if step is None:

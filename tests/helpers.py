@@ -6,8 +6,10 @@ conjectured_exponents against them; conjectured_exponents reads the
 exponents off the z-statistics, the oracle of the per-row rule in core.
 q_int is the oracle of q_int_derivative.  reference_projection is the
 whole-queue bully-path projection, the oracle of the row-step fold in
-core, and reference_eval the term-by-term Fraction evaluation, the oracle
-of LaurentPoly.eval.  ringing_path and reference_ringing are the two-pass
+core; reference_project_row labels one lower row pattern from one upper
+row, sorting the paths anew for each pair, the oracle of
+core.project_rows, which orders them once per upper row.  reference_eval
+is the term-by-term Fraction evaluation, the oracle of LaurentPoly.eval.  ringing_path and reference_ringing are the two-pass
 ringing step (list the path's columns, then swap along them), the oracle
 of the one-pass ringing_transition.  reference_lump builds the quotient
 chain of a strongly lumpable partition, and same_rate_graph compares two
@@ -263,8 +265,10 @@ def reference_decompose_coupes(word: Word) -> list[Coupe]:
         for i in range(N)
         if word[i] in (1, 2) and word[(i + 1) % N] != word[i]
     ]
-    if not cuts:
+    if not cuts and set(word) <= {3}:
         raise ValueError("word has no 1s or 2s, nothing to cut")
+    if not cuts:
+        raise ValueError(f"word is one run of {word[0]}s, with no run end to cut at")
     coupes = []
     for pos, cut in enumerate(cuts):
         start = (cuts[pos - 1] + 1) % N
@@ -386,6 +390,37 @@ def reference_projection(
         z=z,
         exponents=_exponents_of_z(comp, z),
     )
+
+
+def reference_project_row(
+    upper_classes: Sequence[int], lower_bits: Sequence[int], new_class: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One bully-path step: the lower row's classes and its covers."""
+    N = len(lower_bits)
+    lower = [0] * N
+    cover = [0] * N
+    # a stable sort keeps the columns of one class ascending; vacancies sort first
+    for start in sorted(range(N), key=upper_classes.__getitem__):
+        cls = upper_classes[start]
+        if not cls:
+            continue
+        j = start
+        for _ in range(N):
+            if lower_bits[j]:
+                if not lower[j]:
+                    lower[j] = cls
+                    break
+            elif not cover[j]:
+                cover[j] = cls
+            j = j + 1 if j + 1 < N else 0
+        else:
+            raise ValueError(
+                f"the path from column {start + 1} finds no free particle on the lower row"
+            )
+    for col in range(N):
+        if lower_bits[col] and not lower[col]:
+            lower[col] = new_class
+    return tuple(lower), tuple(cover)
 
 
 def reference_eval(poly: LaurentPoly, point: Sequence[Fraction | int]) -> Fraction:

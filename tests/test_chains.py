@@ -325,6 +325,9 @@ def test_decompose_matches_the_column_walk_on_random_words(word):
     [
         ((1, 4, 3), "coupe decomposition is defined for classes 1..3"),
         ((3, 3), "word has no 1s or 2s, nothing to cut"),
+        # a word of one letter has no run end
+        ((1,), "word is one run of 1s, with no run end to cut at"),
+        ((2, 2), "word is one run of 2s, with no run end to cut at"),
     ],
 )
 def test_decompose_refuses_words_it_cannot_cut(word, message):

@@ -20,6 +20,7 @@ from mlqtasep.core import (
     project_orbit_representatives,
     project_queues,
     project_row,
+    project_rows,
     parse_queue,
     parse_word,
     queue_label,
@@ -35,6 +36,7 @@ from mlqtasep.verify import iter_compositions
 from helpers import (
     compositions_up_to_six,
     conjectured_exponents,
+    reference_project_row,
     reference_projection,
     reference_ringing,
     ringing_path,
@@ -467,22 +469,36 @@ def test_orbit_projection_is_the_full_projection_on_block_zero(m):
         assert getattr(projection, field) == getattr(full, field)[:B]
 
 
-def test_orbit_projection_certificate_makes_each_distinct_step_once(monkeypatch):
-    # the representatives' pass and the certificate's turned steps together
-    # make each distinct step of project_queues on (1,1,2,1,1) once: 1,620
-    # calls, as counted in test_project_queues_steps_each_labeled_row_once
+def _row_steps(monkeypatch, project):
+    """project's result on (1,1,2,1,1) with project_rows counted, and per
+    new class the upper rows stepped and the steps made; each distinct
+    upper row is stepped at most once."""
     import mlqtasep.core as core
 
     calls = []
-    original = core.project_row
+    original = core.project_rows
 
-    def spy(upper, bits, new_class):
-        calls.append(new_class)
-        return original(upper, bits, new_class)
+    def spy(upper, patterns, new_class):
+        calls.append((new_class, upper, len(patterns)))
+        return original(upper, patterns, new_class)
 
-    monkeypatch.setattr(core, "project_row", spy)
-    assert project_orbit_representatives(build_composition((1, 1, 2, 1, 1)))[1]
-    assert Counter(calls) == {2: 6 * 15, 3: 30 * 15, 4: 180 * 6}
+    monkeypatch.setattr(core, "project_rows", spy)
+    result = project(build_composition((1, 1, 2, 1, 1)))
+    assert len({(new_class, upper) for new_class, upper, _ in calls}) == len(calls)
+    steps = Counter()
+    for new_class, _, count in calls:
+        steps[new_class] += count
+    return result, Counter(new_class for new_class, _, _ in calls), steps
+
+
+def test_orbit_projection_certificate_makes_each_distinct_step_once(monkeypatch):
+    # the representatives' pass and the certificate's turned rows together
+    # step each distinct upper row of project_queues on (1,1,2,1,1) once:
+    # 1,620 steps, as counted in test_project_queues_steps_each_labeled_row_once
+    (_, equivariant), rows, steps = _row_steps(monkeypatch, project_orbit_representatives)
+    assert equivariant
+    assert rows == {2: 6, 3: 30, 4: 180}
+    assert steps == {2: 6 * 15, 3: 30 * 15, 4: 180 * 6}
 
 
 def test_ring_rows_commute_with_rotation():
@@ -534,6 +550,32 @@ def test_project_row_single_step():
     assert project_row((2, 1, 0, 0), (0, 1, 1, 1), 3) == ((0, 1, 2, 3), (2, 0, 0, 0))
     with pytest.raises(ValueError, match="no free particle"):
         project_row((1, 1, 0), (1, 0, 0), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=7).map(tuple), st.integers(1, 6))
+def test_project_rows_is_the_per_pattern_step(upper, new_class):
+    # every pattern of every row size: the oracle's steps in pattern order,
+    # or its refusal of the first pattern that has too few particles
+    N = len(upper)
+    for k in range(N + 1):
+        patterns = [bits for bits in itertools.product((0, 1), repeat=N) if sum(bits) == k]
+        try:
+            expected = [reference_project_row(upper, bits, new_class) for bits in patterns]
+        except ValueError as err:
+            with pytest.raises(ValueError) as excinfo:
+                project_rows(upper, patterns, new_class)
+            assert str(excinfo.value) == str(err)
+        else:
+            assert project_rows(upper, patterns, new_class) == expected
+
+
+def test_project_rows_refuses_a_pattern_with_too_few_particles():
+    # the first pattern labels both paths; on the second, the path from
+    # column 1 takes the only particle and the path from column 2 finds none
+    with pytest.raises(ValueError) as excinfo:
+        project_rows((1, 1, 0), [(1, 1, 0), (1, 0, 0)], 2)
+    assert str(excinfo.value) == "the path from column 2 finds no free particle on the lower row"
 
 
 def _covered_mask(lab):
@@ -591,22 +633,13 @@ def test_rotating_a_queue_rotates_its_projection():
 
 def test_project_queues_steps_each_labeled_row_once(monkeypatch):
     # (1,1,2,1,1) has rows of 6, 15, 15 and 6 patterns.  Each distinct
-    # labeled upper row is stepped once per pattern of the row below: the 6
-    # top rows, the 15 * 2 labelings of the second row (its leftover takes
-    # class 2) and the 15 * 12 of the third (classes 1, 2, 3, 3)
-    import mlqtasep.core as core
-
-    calls = []
-    original = core.project_row
-
-    def spy(upper, bits, new_class):
-        calls.append(new_class)
-        return original(upper, bits, new_class)
-
-    monkeypatch.setattr(core, "project_row", spy)
-    project_queues(build_composition((1, 1, 2, 1, 1)))
-    assert Counter(calls) == {2: 6 * 15, 3: 30 * 15, 4: 180 * 6}
-    assert len(calls) == 1620
+    # labeled upper row is stepped once, against every pattern of the row
+    # below: the 6 top rows, the 15 * 2 labelings of the second row (its
+    # leftover takes class 2) and the 15 * 12 of the third (classes 1, 2, 3, 3)
+    _, rows, steps = _row_steps(monkeypatch, project_queues)
+    assert rows == {2: 6, 3: 30, 4: 180}
+    assert steps == {2: 6 * 15, 3: 30 * 15, 4: 180 * 6}
+    assert sum(steps.values()) == 1620
 
 
 def test_project_queues_refuses_a_queue_space_too_large():

@@ -11,7 +11,9 @@ from mlqtasep.core import (
     bully_projection,
     enumerate_mlqs,
     mlq_count,
+    project_orbit_representatives,
     queue_label,
+    rotate,
 )
 from mlqtasep.poly import LaurentPoly, q_int_derivative
 from mlqtasep.verify import (
@@ -368,14 +370,74 @@ def test_fm1_fails_when_a_projection_step_breaks_rotation(monkeypatch):
     # disagrees with the step turned: the certificate fails the report
     import mlqtasep.core as core
 
-    original = core.project_row
+    original = core.project_rows
 
-    def mutant(upper, bits, new_class):
-        classes, cover = original(upper, bits, new_class)
-        return classes, (0,) + cover[1:]
+    def mutant(upper, patterns, new_class):
+        return [(classes, (0,) + cover[1:]) for classes, cover in original(upper, patterns, new_class)]
 
-    monkeypatch.setattr(core, "project_row", mutant)
+    monkeypatch.setattr(core, "project_rows", mutant)
     report = check_fm1_theorem(build_composition((1, 1, 2, 1)))
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "projection-rotation"}
+
+
+def _stepped_upper_rows(c):
+    """(new class, labeled upper row) of each step the representatives'
+    pass makes, in the order the pass first meets them."""
+    stepped = {}
+    for q in project_orbit_representatives(c)[0].queues:
+        for depth, upper in enumerate(bully_projection(q).classes[:-1], start=1):
+            stepped.setdefault((depth + 1, upper))
+    return list(stepped)
+
+
+def _fm1_with_corrupted_steps(monkeypatch, c, corrupt):
+    """check_fm1_theorem on c with the steps of each (new class, upper row)
+    that corrupt accepts made with no leftover class; and those rows."""
+    import mlqtasep.core as core
+
+    original, corrupted = core.project_rows, []
+
+    def mutant(upper, patterns, new_class):
+        steps = original(upper, patterns, new_class)
+        if not corrupt((new_class, upper)):
+            return steps
+        corrupted.append((new_class, upper))
+        return [(tuple(cls * (cls != new_class) for cls in classes), cover) for classes, cover in steps]
+
+    monkeypatch.setattr(core, "project_rows", mutant)
+    return check_fm1_theorem(c), corrupted
+
+
+def test_fm1_fails_when_only_a_freshly_turned_row_breaks_rotation(monkeypatch):
+    # only the upper rows the representatives' pass never steps go wrong,
+    # so the pass's own steps all hold and only the certificate's fresh
+    # step of a turned row can catch the fault
+    c = build_composition((1, 1, 2, 1))
+    stepped = set(_stepped_upper_rows(c))
+    report, corrupted = _fm1_with_corrupted_steps(monkeypatch, c, lambda key: key not in stepped)
+    assert corrupted
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "projection-rotation"}
+
+
+def test_fm1_fails_when_a_row_on_a_walked_orbit_breaks_rotation(monkeypatch):
+    # the first upper row the pass steps that turns into a row stepped
+    # before it: the certificate never walks its orbit again, so only the
+    # walk from the earlier row, which turns onto it, can catch the fault
+    c = build_composition((1, 1, 2, 1))
+    stepped = _stepped_upper_rows(c)
+
+    def orbit(key):
+        new_class, upper = key
+        turns = [upper]
+        while len(turns) < c.N:
+            turns.append(rotate(turns[-1]))
+        return {(new_class, turned) for turned in turns}
+
+    later = next(key for n, key in enumerate(stepped) if orbit(key) & set(stepped[:n]))
+    report, corrupted = _fm1_with_corrupted_steps(monkeypatch, c, lambda key: key == later)
+    assert corrupted == [later]
     assert report.status == "fail"
     assert report.counterexample == {"check": "projection-rotation"}
 
