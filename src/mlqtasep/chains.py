@@ -5,21 +5,23 @@ never stored and the diagonal of the generator is implied by column sums.
 Rates are exact polynomials in the per-class jump parameters x1..x_{n-1}.
 Each builder makes those rates (x1..x_{n-1}, and 1 for the ringing rules)
 and one mechanism label per kind and column once per chain, and its records
-share them; LaurentPoly is immutable, which makes the sharing safe.  The
-queue chains whose rates or jumps read the projected word build their
-states with project_queues and keep that projection on the chain, so the
-suites that check them read it instead of projecting again.  The facts
-that do not depend on a rate point, strong connectivity and the rotation
-orbits, are properties of the chain, each computed on first read.
+share them; LaurentPoly is immutable, which makes the sharing safe.  One
+loop, ringing_chain, makes every ringing record, fm1's orbit chain's too.
+The queue chains whose rates or jumps read the projected word keep the
+projection of their states on the chain, so the suites that check them
+read it instead of projecting again.  The facts that do not depend on a
+rate point, strong connectivity and the rotation orbits, are properties
+of the chain, each computed on first read.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     Composition,
@@ -52,7 +54,7 @@ class ChainGraph:
     transitions: tuple[TransitionRecord, ...]
     nvars: int
     # the projection of the states of a projecting queue chain (fm under
-    # three_species or one_first_class, coupe), built with them; None otherwise
+    # three_species or one_first_class, fm1's orbit chain, coupe); else None
     projection: QueueProjection | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -157,14 +159,7 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
             if a > b:
                 swapped = list(word)
                 swapped[i], swapped[j] = b, a
-                records.append(
-                    TransitionRecord(
-                        src=sid,
-                        dst=index[tuple(swapped)],
-                        rate=x[b - 1],
-                        mechanism=mechanisms[i],
-                    )
-                )
+                records.append(TransitionRecord(sid, index[tuple(swapped)], x[b - 1], mechanisms[i]))
     return ChainGraph("tasep", c, tuple(states), tuple(records), nvars)
 
 
@@ -172,19 +167,13 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
 # Multiline processes driven by ringing transitions
 # ---------------------------------------------------------------------------
 
-RATE_RULES = ("uniform", "three_species", "one_first_class")
-
-
-def _ringing_rate(
-    rule: str, word: Word, covered: int, col: int, x: list[LaurentPoly], one: LaurentPoly
-) -> LaurentPoly:
-    """Rate of a ring at col under three_species, else one_first_class, for a
-    queue of projected word and covered-vacancy mask covered; x and one are
-    the chain's own polynomials."""
-    cls = word[col]
-    if rule == "three_species":
-        return x[0] if cls == 1 or (cls == 3 and covered >> col & 1) else x[1]
-    return x[0] if cls == 1 else one
+# Each rule's ring rate from x1..x_{n-1} and 1, by the projected class of the
+# ringing column and whether that column is a covered vacancy (n = 3: a covered 3)
+RATE_RULES = {
+    "uniform": lambda cls, covered, x, one: one,
+    "three_species": lambda cls, covered, x, one: x[0] if cls == 1 or (cls == 3 and covered) else x[1],
+    "one_first_class": lambda cls, covered, x, one: x[0] if cls == 1 else one,
+}
 
 
 def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
@@ -202,26 +191,34 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
         raise ValueError("three_species rates need exactly 3 classes")
     if rate_rule == "one_first_class" and c.m[0] != 1:
         raise ValueError("one_first_class rates need m_1 = 1")
-    if rate_rule == "uniform":
-        projection, states = None, tuple(enumerate_mlqs(c))
-    else:
-        projection = project_queues(c)
-        states = projection.queues
+    projection = None if rate_rule == "uniform" else project_queues(c)
+    return ringing_chain(c, rate_rule, ring_successors(c), projection)
+
+
+def ringing_chain(
+    c: Composition, rate_rule: str, walk: Iterable, projection: QueueProjection | None
+) -> ChainGraph:
+    """The chain of walk's rings: each state id, from 0 on, with its
+    successors' ids as columns 0..N-1 ring (its own id for a loop).  The
+    states are projection's queues; with no projection, which only uniform
+    rates allow, all of c's.  Each record reads its rate from one table per
+    chain, keyed by the projected class and covered bit of its column."""
     nvars = c.n - 1
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
+    rule = RATE_RULES[rate_rule]
+    table = [[rule(cls, bit, x, one) for bit in (0, 1)] for cls in range(c.n + 1)]  # row 0 unused
+    if projection is None:  # uniform rates read no word: each ring reads an uncovered 1
+        states = tuple(enumerate_mlqs(c))
+        words, covers = itertools.repeat((1,) * c.N, len(states)), itertools.repeat(0, len(states))
+    else:
+        states, words, covers = projection.queues, projection.words, projection.covered
     mechanisms = [f"ringing({i + 1})" for i in range(c.N)]
-    records = []
-    for sid, successors in ring_successors(c):
+    records = []  # made by tuple.__new__, which skips the NamedTuple's Python-level __new__
+    for (sid, successors), word, covered in zip(walk, words, covers, strict=True):
         for i, dst in enumerate(successors):
-            if dst == sid:
-                continue
-            if projection is None:
-                rate = one
-            else:
-                rate = _ringing_rate(
-                    rate_rule, projection.words[sid], projection.covered[sid], i, x, one
-                )
-            records.append(TransitionRecord(sid, dst, rate, mechanisms[i]))
+            if dst != sid:
+                rate = table[word[i]][covered >> i & 1]
+                records.append(tuple.__new__(TransitionRecord, (sid, dst, rate, mechanisms[i])))
     return ChainGraph(f"fm-{rate_rule}", c, states, tuple(records), nvars, projection)
 
 
@@ -343,14 +340,7 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
                 mechanism = pulling[coupe.front]
             if dst == sid:
                 raise AssertionError("coupe jumps always change the queue")
-            records.append(
-                TransitionRecord(
-                    src=sid,
-                    dst=dst,
-                    rate=x[coupe.seat_class - 1],
-                    mechanism=mechanism,
-                )
-            )
+            records.append(TransitionRecord(sid, dst, x[coupe.seat_class - 1], mechanism))
     return ChainGraph("coupe", c, states, tuple(records), nvars, projection)
 
 

@@ -21,12 +21,11 @@ from typing import Callable, Iterable, Sequence
 
 from .chains import (
     ChainGraph,
-    TransitionRecord,
-    _ringing_rate,
     build_coupe_chain,
     build_fm_chain,
     build_tasep_chain,
     decompose_coupes,
+    ringing_chain,
 )
 from .core import (
     Composition,
@@ -41,7 +40,7 @@ from .core import (
     ring_successors,
     word_label,
 )
-from .poly import LaurentPoly, complete_homogeneous, q_int_derivative, x_vars
+from .poly import LaurentPoly, complete_homogeneous, q_int_derivative
 from .solve import (
     lifted_irreducible,
     lump,
@@ -278,26 +277,15 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     if c.m[0] != 1 or c.n < 3:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
     projection, equivariant = project_orbit_representatives(c)
-    successors, commutes = orbit_ring_successors(c)
+    walk, commutes = orbit_ring_successors(c)
     power = functools.cache(lambda e: LaurentPoly.monomial(1, (e,) + (0,) * (c.n - 2)))
     details: dict = {"states": mlq_count(c)}
     failure = None if equivariant else {"check": "projection-rotation"}
     if failure is None and not commutes:
         failure = {"check": "ring-rotation"}
     if failure is None:
-        x, one = x_vars(c.n - 1), LaurentPoly.one(c.n - 1)
-        mechanisms = [f"ringing({i + 1})" for i in range(c.N)]
-        records, voltages, loops = [], [], []  # loops cancel in the residual
-        for sid, succ in successors:
-            word, covered = projection.words[sid], projection.covered[sid]
-            for i, (dst, voltage) in enumerate(succ):
-                if dst == sid:
-                    loops.append(voltage)
-                else:
-                    rate = _ringing_rate("one_first_class", word, covered, i, x, one)
-                    records.append(TransitionRecord(sid, dst, rate, mechanisms[i]))
-                    voltages.append(voltage)
-        orbits = ChainGraph("fm-one_first_class", c, projection.queues, tuple(records), c.n - 1)
+        voltages, loops = [], []  # loops cancel in the residual
+        orbits = ringing_chain(c, "one_first_class", _split_voltages(walk, voltages, loops), projection)
         weights = [power(exps[0]) for exps in projection.exponents]
         failure = _residual_failure(orbits, weights)
         if failure is None and not lifted_irreducible(orbits, voltages, loops, c.N):
@@ -310,6 +298,17 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
                 break
         details["solver_points"] = 3
     return _report("fm1", c, "theorem", started, failure, details)
+
+
+def _split_voltages(walk, voltages: list[int], loops: list[int]):
+    """walk with each ring's (w, v) read as w; in the same pass v goes to
+    loops for a loop, else to voltages, in line with the chain's records."""
+    for sid, succ in walk:
+        dsts = []
+        for w, v in succ:
+            dsts.append(w)
+            (loops if w == sid else voltages).append(v)
+        yield sid, dsts
 
 
 def check_partition_function(c: Composition) -> SuiteReport:

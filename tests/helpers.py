@@ -24,6 +24,8 @@ one-pass cut at the run ends in chains.decompose_coupes.
 reference_gillespie_run is the sampler loop that calls expovariate and
 clamps the bisect index every event, the oracle of sim.gillespie_run's jump
 table: their results must be equal, float for float.
+reference_ringing_rate is the per-ring rate rule, the oracle of the
+one rate table per chain in chains.ringing_chain.
 reference_fm1_theorem is the fm1 check on the whole ringing chain, the
 oracle of check_fm1_theorem's orbit chain; reference_rotation_orbits
 finds the rotation orbits from the generator's rows at a rate point, the
@@ -491,6 +493,18 @@ def reference_gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> 
     return EmpiricalDistribution(
         labels=labels, fractions=fractions, total_time=clock, events=done
     )
+
+
+def reference_ringing_rate(
+    rule: str, word: Word, covered: int, col: int, x: list[LaurentPoly], one: LaurentPoly
+) -> LaurentPoly:
+    """Rate of a ring at col under three_species, else one_first_class, for a
+    queue of projected word and covered-vacancy mask covered; x and one are
+    the chain's own polynomials."""
+    cls = word[col]
+    if rule == "three_species":
+        return x[0] if cls == 1 or (cls == 3 and covered >> col & 1) else x[1]
+    return x[0] if cls == 1 else one
 
 
 def reference_fm1_theorem(c: Composition) -> verify.SuiteReport:

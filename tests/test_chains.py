@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlqtasep.chains import (
+    RATE_RULES,
     ChainGraph,
     TransitionRecord,
     build_coupe_chain,
@@ -23,8 +24,9 @@ from mlqtasep.core import (
     enumerate_words,
     parse_queue,
     project_queues,
+    ring_successors,
 )
-from mlqtasep.poly import LaurentPoly
+from mlqtasep.poly import LaurentPoly, x_vars
 from mlqtasep.sim import build_process_chain
 from mlqtasep.verify import iter_compositions, rate_points
 from helpers import (
@@ -32,6 +34,7 @@ from helpers import (
     compositions_up_to_six,
     reference_decompose_coupes,
     reference_regular_jump,
+    reference_ringing_rate,
     reference_rotation_orbits,
 )
 
@@ -204,6 +207,37 @@ def test_ringing_records_share_state_ids(rule, m):
     g = build_fm_chain(build_composition(m), rule)
     ends = {id(end): end for rec in g.transitions for end in rec[:2]}
     assert len(ends) == len(set(ends.values())) <= len(g.states)
+
+
+ADMISSIBLE = {
+    "uniform": None,
+    "three_species": lambda m: len(m) == 3,
+    "one_first_class": lambda m: m[0] == 1,
+}
+
+
+@pytest.mark.parametrize("rule", RATE_RULES)
+def test_ringing_records_follow_the_per_ring_rate_rule(rule):
+    # every record of every admissible chain with N <= 5, in ring order,
+    # against the rule read ring by ring; uniform rings all at rate 1
+    for c in iter_compositions(5, ADMISSIBLE[rule]):
+        g = build_fm_chain(c, rule)
+        projection = project_queues(c)
+        x, one = x_vars(c.n - 1), LaurentPoly.one(c.n - 1)
+
+        def rate(sid, col):
+            if rule == "uniform":
+                return one
+            word, covered = projection.words[sid], projection.covered[sid]
+            return reference_ringing_rate(rule, word, covered, col, x, one)
+
+        expected = [
+            (sid, dst, rate(sid, col), f"ringing({col + 1})")
+            for sid, successors in ring_successors(c)
+            for col, dst in enumerate(successors)
+            if dst != sid
+        ]
+        assert [tuple(rec) for rec in g.transitions] == expected, c.m
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from mlqtasep.core import (
     mlq_count,
     project_orbit_representatives,
     queue_label,
+    ring_successors,
     rotate,
 )
 from mlqtasep.poly import LaurentPoly, q_int_derivative
@@ -479,6 +480,61 @@ def test_fm1_lifts_every_ring_of_the_representatives(monkeypatch, m):
     assert order == c.N and B * c.N == mlq_count(c) and voltage_count == records
     assert records + len(loops) == B * c.N
     assert c.N * (records + loops.count(1)) == len(build_fm_chain(c, "one_first_class").transitions)
+
+
+def _turned_to_representative(q):
+    """The representative of q's orbit and the number of turns to it."""
+    representative, turns = turn_to_representative(q), 0
+    while q != representative:
+        q, turns = rotate(q), turns + 1
+    return representative, turns
+
+
+@pytest.mark.parametrize(
+    "m",
+    [c.m for c in iter_compositions(5, lambda m: m[0] == 1 and len(m) >= 3)] + [(1, 1, 2, 1, 1)],
+    ids=str,
+)
+def test_fm1_orbit_chain_is_the_full_chain_turned_to_representatives(monkeypatch, m):
+    # each ring out of a representative (ids < B) of the full chain, its
+    # destination turned to a representative w in v turns: a record to w
+    # with voltage v and the full record's rate and label, or a loop of
+    # voltage v when w is the ringing queue itself
+    import mlqtasep.verify as verify
+
+    lifted, seen = verify.lifted_irreducible, []
+
+    def spy(g, voltages, loops, order):
+        seen.append((g, list(voltages), list(loops)))
+        return lifted(g, voltages, loops, order)
+
+    monkeypatch.setattr(verify, "lifted_irreducible", spy)
+    c = build_composition(m)
+    assert check_fm1_theorem(c).ok
+    ((g, voltages, loops),) = seen
+    full = build_fm_chain(c, "one_first_class")
+    B = mlq_count(c) // c.N
+    index = {q: i for i, q in enumerate(full.states)}
+    out = full.out_records()
+    records, expected_voltages, expected_loops = [], [], []
+    for sid, successors in ring_successors(c):
+        if sid == B:
+            break
+        rings = iter(out[sid])
+        for dst in successors:
+            rate, mechanism = (None, None) if dst == sid else next(rings)[2:]
+            representative, turns = _turned_to_representative(full.states[dst])
+            w = index[representative]
+            if w == sid:
+                expected_loops.append(turns)
+            else:
+                records.append((sid, w, rate, mechanism))
+                expected_voltages.append(turns)
+        assert next(rings, None) is None
+    assert g.states == full.states[:B]
+    assert [tuple(rec) for rec in g.transitions] == records
+    assert voltages == expected_voltages
+    assert loops == expected_loops
 
 
 def test_fm1_irreducible_fails_when_the_voltages_miss_a_generator(monkeypatch):
