@@ -6,7 +6,9 @@ Rates are exact polynomials in the per-class jump parameters x1..x_{n-1}.
 Each builder makes those rates (x1..x_{n-1}, and 1 for the ringing rules)
 and one mechanism label per kind and column once per chain, and its records
 share them; LaurentPoly is immutable, which makes the sharing safe.  One
-loop, ringing_chain, makes every ringing record, fm1's orbit chain's too.
+loop, ringing_chain, makes every ringing record, fm1's orbit chain's too,
+whose records carry voltages: the turns from a destination to its orbit's
+representative.
 The queue chains whose rates or jumps read the projected word keep the
 projection of their states on the chain, so the suites that check them
 read it instead of projecting again.  The facts that do not depend on a
@@ -39,6 +41,7 @@ from .core import (
 from .poly import LaurentPoly, parse_poly, x_vars
 
 
+# builders make records by tuple.__new__, which skips the NamedTuple's Python-level __new__
 class TransitionRecord(NamedTuple):
     src: int
     dst: int
@@ -56,8 +59,12 @@ class ChainGraph:
     # the projection of the states of a projecting queue chain (fm under
     # three_species or one_first_class, fm1's orbit chain, coupe); else None
     projection: QueueProjection | None = field(default=None, compare=False, repr=False)
+    # one voltage per record on fm1's orbit chain; empty on every other chain
+    voltages: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.voltages and len(self.voltages) != len(self.transitions):
+            raise ValueError(f"{len(self.voltages)} voltages for {len(self.transitions)} transitions")
         ids = range(len(self.states))
         for pos, (src, dst, _, _) in enumerate(self.transitions):
             if src == dst or src not in ids or dst not in ids:
@@ -159,7 +166,7 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
             if a > b:
                 swapped = list(word)
                 swapped[i], swapped[j] = b, a
-                records.append(TransitionRecord(sid, index[tuple(swapped)], x[b - 1], mechanisms[i]))
+                records.append(tuple.__new__(TransitionRecord, (sid, index[tuple(swapped)], x[b - 1], mechanisms[i])))
     return ChainGraph("tasep", c, tuple(states), tuple(records), nvars)
 
 
@@ -199,9 +206,10 @@ def ringing_chain(
     c: Composition, rate_rule: str, walk: Iterable, projection: QueueProjection | None
 ) -> ChainGraph:
     """The chain of walk's rings: each state id, from 0 on, with its
-    successors' ids as columns 0..N-1 ring (its own id for a loop).  The
-    states are projection's queues; with no projection, which only uniform
-    rates allow, all of c's.  Each record reads its rate from one table per
+    successors' ids as columns 0..N-1 ring (its own id for a loop, and
+    B + w, past the B states, for a record to w of voltage 1).  The states
+    are projection's queues; with no projection, which only uniform rates
+    allow, all of c's.  Each record reads its rate from one table per
     chain, keyed by the projected class and covered bit of its column."""
     nvars = c.n - 1
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
@@ -213,13 +221,19 @@ def ringing_chain(
     else:
         states, words, covers = projection.queues, projection.words, projection.covered
     mechanisms = [f"ringing({i + 1})" for i in range(c.N)]
-    records = []  # made by tuple.__new__, which skips the NamedTuple's Python-level __new__
+    B, records, turned = len(states), [], []  # turned: the records of voltage 1
     for (sid, successors), word, covered in zip(walk, words, covers, strict=True):
         for i, dst in enumerate(successors):
             if dst != sid:
+                if dst >= B:  # a turned loop, B + sid, stays a loop that ChainGraph refuses
+                    dst -= B
+                    turned.append(len(records))
                 rate = table[word[i]][covered >> i & 1]
                 records.append(tuple.__new__(TransitionRecord, (sid, dst, rate, mechanisms[i])))
-    return ChainGraph(f"fm-{rate_rule}", c, states, tuple(records), nvars, projection)
+    voltages = [0] * len(records) if turned else []
+    for k in turned:
+        voltages[k] = 1
+    return ChainGraph(f"fm-{rate_rule}", c, states, tuple(records), nvars, projection, tuple(voltages))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +354,7 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
                 mechanism = pulling[coupe.front]
             if dst == sid:
                 raise AssertionError("coupe jumps always change the queue")
-            records.append(TransitionRecord(sid, dst, x[coupe.seat_class - 1], mechanism))
+            records.append(tuple.__new__(TransitionRecord, (sid, dst, x[coupe.seat_class - 1], mechanism)))
     return ChainGraph("coupe", c, states, tuple(records), nvars, projection)
 
 
@@ -394,12 +408,7 @@ def from_json(text: str) -> ChainGraph:
     # one polynomial per distinct rate text, shared like a built chain's
     rate = functools.cache(functools.partial(parse_poly, nvars=nvars))
     records = tuple(
-        TransitionRecord(
-            src=item["from"],
-            dst=item["to"],
-            rate=rate(item["rate"]),
-            mechanism=item["mechanism"],
-        )
+        tuple.__new__(TransitionRecord, (item["from"], item["to"], rate(item["rate"]), item["mechanism"]))
         for item in payload["transitions"]
     )
     return ChainGraph(payload["kind"], comp, tuple(states), records, nvars)

@@ -207,7 +207,7 @@ def _ring_rows(c: Composition) -> tuple[list, int]:
     return rows, stride
 
 
-def _ring_walk(rows: list, sids: list[int], ids: Sequence) -> Iterator[tuple[int, list]]:
+def _ring_walk(rows: list, sids: Iterable[int], ids: Sequence) -> Iterator[tuple[int, list]]:
     """Ids sids (0, 1, ...) and ids[successor id] per ringing column.  A row's
     ring table maps (rank, entry column) to (rank change times the row's
     stride, exit column), so a ring adds up n - 1 entries, bottom row up."""
@@ -233,30 +233,31 @@ def ring_successors(c: Composition) -> Iterator[tuple[int, list[int]]]:
     yield from _ring_walk(rows, ids, ids)
 
 
-def orbit_ring_successors(c: Composition) -> tuple[Iterator[tuple[int, list[tuple[int, int]]]], bool]:
+def orbit_ring_successors(c: Composition) -> tuple[Iterator[tuple[int, list[int]]], bool]:
     """For m_1 = 1, the rotation-orbit representatives, ids 0..B-1 whose
-    top-row particle sits in column N - 1 (B = mlq_count / N), each with
-    (w, v) per ringing column: the destination turned v columns right is w,
-    v = 1 when the ring moves the particle.  And the certificate that each
-    orbit rings as its representative turned: _ring_row on each pattern
-    turned one column right, entered one column on, gives the turned row
-    and exits one column on."""
+    top-row particle sits in column N - 1 (B = mlq_count / N), each with its
+    successor's id per ringing column: w for the representative w, and B + w
+    when the ring moves the particle and the destination turned one column
+    right is w.  And the certificate that each orbit rings as its
+    representative turned: _ring_row on each pattern turned one column right
+    (each turned once), entered one column on, gives the turned row and
+    exits one column on."""
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")
     rows, count = _ring_rows(c)
     B, N = count // c.N, c.N
     assert B * N == count
+    turns = [{p: rotate(p) for p in rank} for _, rank, _ in rows]
     commutes = all(
-        moves[rank[rotate(p)]][(col + 1) % N] == (rotate(row), (out + 1) % N)
-        for _, rank, moves in rows
+        moves[rank[turn[p]]][(col + 1) % N] == (turn[row], (out + 1) % N)
+        for (_, rank, moves), turn in zip(rows, turns)
         for p, k in rank.items()
         for col, (row, out) in enumerate(moves[k])
     )
-    sids = list(range(B))
     # block 1's ids with each lower row turned one column right; beyond, IndexError
-    turns = [[rank[rotate(p)] * stride for p in rank] for stride, rank, _ in reversed(rows[:-1])]
-    turned = [(sids[sum(parts)], 1) for parts in itertools.product(*turns)]
-    return _ring_walk(rows, sids, [(w, 0) for w in sids] + turned), commutes
+    lower = [[rank[turn[p]] * stride for p in rank] for (stride, rank, _), turn in zip(rows[:-1], turns)]
+    turned = [B + sum(parts) for parts in itertools.product(*reversed(lower))]
+    return _ring_walk(rows, range(B), list(range(B)) + turned), commutes
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chains import ChainGraph
 from .poly import LaurentPoly, eval_common
@@ -289,14 +289,15 @@ def _rates_into_blocks(g: ChainGraph, blocks: Sequence[int]) -> list[dict[int, L
 # ---------------------------------------------------------------------------
 
 
-def lifted_irreducible(g: ChainGraph, voltages: Sequence[int], loops: Iterable[int], order: int) -> bool:
-    """Whether the order-fold cover of g is strongly connected: states (u, a),
-    a mod order, (u, a) -> (w, a - v) per record u -> w of voltage v =
-    voltages[i] and (u, a) -> (u, a - v) per loop voltage v.  Exactly when g
-    is, and gcd(order, phi(u) - v - phi(w)) = 1 over all of them, phi(w) =
-    phi(u) - v along a walk from state 0 (the loops' phi(w) = phi(u))."""
+def lifted_irreducible(g: ChainGraph) -> bool:
+    """Whether the N-fold cover of g is strongly connected, N the ring's
+    size: states (u, a), a mod N, (u, a) -> (w, a - v) per record u -> w of
+    voltage v = g.voltages[k] (0 on a chain with none).  Exactly when g is,
+    and gcd(N, phi(u) - v - phi(w)) = 1 over its records, phi(w) =
+    phi(u) - v along a walk from state 0."""
     if not g.irreducible:
         return False
+    voltages = g.voltages or (0,) * len(g.transitions)
     out: list[list[int]] = [[] for _ in g.states]
     for k, rec in enumerate(g.transitions):
         out[rec.src].append(k)
@@ -308,7 +309,7 @@ def lifted_irreducible(g: ChainGraph, voltages: Sequence[int], loops: Iterable[i
             if phi[dst] is None:
                 phi[dst] = phi[src] - voltages[k]
                 stack.append(dst)
-    common = gcd(order, *loops)
+    common = g.composition.N
     for (src, dst, _, _), v in zip(g.transitions, voltages, strict=True):
         common = gcd(common, phi[src] - v - phi[dst])
     return common == 1

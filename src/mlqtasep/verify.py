@@ -284,11 +284,10 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     if failure is None and not commutes:
         failure = {"check": "ring-rotation"}
     if failure is None:
-        voltages, loops = [], []  # loops cancel in the residual
-        orbits = ringing_chain(c, "one_first_class", _split_voltages(walk, voltages, loops), projection)
+        orbits = ringing_chain(c, "one_first_class", walk, projection)
         weights = [power(exps[0]) for exps in projection.exponents]
         failure = _residual_failure(orbits, weights)
-        if failure is None and not lifted_irreducible(orbits, voltages, loops, c.N):
+        if failure is None and not lifted_irreducible(orbits):
             failure = {"check": "irreducible"}
     if failure is None and details["states"] <= SOLVE_CAP:
         for x1 in (Fraction(2), Fraction(3), Fraction(5, 2)):
@@ -298,17 +297,6 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
                 break
         details["solver_points"] = 3
     return _report("fm1", c, "theorem", started, failure, details)
-
-
-def _split_voltages(walk, voltages: list[int], loops: list[int]):
-    """walk with each ring's (w, v) read as w; in the same pass v goes to
-    loops for a loop, else to voltages, in line with the chain's records."""
-    for sid, succ in walk:
-        dsts = []
-        for w, v in succ:
-            dsts.append(w)
-            (loops if w == sid else voltages).append(v)
-        yield sid, dsts
 
 
 def check_partition_function(c: Composition) -> SuiteReport:

@@ -565,21 +565,18 @@ def turn_to_representative(q: Queue) -> Queue:
     return q
 
 
-def unrolled_chain(
-    g: ChainGraph, voltages: Sequence[int], loops: Sequence[tuple[int, int]], order: int
-) -> ChainGraph:
-    """The order-fold cover of g spelled out: state (u, a) for a mod order,
-    a record (u, a) -> (w, a - v) per record u -> w of g with voltage v and
-    per loop (u, v), the cover's own loops dropped."""
+def unrolled_chain(g: ChainGraph) -> ChainGraph:
+    """The N-fold cover of g spelled out, N = g.composition.N: state (u, a)
+    for a mod N, and a record (u, a) -> (w, a - v) per record u -> w of g
+    with voltage v (0 when g carries no voltages)."""
+    order = g.composition.N
     states = tuple((u, a) for u in range(len(g.states)) for a in range(order))
-    arcs = [(rec.src, rec.dst, v) for rec, v in zip(g.transitions, voltages, strict=True)]
-    arcs += [(u, u, v) for u, v in loops]
+    voltages = g.voltages or [0] * len(g.transitions)
     one = LaurentPoly.one(g.nvars)
     records = tuple(
-        TransitionRecord(u * order + a, w * order + (a - v) % order, one, "lift")
-        for u, w, v in arcs
+        TransitionRecord(rec.src * order + a, rec.dst * order + (a - v) % order, one, "lift")
+        for rec, v in zip(g.transitions, voltages, strict=True)
         for a in range(order)
-        if (u, a) != (w, (a - v) % order)
     )
     return ChainGraph(f"{g.kind}/lift", g.composition, states, records, g.nvars)
 

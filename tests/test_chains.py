@@ -14,6 +14,7 @@ from mlqtasep.chains import (
     build_tasep_chain,
     decompose_coupes,
     from_json,
+    ringing_chain,
     to_dot,
     to_json,
 )
@@ -22,7 +23,9 @@ from mlqtasep.core import (
     bully_projection,
     enumerate_mlqs,
     enumerate_words,
+    orbit_ring_successors,
     parse_queue,
+    project_orbit_representatives,
     project_queues,
     ring_successors,
 )
@@ -520,6 +523,37 @@ def test_chain_graph_refuses_a_loop_record():
     records = (TransitionRecord(0, 1, ONE, "a"), TransitionRecord(1, 1, ONE, "a"))
     with pytest.raises(ValueError, match=r"transition 1, 1 -> 1, is a loop or leaves range\(0, 2\)"):
         ChainGraph("tasep", build_composition((1, 1)), TWO_WORDS, records, 1)
+
+
+def test_chain_graph_refuses_voltages_not_one_per_record():
+    records = (TransitionRecord(0, 1, ONE, "a"),)
+    with pytest.raises(ValueError, match="2 voltages for 1 transitions"):
+        ChainGraph("tasep", build_composition((1, 1)), TWO_WORDS, records, 1, voltages=(1, 1))
+
+
+def test_ringing_chain_refuses_a_turned_loop():
+    # a walk that rings a representative onto its own turn, B + sid, would
+    # make a record sid -> sid of voltage 1; it is refused, never dropped
+    c = build_composition((1, 1, 1))
+    projection, _ = project_orbit_representatives(c)
+    B = len(projection.queues)
+    walk, _ = orbit_ring_successors(c)
+    doctored = ((sid, [B + sid] + succ[1:] if sid == 1 else succ) for sid, succ in walk)
+    with pytest.raises(ValueError, match=r"transition \d+, 1 -> 1, is a loop"):
+        ringing_chain(c, "one_first_class", doctored, projection)
+
+
+def test_only_the_orbit_chain_carries_voltages():
+    c = build_composition((1, 1, 2))
+    projection, _ = project_orbit_representatives(c)
+    orbits = ringing_chain(c, "one_first_class", orbit_ring_successors(c)[0], projection)
+    assert len(orbits.voltages) == len(orbits.transitions) and set(orbits.voltages) == {0, 1}
+    for g in [
+        build_tasep_chain(c),
+        build_coupe_chain(c),
+        *(build_fm_chain(c, rule) for rule in ("uniform", "three_species", "one_first_class")),
+    ]:
+        assert g.voltages == () and from_json(to_json(g)).voltages == ()
 
 
 @pytest.mark.parametrize("src, dst", [(0, 2), (2, 0), (0, -1), (-1, 1)])

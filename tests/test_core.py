@@ -433,8 +433,8 @@ def test_ring_successors_match_the_oracle_on_drawn_queues(c, draws):
 )
 def test_orbit_ring_successors_turn_the_full_successors(m):
     # the representatives are the first mlq_count / N ids, and each ring's
-    # (w, v) is its full successor turned v columns right, v = 1 exactly
-    # when the successor leaves block 0
+    # id is its full successor's when that stays in block 0, else B + w
+    # for the successor turned one column right, w
     c = build_composition(m)
     states = enumerate_mlqs(c)
     index = {q: i for i, q in enumerate(states)}
@@ -444,9 +444,41 @@ def test_orbit_ring_successors_turn_the_full_successors(m):
     orbits = list(successors)
     assert commutes and [sid for sid, _ in orbits] == list(range(B))
     for (sid, turned), (_, full) in zip(orbits, ring_successors(c)):
-        for (w, v), dst in zip(turned, full, strict=True):
-            assert (w, v) == ((dst, 0) if dst < B else (index[rotate(states[dst])], 1))
-            assert states[w] == turn_to_representative(states[dst])
+        for w, dst in zip(turned, full, strict=True):
+            assert w == (dst if dst < B else B + index[rotate(states[dst])])
+            assert states[w % B] == turn_to_representative(states[dst])
+
+
+def test_orbit_walks_turn_no_loop_for_three_classes_or_more():
+    # a turned loop, B + sid at sid, would need one ring to turn every row;
+    # a ring moves at most one particle of a row, so it turns only rows of
+    # one particle, and for n >= 3 the second row holds M_2 >= 2 of them
+    for c in iter_compositions(6, lambda m: m[0] == 1 and len(m) >= 3):
+        B = mlq_count(c) // c.N
+        walk, _ = orbit_ring_successors(c)
+        assert all(B + sid not in successors for sid, successors in walk), c.m
+    # with two classes a ring can: column 2 of (1,1) rings its one queue
+    # onto its own turn, B + 0 = 1, and column 1 is a plain loop
+    walk, _ = orbit_ring_successors(build_composition((1, 1)))
+    assert list(walk) == [(0, [0, 1])]
+
+
+def test_orbit_certificate_turns_each_row_pattern_once(monkeypatch):
+    # one turn per pattern of each row serves the ring-rotation certificate
+    # and block 1's turned ids: (1,1,3,1) has 6 + 15 + 6 row patterns
+    import mlqtasep.core as core
+
+    calls = []
+    original = core.rotate
+
+    def spy(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(core, "rotate", spy)
+    _, commutes = orbit_ring_successors(build_composition((1, 1, 3, 1)))
+    assert commutes
+    assert len(calls) == len(set(calls)) == 27
 
 
 def test_orbit_representatives_need_one_first_class_particle():

@@ -326,26 +326,27 @@ def test_one_way_reachability_not_irreducible(edges):
     assert not g.irreducible
 
 
-def _voltage_graph(size, arcs):
-    """The base chain of arcs (u, w, v) on states 0..size-1, its records'
-    voltages, and its loops' (u, v)."""
+def _voltage_graph(size, order, arcs):
+    """The base chain of arcs (u, w, v) on states 0..size-1 of a ring of
+    order columns, each record carrying its voltage v; loops (u = u) are
+    dropped, as the chain refuses them."""
     records = [(u, w, v) for u, w, v in arcs if u != w]
-    g = ChainGraph(
+    return ChainGraph(
         kind="custom",
-        composition=build_composition((1, 1)),
+        composition=build_composition((1, order - 1)),
         states=tuple((u,) for u in range(size)),
         transitions=tuple(TransitionRecord(u, w, ONE, "a") for u, w, _ in records),
         nvars=2,
+        voltages=tuple(v for _, _, v in records),
     )
-    return g, [v for _, _, v in records], [(u, v) for u, w, v in arcs if u == w]
 
 
 @st.composite
 def voltage_graphs(draw):
-    """1-5 states, an order of 1-6, and arcs with voltages, loops among them:
-    half the time a cycle through every state, so that the base is strongly
+    """1-5 states, a ring of 2-6 columns, and arcs with voltages: half the
+    time a cycle through every state, so that the base is strongly
     connected with few cycles, then up to 6 arcs more."""
-    size, order = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    size, order = draw(st.integers(1, 5)), draw(st.integers(2, 6))
     voltage = st.integers(0, order - 1)
     arcs = [(u, (u + 1) % size, draw(voltage)) for u in range(size)] if draw(st.booleans()) else []
     arc = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), voltage)
@@ -355,33 +356,48 @@ def voltage_graphs(draw):
 @settings(max_examples=500, deadline=None)
 @given(voltage_graphs())
 def test_lifted_irreducible_is_the_unrolled_chains_irreducible(case):
-    size, order, arcs = case
-    g, voltages, loops = _voltage_graph(size, arcs)
-    verdict = lifted_irreducible(g, voltages, [v for _, v in loops], order)
-    assert verdict == unrolled_chain(g, voltages, loops, order).irreducible
+    g = _voltage_graph(*case)
+    assert lifted_irreducible(g) == unrolled_chain(g).irreducible
 
 
 @pytest.mark.parametrize(
     "size, order, arcs, expected",
     [
-        # one orbit of 4 with a voltage-2 loop only: the cover is two 2-cycles
-        (1, 4, [(0, 0, 2)], False),
-        # the same orbit with a voltage-1 loop: one 4-cycle
-        (1, 4, [(0, 0, 1)], True),
+        # one orbit of 4 with no record: the cover is four lone states
+        (1, 4, [], False),
+        # two 2-cycles of net voltages 2 and 4 on a ring of 6, joined by a
+        # 3-cycle of net voltage 3: 2 and 3 generate 1 mod 6
+        (3, 6, [(0, 1, 1), (1, 0, 1), (1, 2, 2), (2, 1, 2), (2, 0, 0)], True),
         # a 2-cycle of voltages 1 and 2 on a ring of 6: the cover is three 4-cycles
         (2, 6, [(0, 1, 1), (1, 0, 2)], False),
         # a base that is not strongly connected, whatever the voltages
-        (2, 3, [(0, 1, 1), (1, 1, 1)], False),
+        (2, 3, [(0, 1, 1)], False),
         # a strongly connected base whose net voltages, 2 and 4, miss 1 mod 6
-        (2, 6, [(0, 1, 1), (1, 0, 1), (1, 1, 4)], False),
+        (2, 6, [(0, 1, 1), (1, 0, 1), (0, 1, 5)], False),
         # the same with a net voltage of 3 more: 2 and 3 generate 1 mod 6
-        (2, 6, [(0, 1, 1), (1, 0, 1), (1, 1, 4), (0, 0, 3)], True),
+        (2, 6, [(0, 1, 1), (1, 0, 1), (0, 1, 5), (1, 0, 2)], True),
     ],
 )
 def test_lifted_irreducible_controls(size, order, arcs, expected):
-    g, voltages, loops = _voltage_graph(size, arcs)
-    assert lifted_irreducible(g, voltages, [v for _, v in loops], order) is expected
-    assert unrolled_chain(g, voltages, loops, order).irreducible is expected
+    g = _voltage_graph(size, order, arcs)
+    assert lifted_irreducible(g) is expected
+    assert unrolled_chain(g).irreducible is expected
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_a_quotient_with_no_voltages_is_not_lifted_irreducible(N):
+    # with no turned record every record lifts to N copies of itself, so
+    # the cover of a strongly connected quotient is N disjoint copies of it
+    g = ChainGraph(
+        kind="custom",
+        composition=build_composition((1, N - 1)),
+        states=((0,), (1,)),
+        transitions=(TransitionRecord(0, 1, ONE, "a"), TransitionRecord(1, 0, ONE, "a")),
+        nvars=2,
+    )
+    assert g.voltages == () and g.irreducible
+    assert not lifted_irreducible(g)
+    assert not unrolled_chain(g).irreducible
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mlqtasep.core import (
     bully_projection,
     enumerate_mlqs,
     mlq_count,
+    orbit_ring_successors,
     project_orbit_representatives,
     queue_label,
     ring_successors,
@@ -463,23 +464,25 @@ def test_fm1_fails_when_a_ring_row_breaks_rotation(monkeypatch):
 @pytest.mark.parametrize("m", [(1, 1, 1), (1, 2, 1), (1, 1, 2, 1), (1, 1, 1, 2)], ids=str)
 def test_fm1_lifts_every_ring_of_the_representatives(monkeypatch, m):
     # each of the B * N rings of the representatives is a record or a
-    # loop, and N turns of the records and of the voltage-1 loops are the
-    # full chain's records
+    # loop, each record carries one voltage, and N turns of the records are
+    # the full chain's records
     import mlqtasep.verify as verify
 
     lifted, seen = verify.lifted_irreducible, []
 
-    def spy(g, voltages, loops, order):
-        seen.append((len(g.states), len(g.transitions), len(voltages), list(loops), order))
-        return lifted(g, voltages, loops, order)
+    def spy(g):
+        seen.append(g)
+        return lifted(g)
 
     monkeypatch.setattr(verify, "lifted_irreducible", spy)
     c = build_composition(m)
     assert check_fm1_theorem(c).ok
-    ((B, records, voltage_count, loops, order),) = seen
-    assert order == c.N and B * c.N == mlq_count(c) and voltage_count == records
-    assert records + len(loops) == B * c.N
-    assert c.N * (records + loops.count(1)) == len(build_fm_chain(c, "one_first_class").transitions)
+    (g,) = seen
+    B, records = len(g.states), len(g.transitions)
+    assert B * c.N == mlq_count(c) and len(g.voltages) == records and set(g.voltages) == {0, 1}
+    loops = sum(successors.count(sid) for sid, successors in orbit_ring_successors(c)[0])
+    assert records + loops == B * c.N
+    assert c.N * records == len(build_fm_chain(c, "one_first_class").transitions)
 
 
 def _turned_to_representative(q):
@@ -498,25 +501,25 @@ def _turned_to_representative(q):
 def test_fm1_orbit_chain_is_the_full_chain_turned_to_representatives(monkeypatch, m):
     # each ring out of a representative (ids < B) of the full chain, its
     # destination turned to a representative w in v turns: a record to w
-    # with voltage v and the full record's rate and label, or a loop of
-    # voltage v when w is the ringing queue itself
+    # with voltage v and the full record's rate and label, or a loop when w
+    # is the ringing queue itself, never a turned one
     import mlqtasep.verify as verify
 
     lifted, seen = verify.lifted_irreducible, []
 
-    def spy(g, voltages, loops, order):
-        seen.append((g, list(voltages), list(loops)))
-        return lifted(g, voltages, loops, order)
+    def spy(g):
+        seen.append(g)
+        return lifted(g)
 
     monkeypatch.setattr(verify, "lifted_irreducible", spy)
     c = build_composition(m)
     assert check_fm1_theorem(c).ok
-    ((g, voltages, loops),) = seen
+    (g,) = seen
     full = build_fm_chain(c, "one_first_class")
     B = mlq_count(c) // c.N
     index = {q: i for i, q in enumerate(full.states)}
     out = full.out_records()
-    records, expected_voltages, expected_loops = [], [], []
+    records, voltages = [], []
     for sid, successors in ring_successors(c):
         if sid == B:
             break
@@ -526,15 +529,14 @@ def test_fm1_orbit_chain_is_the_full_chain_turned_to_representatives(monkeypatch
             representative, turns = _turned_to_representative(full.states[dst])
             w = index[representative]
             if w == sid:
-                expected_loops.append(turns)
+                assert turns == 0
             else:
                 records.append((sid, w, rate, mechanism))
-                expected_voltages.append(turns)
+                voltages.append(turns)
         assert next(rings, None) is None
     assert g.states == full.states[:B]
     assert [tuple(rec) for rec in g.transitions] == records
-    assert voltages == expected_voltages
-    assert loops == expected_loops
+    assert g.voltages == tuple(voltages)
 
 
 def test_fm1_irreducible_fails_when_the_voltages_miss_a_generator(monkeypatch):
@@ -543,19 +545,13 @@ def test_fm1_irreducible_fails_when_the_voltages_miss_a_generator(monkeypatch):
     # the even turns, so the full chain splits in two
     import mlqtasep.verify as verify
 
-    successors, lifted = verify.orbit_ring_successors, verify.lifted_irreducible
-    bases = []
+    lifted, bases = verify.lifted_irreducible, []
 
-    def doubled(c):
-        walk, commutes = successors(c)
-        return ((sid, [(w, 2 * v) for w, v in succ]) for sid, succ in walk), commutes
-
-    def spy(g, voltages, loops, order):
+    def doubled(g):
         bases.append(g.irreducible)
-        return lifted(g, voltages, loops, order)
+        return lifted(replace(g, voltages=tuple(2 * v for v in g.voltages)))
 
-    monkeypatch.setattr(verify, "orbit_ring_successors", doubled)
-    monkeypatch.setattr(verify, "lifted_irreducible", spy)
+    monkeypatch.setattr(verify, "lifted_irreducible", doubled)
     report = check_fm1_theorem(build_composition((1, 1, 1, 1)))
     assert bases == [True]
     assert report.status == "fail"
