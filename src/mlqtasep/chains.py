@@ -388,6 +388,8 @@ def to_json(g: ChainGraph) -> str:
             for rec in g.transitions
         ],
     }
+    for item, voltage in zip(payload["transitions"], g.voltages):  # none but on fm1's orbit chain
+        item["voltage"] = voltage
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -411,5 +413,7 @@ def from_json(text: str) -> ChainGraph:
         tuple.__new__(TransitionRecord, (item["from"], item["to"], rate(item["rate"]), item["mechanism"]))
         for item in payload["transitions"]
     )
-    return ChainGraph(payload["kind"], comp, tuple(states), records, nvars)
+    # ChainGraph refuses voltages on some transitions but not all
+    voltages = tuple(item["voltage"] for item in payload["transitions"] if "voltage" in item)
+    return ChainGraph(payload["kind"], comp, tuple(states), records, nvars, voltages=voltages)
 

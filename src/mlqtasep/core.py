@@ -333,16 +333,9 @@ def project_rows(
     return steps
 
 
-def project_row(
-    upper_classes: Sequence[int], lower_bits: Sequence[int], new_class: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One step of the bully-path projection: project_rows on one pattern."""
-    return project_rows(upper_classes, [lower_bits], new_class)[0]
-
-
 def add_covers(exponents: Sequence[int], row: int, cover: Sequence[int]) -> tuple[int, ...]:
     """Lam-Williams rule for grid row `row` (0-based): each vacancy there covered by
-    class i (cover as project_row gives it) multiplies the weight by x_{row+1} / x_i."""
+    class i (cover as project_rows gives it) multiplies the weight by x_{row+1} / x_i."""
     step = list(exponents)
     for cls in cover:
         if cls:
@@ -352,30 +345,25 @@ def add_covers(exponents: Sequence[int], row: int, cover: Sequence[int]) -> tupl
 
 
 def bully_projection(q: Queue) -> BullyLabeling:
-    """Assign classes to all occupied cells, top row down.
+    """Assign classes to all occupied cells, top row down: _project on the
+    queue's rows, one pattern per row.
 
     Row 0 is all class 1, each row below is labeled from the one above by
-    project_row, its leftovers taking the next class, and bottom-row
+    project_rows, its leftovers taking the next class, and bottom-row
     vacancies read as class n.  The composition is recovered, and the queue
     validated, from the rows.
     """
     comp = composition_of_queue(q)
-    nrows = comp.n - 1
-    classes = [tuple(1 if bit else 0 for bit in q[0])]
-    cover: dict[tuple[int, int], int] = {}
-    exponents = comp.V
-    for lower in range(1, nrows):
-        row, row_cover = project_row(classes[-1], q[lower], lower + 1)
-        classes.append(row)
-        exponents = add_covers(exponents, lower, row_cover)
-        for col, cls in enumerate(row_cover):
-            if cls:
-                cover[(lower, col)] = cls
-    word = tuple(cls or nrows + 1 for cls in classes[-1])
+    top = tuple(1 if bit else 0 for bit in q[0])
+    projection, steps = _project(comp, [[top], *([row] for row in q[1:])])
+    # each depth steps its one upper row against its one pattern
+    labeled = [step for made in steps for (step,) in made.values()]
+    cover = {(lower, col): cls for lower, (_, row_cover) in enumerate(labeled, start=1)
+             for col, cls in enumerate(row_cover) if cls}
     z = Counter((row + 1, cls) for (row, _col), cls in cover.items())
     return BullyLabeling(
-        queue=q, composition=comp, classes=tuple(classes), cover=cover, word=word, z=z,
-        exponents=exponents,
+        queue=q, composition=comp, classes=(top, *(row for row, _ in labeled)), cover=cover,
+        word=projection.words[0], z=z, exponents=projection.exponents[0],
     )
 
 
@@ -411,6 +399,7 @@ def project_queues(c: Composition) -> QueueProjection:
     cover) pair once (add_covers).  Raises ValueError, before building any
     queue, when there are more than MAX_QUEUES of them.
     """
+    check_queue_count(c)
     return _project(c, [_row_patterns(c.N, M) for M in c.M[:-1]])[0]
 
 
@@ -424,6 +413,7 @@ def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool
     """
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")
+    check_queue_count(c)
     rows = [_row_patterns(c.N, M) for M in c.M[:-1]]
     projection, steps = _project(c, [rows[0][:1], *rows[1:]])
     for depth, made in enumerate(steps, start=1):
@@ -448,7 +438,6 @@ def _project(c: Composition, rows: list) -> tuple[QueueProjection, list[dict]]:
     """project_queues over the given row patterns, and per depth 1.. its
     steps: each distinct upper row's classes -> its project_rows result,
     one (classes, cover) per pattern of that depth."""
-    check_queue_count(c)
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal exponent tuples -> one object
     # the top row's bits are its classes: every particle there is class 1
     labels, exponents, covers = rows[0], [c.V] * len(rows[0]), [()] * len(rows[0])

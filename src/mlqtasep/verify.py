@@ -9,7 +9,6 @@ so each report is reproducible from (composition, seed).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import time
@@ -144,6 +143,15 @@ def _monomials(exponents: Sequence[tuple[int, ...]]) -> list[LaurentPoly]:
     return [shared[e] for e in exponents]
 
 
+def _point_failure(chain: ChainGraph, weights: Sequence[LaurentPoly], points, check: str) -> dict | None:
+    """Counterexample at the first rate point where the exact solve of chain
+    is not the weights' values, or None."""
+    for point in points:
+        if stationary_solve(chain, point) != point_vector(weights, point):
+            return {"check": check, "point": [str(x) for x in point]}
+    return None
+
+
 def _word_lumping(chain: ChainGraph, word_chain: ChainGraph, words: Sequence) -> dict | None:
     """The counterexample, if any, to the lumping of a queue chain onto the
     word process by its bully partition; words[i] is the word that state i
@@ -187,10 +195,7 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
             if failure is None and c.N == 6:
                 # large ring: confirm the block sums really solve the word
                 # process at random positive rational rate points too
-                for point in rate_points(2, 5, seed):
-                    if stationary_solve(word_chain, point) != point_vector(sums, point):
-                        failure = {"check": "point-solve", "point": [str(x) for x in point]}
-                        break
+                failure = _point_failure(word_chain, sums, rate_points(2, 5, seed), "point-solve")
     return _report("fm3", c, "theorem", started, failure, details)
 
 
@@ -202,6 +207,7 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
     failure = None
     checked = 0
     projection = project_queues(c)
+    cuts = {word: decompose_coupes(word) for word in set(projection.words)}
     # both in enumerate_mlqs order; strict, so a length mismatch raises
     fields = (projection.queues, projection.words, projection.covered)
     queues = zip(*fields, ring_successors(c), strict=True)
@@ -229,8 +235,10 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
             failure["word"] = word_label(word)
             break
         # part 3: inside each maximal block of 3s at most one non-covered
-        # site triggers an effective transition
-        for block in _three_blocks(word):
+        # site triggers an effective transition; every word holds a 1 and
+        # a 2, so each block is the head of one coupe, the 3s before its front
+        for cp in cuts[word]:
+            block = cp.columns[:cp.columns.index(cp.front)]
             effective = [
                 l
                 for l in block
@@ -242,20 +250,6 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
         if failure:
             break
     return _report("fm3-lemma", c, "theorem", started, failure, {"checked_rings": checked})
-
-
-def _three_blocks(word) -> list[list[int]]:
-    N = len(word)
-    starts = [i for i in range(N) if word[i] == 3 and word[(i - 1) % N] != 3]
-    blocks = []
-    for start in starts:
-        block = []
-        col = start
-        while word[col] == 3:
-            block.append(col)
-            col = (col + 1) % N
-        blocks.append(block)
-    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +272,13 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
     projection, equivariant = project_orbit_representatives(c)
     walk, commutes = orbit_ring_successors(c)
-    power = functools.cache(lambda e: LaurentPoly.monomial(1, (e,) + (0,) * (c.n - 2)))
     details: dict = {"states": mlq_count(c)}
     failure = None if equivariant else {"check": "projection-rotation"}
     if failure is None and not commutes:
         failure = {"check": "ring-rotation"}
     if failure is None:
         orbits = ringing_chain(c, "one_first_class", walk, projection)
-        weights = [power(exps[0]) for exps in projection.exponents]
+        weights = _monomials([(e[0],) + (0,) * (c.n - 2) for e in projection.exponents])
         failure = _residual_failure(orbits, weights)
         if failure is None and not lifted_irreducible(orbits):
             failure = {"check": "irreducible"}
@@ -311,9 +304,11 @@ def check_partition_function(c: Composition) -> SuiteReport:
     if c.m[0] != 1:
         raise ValueError("partition function suite needs m_1 = 1")
     a_name = ("a",)
-    # V1 - z1 is the first conjectured exponent
-    counts = Counter(exps[0] for exps in project_queues(c).exponents)
-    enumerated = LaurentPoly(1, {(e,): count for e, count in counts.items()}, a_name)
+    # V1 - z1, the first conjectured exponent, once per rotation orbit of N
+    # queues, on which the certificate makes it constant
+    projection, equivariant = project_orbit_representatives(c)
+    counts = Counter(exps[0] for exps in projection.exponents)
+    enumerated = LaurentPoly(1, {(e,): c.N * count for e, count in counts.items()}, a_name)
     a = LaurentPoly.variable(0, 1, a_name)
     one = LaurentPoly.one(1, a_name)
     explicit = q_form = h_form = LaurentPoly.constant(c.N, 1, a_name)
@@ -331,7 +326,9 @@ def check_partition_function(c: Composition) -> SuiteReport:
         factorials *= factorial(M - 1)
         h_form = h_form * complete_homogeneous(c.n - r, [one] + [a] * r)
     failure = None
-    if enumerated != explicit:
+    if not equivariant:
+        failure = {"check": "projection-rotation"}
+    elif enumerated != explicit:
         failure = {"check": "enumeration-vs-binomial-product", "enumerated": str(enumerated), "explicit": str(explicit)}
     elif explicit * LaurentPoly.constant(factorials, 1, a_name) != q_form:
         failure = {"check": "binomial-product-vs-q-derivative"}
@@ -362,13 +359,7 @@ def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteRepo
         failure = _residual_failure(chain, sums, "symbolic-residual")
         details["symbolic_residual"] = "zero" if failure is None else "nonzero"
     if failure is None:
-        for point in rate_points(c.n - 1, 5, seed):
-            if stationary_solve(chain, point) != point_vector(sums, point):
-                failure = {
-                    "check": "point-proportionality",
-                    "point": [str(x) for x in point],
-                }
-                break
+        failure = _point_failure(chain, sums, rate_points(c.n - 1, 5, seed), "point-proportionality")
         details["rate_points"] = 5
     return _report("main", c, "conjecture", started, failure, details)
 

@@ -21,6 +21,9 @@ one, the oracle of the coupe chain's regular jumps, which it reads off
 the ring at the front seat.  reference_decompose_coupes walks each
 coupe column by column and re-checks its shape, the oracle of the
 one-pass cut at the run ends in chains.decompose_coupes.
+reference_three_blocks walks each maximal block of 3s of a word from its
+first column, the oracle of the fm3 lemma's blocks, which it reads off
+the coupe cut as each coupe's head.
 reference_gillespie_run is the sampler loop that calls expovariate and
 clamps the bisect index every event, the oracle of sim.gillespie_run's jump
 table: their results must be equal, float for float.
@@ -298,6 +301,20 @@ def reference_decompose_coupes(word: Word) -> list[Coupe]:
             )
         )
     return coupes
+
+
+def reference_three_blocks(word) -> list[list[int]]:
+    N = len(word)
+    starts = [i for i in range(N) if word[i] == 3 and word[(i - 1) % N] != 3]
+    blocks = []
+    for start in starts:
+        block = []
+        col = start
+        while word[col] == 3:
+            block.append(col)
+            col = (col + 1) % N
+        blocks.append(block)
+    return blocks
 
 
 def _exponents_of_z(comp: Composition, z: dict[tuple[int, int], int]) -> tuple[int, ...]:

@@ -31,6 +31,7 @@ from mlqtasep.core import (
 )
 from mlqtasep.poly import LaurentPoly, x_vars
 from mlqtasep.sim import build_process_chain
+from mlqtasep.solve import lifted_irreducible
 from mlqtasep.verify import iter_compositions, rate_points
 from helpers import (
     bully_partition,
@@ -39,6 +40,7 @@ from helpers import (
     reference_regular_jump,
     reference_ringing_rate,
     reference_rotation_orbits,
+    reference_three_blocks,
 )
 
 X1 = LaurentPoly.variable(0, 2)
@@ -340,6 +342,15 @@ def test_decompose_matches_the_column_walk_on_every_three_species_word():
         assert decompose_coupes(word) == reference_decompose_coupes(word), word
 
 
+def test_coupe_heads_are_the_blocks_of_3s_on_every_three_species_word():
+    # every such word holds a 1 and a 2, so each maximal block of 3s runs
+    # into a 1 or a 2: the head of one coupe, the 3s before its front
+    for c in iter_compositions(8, lambda m: len(m) == 3):
+        for word in enumerate_words(c):
+            heads = {cp.columns[: cp.columns.index(cp.front)] for cp in decompose_coupes(word)}
+            assert heads - {()} == set(map(tuple, reference_three_blocks(word))), word
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=12)
@@ -578,6 +589,22 @@ def test_from_json_refuses_a_transition_outside_its_states(end, value, message):
     record = payload["transitions"][3]
     record[end] = record["from"] if value is None else value
     with pytest.raises(ValueError, match=message):
+        from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("m", [(1, 1, 2), (1, 1, 2, 1)])
+def test_json_round_trip_keeps_the_orbit_chains_voltages(m):
+    c = build_composition(m)
+    projection, _ = project_orbit_representatives(c)
+    orbits = ringing_chain(c, "one_first_class", orbit_ring_successors(c)[0], projection)
+    text = to_json(orbits)
+    back = from_json(text)
+    assert back == orbits and back.voltages == orbits.voltages
+    assert lifted_irreducible(back) == lifted_irreducible(orbits) is True
+    # a payload missing one voltage is refused by the count check
+    payload = json.loads(text)
+    del payload["transitions"][0]["voltage"]
+    with pytest.raises(ValueError, match=r"voltages for \d+ transitions"):
         from_json(json.dumps(payload))
 
 

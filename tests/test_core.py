@@ -19,7 +19,6 @@ from mlqtasep.core import (
     orbit_ring_successors,
     project_orbit_representatives,
     project_queues,
-    project_row,
     project_rows,
     parse_queue,
     parse_word,
@@ -558,6 +557,19 @@ def test_projection_with_the_known_composition(case, other):
             reference_projection(q, other)
 
 
+def test_one_queue_projects_when_its_queue_space_is_refused(monkeypatch):
+    import mlqtasep.core as core
+
+    # with the limit lowered to 23, the 96 queues of (1,1,1,1) are refused
+    # as a space, and one of them still projects on its own
+    monkeypatch.setattr(core, "MAX_QUEUES", 23)
+    c = build_composition((1, 1, 1, 1))
+    with pytest.raises(ValueError, match="has 96 multiline queues"):
+        project_queues(c)
+    q = parse_queue("0100/0011/1011")
+    assert bully_projection(q) == reference_projection(q, c)
+
+
 def test_projection_refuses_a_queue_of_another_shape():
     # too few rows, a short row, too many rows, and the right shape with
     # the wrong row sums
@@ -575,13 +587,13 @@ def test_projection_refuses_a_queue_of_another_shape():
 def test_project_row_single_step():
     # the class-1 particle at column 1 queues over the vacancy below it to
     # column 2; the particle left over at column 3 takes the new class
-    assert project_row((1, 0, 0), (0, 1, 1), 2) == ((0, 1, 2), (1, 0, 0))
+    assert project_rows((1, 0, 0), [(0, 1, 1)], 2) == [((0, 1, 2), (1, 0, 0))]
     # classes go in ascending order: the 1 at column 2 claims column 2 first,
     # so the 2 at column 1 queues over the vacancy at column 1 and past
     # column 2 to column 3
-    assert project_row((2, 1, 0, 0), (0, 1, 1, 1), 3) == ((0, 1, 2, 3), (2, 0, 0, 0))
+    assert project_rows((2, 1, 0, 0), [(0, 1, 1, 1)], 3) == [((0, 1, 2, 3), (2, 0, 0, 0))]
     with pytest.raises(ValueError, match="no free particle"):
-        project_row((1, 1, 0), (1, 0, 0), 2)
+        project_rows((1, 1, 0), [(1, 0, 0)], 2)
 
 
 @settings(max_examples=200, deadline=None)

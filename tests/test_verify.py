@@ -593,6 +593,21 @@ def test_partition_function_catches_a_wrong_q_derivative(monkeypatch):
     assert report.counterexample == {"check": "binomial-product-vs-q-derivative"}
 
 
+def test_partition_function_fails_when_its_rotation_certificate_fails(monkeypatch):
+    # zpart counts the orbit representatives N times each only under the
+    # certificate; a false one fails the report before either closed form
+    import mlqtasep.verify as verify
+
+    c = build_composition((1, 1, 2, 1))
+    original = verify.project_orbit_representatives
+    expected = check_partition_function(c).details
+    monkeypatch.setattr(verify, "project_orbit_representatives", lambda c: (original(c)[0], False))
+    report = check_partition_function(c)
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "projection-rotation"}
+    assert report.details == expected
+
+
 def test_partition_function_catches_a_wrong_binomial_factor(monkeypatch):
     import mlqtasep.verify as verify
 
@@ -648,6 +663,31 @@ def test_main_conjecture_symbolic_residual_at_six():
 def test_main_conjecture_various(m):
     report = check_main_conjecture(build_composition(m))
     assert report.ok, report.counterexample
+
+
+@pytest.mark.parametrize(
+    "check, m, counterexample",
+    [
+        (check_main_conjecture, (1, 1, 2), {"check": "point-proportionality", "point": ["3/2", "4/3"]}),
+        # fm3 solves its word chain at rate points on rings of 6 only
+        (check_fm3_theorem, (1, 1, 4), {"check": "point-solve", "point": ["3/2", "4/3"]}),
+    ],
+)
+def test_point_check_failure_is_reported(monkeypatch, check, m, counterexample):
+    # a weight vector off by a factor 2 at one word disagrees with the
+    # exact solve at the first seeded point
+    import mlqtasep.verify as verify
+
+    original = verify.point_vector
+
+    def doubled(weights, point):
+        values = original(weights, point)
+        return [2 * values[0]] + values[1:]
+
+    monkeypatch.setattr(verify, "point_vector", doubled)
+    report = check(build_composition(m))
+    assert not report.ok
+    assert report.counterexample == counterexample
 
 
 def test_lw_positivity():
@@ -807,7 +847,7 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
 )
 def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
     # one projection pass per report: fm3 and coupe read the one their
-    # chain carries, lw(3) and zpart make their own, and fm1 projects its
+    # chain carries, lw(3) makes its own, and fm1 and zpart project their
     # mlq_count / N orbit representatives only, never the whole queue space
     import mlqtasep.core as core
 
@@ -821,7 +861,8 @@ def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
     monkeypatch.setattr(core, "_project", spy)
     assert check(arg).ok
     c = build_composition((1,) * arg) if isinstance(arg, int) else arg
-    assert passes == [mlq_count(c) // c.N if check is check_fm1_theorem else mlq_count(c)]
+    orbits = check in (check_fm1_theorem, check_partition_function)
+    assert passes == [mlq_count(c) // c.N if orbits else mlq_count(c)]
 
 
 def test_failure_helpers_counterexamples():
