@@ -6,9 +6,9 @@ Rates are exact polynomials in the per-class jump parameters x1..x_{n-1}.
 Each builder makes those rates (x1..x_{n-1}, and 1 for the ringing rules)
 and one mechanism label per kind and column once per chain, and its records
 share them; LaurentPoly is immutable, which makes the sharing safe.  One
-loop, ringing_chain, makes every ringing record, fm1's orbit chain's too,
-whose records carry voltages: the turns from a destination to its orbit's
-representative.
+loop, ringing_chain, makes every ringing record, fm1's and uniform's
+orbit chains' too, whose records carry voltages: the turns from a
+destination to its orbit's representative.
 The queue chains whose rates or jumps read the projected word keep the
 projection of their states on the chain, so the suites that check them
 read it instead of projecting again.  The facts that do not depend on a
@@ -59,7 +59,7 @@ class ChainGraph:
     # the projection of the states of a projecting queue chain (fm under
     # three_species or one_first_class, fm1's orbit chain, coupe); else None
     projection: QueueProjection | None = field(default=None, compare=False, repr=False)
-    # one voltage per record on fm1's orbit chain; empty on every other chain
+    # one voltage per record on an orbit chain with a turned record; else empty
     voltages: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -198,25 +198,26 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
         raise ValueError("three_species rates need exactly 3 classes")
     if rate_rule == "one_first_class" and c.m[0] != 1:
         raise ValueError("one_first_class rates need m_1 = 1")
-    projection = None if rate_rule == "uniform" else project_queues(c)
-    return ringing_chain(c, rate_rule, ring_successors(c), projection)
+    states = enumerate_mlqs(c) if rate_rule == "uniform" else project_queues(c)
+    return ringing_chain(c, rate_rule, ring_successors(c), states)
 
 
 def ringing_chain(
-    c: Composition, rate_rule: str, walk: Iterable, projection: QueueProjection | None
+    c: Composition, rate_rule: str, walk: Iterable, states: QueueProjection | Sequence[Queue]
 ) -> ChainGraph:
     """The chain of walk's rings: each state id, from 0 on, with its
     successors' ids as columns 0..N-1 ring (its own id for a loop, and
     B + w, past the B states, for a record to w of voltage 1).  The states
-    are projection's queues; with no projection, which only uniform rates
-    allow, all of c's.  Each record reads its rate from one table per
+    are a projection's queues, or the queues given under uniform rates,
+    which read no word.  Each record reads its rate from one table per
     chain, keyed by the projected class and covered bit of its column."""
     nvars = c.n - 1
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
     rule = RATE_RULES[rate_rule]
     table = [[rule(cls, bit, x, one) for bit in (0, 1)] for cls in range(c.n + 1)]  # row 0 unused
+    projection = states if isinstance(states, QueueProjection) else None
     if projection is None:  # uniform rates read no word: each ring reads an uncovered 1
-        states = tuple(enumerate_mlqs(c))
+        states = tuple(states)
         words, covers = itertools.repeat((1,) * c.N, len(states)), itertools.repeat(0, len(states))
     else:
         states, words, covers = projection.queues, projection.words, projection.covered
@@ -388,7 +389,7 @@ def to_json(g: ChainGraph) -> str:
             for rec in g.transitions
         ],
     }
-    for item, voltage in zip(payload["transitions"], g.voltages):  # none but on fm1's orbit chain
+    for item, voltage in zip(payload["transitions"], g.voltages):  # none but on an orbit chain
         item["voltage"] = voltage
     return json.dumps(payload, indent=2, sort_keys=True)
 

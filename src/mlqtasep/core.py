@@ -138,6 +138,16 @@ def enumerate_mlqs(c: Composition) -> list[Queue]:
     return [tuple(choice) for choice in itertools.product(*rows)]
 
 
+def orbit_representatives(c: Composition) -> list[Queue]:
+    """For m_1 = 1, the first mlq_count / N queues of enumerate_mlqs, one per
+    rotation orbit: those whose top-row particle sits in column N - 1."""
+    if c.m[0] != 1:
+        raise ValueError("orbit representatives need m_1 = 1")
+    check_queue_count(c)
+    rows = [_row_patterns(c.N, M) for M in c.M[:-1]]
+    return list(itertools.product(rows[0][:1], *rows[1:]))
+
+
 def composition_of_queue(q: Queue) -> Composition:
     """Recover the composition from a queue's row sums."""
     if not q or not q[0]:

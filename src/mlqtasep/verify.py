@@ -32,6 +32,7 @@ from .core import (
     build_composition,
     check_queue_count,
     mlq_count,
+    orbit_representatives,
     orbit_ring_successors,
     project_orbit_representatives,
     project_queues,
@@ -50,8 +51,8 @@ from .solve import (
 
 DEFAULT_SEED = 20240
 DEFAULT_MAX_N = 5
-# report policy, not a solver limit: fm1's solver_points and uniform's method
-# change above this many states, and perfbench/golden/*.json pins both fields
+# report policy, not a solver limit: fm1's solver_points and uniform's method change
+# above this many full-chain states, orbit chain or not; perfbench/golden/*.json pins both
 SOLVE_CAP = 300
 
 
@@ -442,33 +443,35 @@ def check_identity_count(n: int) -> SuiteReport:
 
 
 def check_uniform_stationarity(c: Composition) -> SuiteReport:
-    """Strong connectivity, degree balance, and the uniform stationary law."""
+    """Strong connectivity, degree balance, and the uniform stationary law;
+    for m_1 = 1 and n >= 3 on the certified orbit chain, whose records in and
+    out of a representative are its arcs in the full chain, one for one, as
+    rotation acts freely and no ring turns a representative onto itself."""
     started = time.perf_counter()
-    chain = build_fm_chain(c, "uniform")
-    details: dict = {"states": len(chain.states)}
-    failure = None if chain.irreducible else {"check": "irreducible"}
+    details: dict = {"states": mlq_count(c)}
+    if c.m[0] == 1 and c.n >= 3:
+        walk, commutes = orbit_ring_successors(c)
+        chain = ringing_chain(c, "uniform", walk, orbit_representatives(c))
+        failure = None if commutes else {"check": "ring-rotation"}
+        if failure is None and not lifted_irreducible(chain):
+            failure = {"check": "irreducible"}
+    else:
+        chain = build_fm_chain(c, "uniform")
+        failure = None if chain.irreducible else {"check": "irreducible"}
     if failure is None:
         outs = [len(recs) for recs in chain.out_records()]
         ins = [len(recs) for recs in chain.in_records()]
         bad = next((i for i in range(len(outs)) if outs[i] != ins[i]), None)
         if bad is not None:
-            failure = {
-                "check": "degree-balance",
-                "state": chain.state_label(bad),
-                "out": outs[bad],
-                "in": ins[bad],
-            }
+            failure = {"check": "degree-balance", "state": chain.state_label(bad), "out": outs[bad], "in": ins[bad]}
     if failure is None:
-        if len(chain.states) <= SOLVE_CAP:
-            point = (Fraction(1),) * chain.nvars
-            solved = stationary_solve(chain, point)
-            if solved != [1] * len(chain.states):
-                failure = {"check": "uniform-solve"}
-            details["method"] = "direct-solve"
-        else:
-            # degree balance is exactly the master equation for the uniform
-            # vector at rate one; with irreducibility this pins uniqueness
-            details["method"] = "balance-certificate"
+        # degree balance is exactly the master equation for the uniform
+        # vector at rate one; with irreducibility this pins uniqueness, and
+        # up to SOLVE_CAP queues the solve at ones confirms it
+        direct = details["states"] <= SOLVE_CAP
+        details["method"] = "direct-solve" if direct else "balance-certificate"
+        if direct and stationary_solve(chain, (Fraction(1),) * chain.nvars) != [1] * len(chain.states):
+            failure = {"check": "uniform-solve"}
     return _report("uniform", c, "theorem", started, failure, details)
 
 

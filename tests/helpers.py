@@ -30,7 +30,9 @@ table: their results must be equal, float for float.
 reference_ringing_rate is the per-ring rate rule, the oracle of the
 one rate table per chain in chains.ringing_chain.
 reference_fm1_theorem is the fm1 check on the whole ringing chain, the
-oracle of check_fm1_theorem's orbit chain; reference_rotation_orbits
+oracle of check_fm1_theorem's orbit chain, and reference_uniform_stationarity
+the uniform check on the whole rate-one chain, the oracle of
+check_uniform_stationarity's orbit chain; reference_rotation_orbits
 finds the rotation orbits from the generator's rows at a rate point, the
 oracle of ChainGraph.rotation_orbits; unrolled_chain spells out the
 cover of a voltage graph, the oracle of solve.lifted_irreducible, and
@@ -545,6 +547,38 @@ def reference_fm1_theorem(c: Composition) -> verify.SuiteReport:
                 break
         details["solver_points"] = 3
     return verify._report("fm1", c, "theorem", started, failure, details)
+
+
+def reference_uniform_stationarity(c: Composition) -> verify.SuiteReport:
+    """The uniform report checked on the whole rate-one chain: strong
+    connectivity, degree balance and, up to SOLVE_CAP states, the solve at ones."""
+    started = time.perf_counter()
+    chain = build_fm_chain(c, "uniform")
+    details: dict = {"states": len(chain.states)}
+    failure = None if chain.irreducible else {"check": "irreducible"}
+    if failure is None:
+        outs = [len(recs) for recs in chain.out_records()]
+        ins = [len(recs) for recs in chain.in_records()]
+        bad = next((i for i in range(len(outs)) if outs[i] != ins[i]), None)
+        if bad is not None:
+            failure = {
+                "check": "degree-balance",
+                "state": chain.state_label(bad),
+                "out": outs[bad],
+                "in": ins[bad],
+            }
+    if failure is None:
+        if len(chain.states) <= verify.SOLVE_CAP:
+            point = (Fraction(1),) * chain.nvars
+            solved = stationary_solve(chain, point)
+            if solved != [1] * len(chain.states):
+                failure = {"check": "uniform-solve"}
+            details["method"] = "direct-solve"
+        else:
+            # degree balance is exactly the master equation for the uniform
+            # vector at rate one; with irreducibility this pins uniqueness
+            details["method"] = "balance-certificate"
+    return verify._report("uniform", c, "theorem", started, failure, details)
 
 
 def reference_rotation_orbits(g: ChainGraph, point: Sequence[Fraction]) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ from mlqtasep.core import (
     enumerate_mlqs,
     enumerate_words,
     mlq_count,
+    orbit_representatives,
     orbit_ring_successors,
     project_orbit_representatives,
     project_queues,
@@ -486,6 +487,29 @@ def test_orbit_representatives_need_one_first_class_particle():
         orbit_ring_successors(c)
     with pytest.raises(ValueError, match="m_1 = 1"):
         project_orbit_representatives(c)
+    with pytest.raises(ValueError, match="m_1 = 1"):
+        orbit_representatives(c)
+
+
+@pytest.mark.parametrize("m", [(1, 1), (1, 1, 1), (1, 2, 1), (1, 1, 2, 1), (1, 1, 1, 1, 1)], ids=str)
+def test_orbit_representatives_are_the_first_queues_of_the_enumeration(m):
+    # the mlq_count / N queues whose top-row particle sits in the last
+    # column, in enumerate_mlqs order, as the orbit projection has them
+    c = build_composition(m)
+    B = mlq_count(c) // c.N
+    representatives = orbit_representatives(c)
+    assert representatives == enumerate_mlqs(c)[:B]
+    assert all(q[0][-1] for q in representatives)
+    if c.n >= 3:
+        assert tuple(representatives) == project_orbit_representatives(c)[0].queues
+
+
+def test_orbit_representatives_refuse_a_queue_space_too_large(monkeypatch):
+    import mlqtasep.core as core
+
+    monkeypatch.setattr(core, "MAX_QUEUES", 249)
+    with pytest.raises(ValueError, match="250 multiline queues"):
+        orbit_representatives(build_composition((1, 1, 2, 1)))
 
 
 @pytest.mark.parametrize("m", [(1, 1, 1), (1, 2, 1), (1, 1, 2, 1), (1, 2, 1, 1), (1, 1, 1, 1, 1)], ids=str)

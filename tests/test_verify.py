@@ -40,6 +40,7 @@ from helpers import (
     golden_form,
     reference_block_sums,
     reference_fm1_theorem,
+    reference_uniform_stationarity,
     single_first_class_weight,
     turn_to_representative,
 )
@@ -717,11 +718,121 @@ def test_uniform_stationarity(m):
     assert report.details["method"] == "direct-solve"
 
 
-def test_uniform_stationarity_certificate_path():
-    # 5 * 10 * 10 = 500 queues, above the direct-solve cap
+def test_uniform_stationarity_certificate_path(monkeypatch):
+    # 5 * 10 * 10 = 500 queues, above the direct-solve cap, though their
+    # 100 orbits are under it; the suite builds no full chain, enumerates
+    # no queue space and solves nothing
+    import mlqtasep.chains as chains
+    import mlqtasep.core as core
+    import mlqtasep.verify as verify
+
+    for module, name in [(core, "enumerate_mlqs"), (chains, "enumerate_mlqs"), (chains, "build_fm_chain"),
+                         (verify, "build_fm_chain"), (verify, "stationary_solve")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"called {name}"))
     report = check_uniform_stationarity(build_composition((1, 1, 1, 2)))
     assert report.ok
     assert report.details == {"states": 500, "method": "balance-certificate"}
+
+
+@pytest.mark.parametrize(
+    "m", [c.m for c in iter_compositions(5)] + [(1, 1, 1, 2, 1), (1, 2, 1, 1, 1)], ids=str
+)
+def test_uniform_report_equals_the_full_chain_oracle(m):
+    # the orbit chain for m_1 = 1 and n >= 3, the full chain elsewhere
+    c = build_composition(m)
+    assert golden_form([check_uniform_stationarity(c)]) == golden_form([reference_uniform_stationarity(c)])
+
+
+@pytest.mark.parametrize(
+    "m", [c.m for c in iter_compositions(5, lambda m: m[0] == 1 and len(m) >= 3)], ids=str
+)
+def test_uniform_orbit_degrees_are_the_full_chains(monkeypatch, m):
+    # the lemma the orbit path rests on: each representative's records in
+    # and out of the orbit chain count its arcs in and out of the full chain
+    import mlqtasep.verify as verify
+
+    lifted, seen = verify.lifted_irreducible, []
+
+    def spy(g):
+        seen.append(g)
+        return lifted(g)
+
+    monkeypatch.setattr(verify, "lifted_irreducible", spy)
+    c = build_composition(m)
+    assert check_uniform_stationarity(c).ok
+    (g,) = seen
+    full = build_fm_chain(c, "uniform")
+    B = mlq_count(c) // c.N
+    assert g.states == full.states[:B] and len(g.voltages) == len(g.transitions)
+    for degrees in ("out_records", "in_records"):
+        assert [len(recs) for recs in getattr(g, degrees)()] == [
+            len(recs) for recs in getattr(full, degrees)()[:B]
+        ]
+
+
+def _uniform_with_walk(monkeypatch, doctor, commutes=True):
+    """Make the uniform suite read its orbit walk through doctor, and its
+    ring-rotation certificate as commutes."""
+    import mlqtasep.verify as verify
+
+    original = verify.orbit_ring_successors
+    monkeypatch.setattr(verify, "orbit_ring_successors", lambda c: (doctor(original(c)[0]), commutes))
+
+
+def test_uniform_fails_when_the_rings_break_rotation(monkeypatch):
+    _uniform_with_walk(monkeypatch, lambda walk: walk, commutes=False)
+    report = check_uniform_stationarity(build_composition((1, 1, 2)))
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "ring-rotation"}
+
+
+def test_uniform_irreducible_fails_when_the_voltages_are_zeroed(monkeypatch):
+    # the orbit chain stays strongly connected, but with no turns its
+    # cover falls apart into N copies
+    import mlqtasep.verify as verify
+
+    lifted, bases = verify.lifted_irreducible, []
+
+    def zeroed(g):
+        bases.append(g.irreducible)
+        return lifted(replace(g, voltages=(0,) * len(g.transitions)))
+
+    monkeypatch.setattr(verify, "lifted_irreducible", zeroed)
+    report = check_uniform_stationarity(build_composition((1, 1, 1, 1)))
+    assert bases == [True]
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "irreducible"}
+
+
+def test_uniform_degree_balance_fails_when_a_ring_is_dropped(monkeypatch):
+    # the ring at column 4 of representative 0 of (1,1,2) made a loop: one
+    # arc fewer out of 0001/0011, and one fewer into 0001/1001, its
+    # destination turned to a representative
+    _uniform_with_walk(
+        monkeypatch, lambda walk: ((sid, succ[:-1] + [sid] if sid == 0 else succ) for sid, succ in walk)
+    )
+    report = check_uniform_stationarity(build_composition((1, 1, 2)))
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "degree-balance", "state": "0001/0011", "out": 1, "in": 2}
+
+
+def test_uniform_solve_failure_is_reported(monkeypatch):
+    # (1,1,2) has 24 queues, under SOLVE_CAP: the solve at ones runs on its
+    # 6-state orbit chain, and a wrong vector fails the report
+    import mlqtasep.verify as verify
+
+    solved = []
+
+    def wrong(g, point):
+        solved.append((len(g.states), point))
+        return [2] + [1] * (len(g.states) - 1)
+
+    monkeypatch.setattr(verify, "stationary_solve", wrong)
+    report = check_uniform_stationarity(build_composition((1, 1, 2)))
+    assert solved == [(6, (1, 1))]
+    assert report.status == "fail"
+    assert report.counterexample == {"check": "uniform-solve"}
+    assert report.details == {"states": 24, "method": "direct-solve"}
 
 
 @pytest.mark.parametrize("m", [(1, 1, 1), (1, 1, 2), (2, 2, 2), (1, 2, 1)])
