@@ -72,23 +72,22 @@ def enumerate_words(c: Composition) -> list[Word]:
     MAX_QUEUES of them.
     """
     _check_count(c, word_count(c), "words")
-    words: list[Word] = []
-    counts = list(c.m)
-
-    def extend(prefix: list[int]):
-        if len(prefix) == c.N:
-            words.append(tuple(prefix))
-            return
-        for cls in range(1, c.n + 1):
-            if counts[cls - 1]:
-                counts[cls - 1] -= 1
-                prefix.append(cls)
-                extend(prefix)
-                prefix.pop()
-                counts[cls - 1] += 1
-
-    extend([])
-    return words
+    word = [cls for cls, part in enumerate(c.m, start=1) for _ in range(part)]
+    words = [tuple(word)]
+    while True:
+        # next in lex order: swap the rightmost ascent i with the rightmost
+        # larger letter after it, then reverse the tail after i, descending till then
+        i = c.N - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return words
+        j = c.N - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
+        words.append(tuple(word))
 
 
 def _row_patterns(N: int, k: int) -> list[tuple[int, ...]]:
@@ -127,15 +126,19 @@ def _check_count(c: Composition, count: int, what: str) -> None:
         )
 
 
+def _rows(c: Composition) -> list[list[tuple[int, ...]]]:
+    """Each queue row's _row_patterns, top row first, once check_queue_count(c) has passed."""
+    check_queue_count(c)
+    return [_row_patterns(c.N, M) for M in c.M[:-1]]
+
+
 def enumerate_mlqs(c: Composition) -> list[Queue]:
     """All multiline queues, row-major over per-row bit patterns (smallest first).
 
     Raises ValueError, before building any queue, when there are more than
     MAX_QUEUES of them.
     """
-    check_queue_count(c)
-    rows = [_row_patterns(c.N, c.M[r]) for r in range(c.n - 1)]
-    return [tuple(choice) for choice in itertools.product(*rows)]
+    return list(itertools.product(*_rows(c)))
 
 
 def orbit_representatives(c: Composition) -> list[Queue]:
@@ -143,9 +146,8 @@ def orbit_representatives(c: Composition) -> list[Queue]:
     rotation orbit: those whose top-row particle sits in column N - 1."""
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")
-    check_queue_count(c)
-    rows = [_row_patterns(c.N, M) for M in c.M[:-1]]
-    return list(itertools.product(rows[0][:1], *rows[1:]))
+    top, *lower = _rows(c)
+    return list(itertools.product(top[:1], *lower))
 
 
 def composition_of_queue(q: Queue) -> Composition:
@@ -207,10 +209,8 @@ def _ring_rows(c: Composition) -> tuple[list, int]:
     pattern's _ring_row step at every column); and the number of queue ids.
     An id is the mixed-radix number of the row ranks in _row_patterns order,
     top row most significant."""
-    check_queue_count(c)
     rows, stride = [], 1
-    for M in reversed(c.M[:-1]):
-        patterns = _row_patterns(c.N, M)
+    for patterns in reversed(_rows(c)):
         moves = [[_ring_row(p, col) for col in range(c.N)] for p in patterns]
         rows.append((stride, {p: k for k, p in enumerate(patterns)}, moves))
         stride *= len(patterns)
@@ -409,8 +409,7 @@ def project_queues(c: Composition) -> QueueProjection:
     cover) pair once (add_covers).  Raises ValueError, before building any
     queue, when there are more than MAX_QUEUES of them.
     """
-    check_queue_count(c)
-    return _project(c, [_row_patterns(c.N, M) for M in c.M[:-1]])[0]
+    return _project(c, _rows(c))[0]
 
 
 def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool]:
@@ -423,8 +422,7 @@ def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool
     """
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")
-    check_queue_count(c)
-    rows = [_row_patterns(c.N, M) for M in c.M[:-1]]
+    rows = _rows(c)
     projection, steps = _project(c, [rows[0][:1], *rows[1:]])
     for depth, made in enumerate(steps, start=1):
         patterns = rows[depth]

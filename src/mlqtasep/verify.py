@@ -59,7 +59,7 @@ SOLVE_CAP = 300
 @dataclass
 class SuiteReport:
     suite: str
-    composition: tuple[int, ...] | None
+    composition: tuple[int, ...]
     kind: str  # "theorem" or "conjecture"
     status: str  # pass/fail or agree/disagree
     elapsed: float
@@ -73,7 +73,7 @@ class SuiteReport:
     def to_dict(self) -> dict:
         payload = {
             "suite": self.suite,
-            "composition": list(self.composition) if self.composition else None,
+            "composition": list(self.composition),
             "kind": self.kind,
             "status": self.status,
             "elapsed": round(self.elapsed, 4),
@@ -84,12 +84,12 @@ class SuiteReport:
         return payload
 
 
-def _report(suite: str, comp, kind: str, started: float, failure: dict | None, details: dict):
+def _report(suite: str, c: Composition, kind: str, started: float, failure: dict | None, details: dict):
     good = "pass" if kind == "theorem" else "agree"
     bad = "fail" if kind == "theorem" else "disagree"
     return SuiteReport(
         suite=suite,
-        composition=tuple(comp.m) if isinstance(comp, Composition) else comp,
+        composition=c.m,
         kind=kind,
         status=good if failure is None else bad,
         elapsed=time.perf_counter() - started,
@@ -365,17 +365,17 @@ def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteRepo
     return _report("main", c, "conjecture", started, failure, details)
 
 
-def check_lw_normalization_and_positivity(n: int) -> SuiteReport:
-    """Normalized stationary weights of the permutation system are positive.
+def check_lw_normalization_and_positivity(c: Composition) -> SuiteReport:
+    """Normalized stationary weights of the permutation system m = (1^n) are positive.
 
     The symbolic weights are the aggregated monomial weights for every n
     (for n = 3 they equal the proved three-species block sums), certified
     stationary through the symbolic master equation before use.
     """
     started = time.perf_counter()
-    if not 3 <= n <= 5:
-        raise ValueError("positivity suite covers n = 3, 4, 5")
-    c = build_composition((1,) * n)
+    n = c.n
+    if c.m != (1,) * n or not 3 <= n <= 5:
+        raise ValueError("positivity suite covers m = (1^n) for n = 3, 4, 5")
     failure = None
     details: dict = {}
     word_chain = build_tasep_chain(c)
@@ -414,15 +414,15 @@ def check_lw_normalization_and_positivity(n: int) -> SuiteReport:
             failure = {"check": "integrality-at-ones"}
         else:
             details["max_weight_at_ones"] = max(value // base for value in solved)
-    return _report("lw", (1,) * n, "conjecture", started, failure, details)
+    return _report("lw", c, "conjecture", started, failure, details)
 
 
-def check_identity_count(n: int) -> SuiteReport:
-    """Queues projecting to 1 2 ... n, counted against the binomial product."""
+def check_identity_count(c: Composition) -> SuiteReport:
+    """Queues of m = (1^n) projecting to 1 2 ... n, counted against the binomial product."""
     started = time.perf_counter()
-    if n < 2:
-        raise ValueError("identity count needs n >= 2")
-    c = build_composition((1,) * n)
+    n = c.n
+    if c.m != (1,) * n:
+        raise ValueError("identity count needs m = (1^n)")
     identity = tuple(range(1, n + 1))
     count = project_queues(c).words.count(identity)
     formula = 1
@@ -432,7 +432,7 @@ def check_identity_count(n: int) -> SuiteReport:
     if count != formula:
         failure = {"check": "count", "enumerated": count, "formula": formula}
     return _report(
-        "identity", (1,) * n, "conjecture", started, failure,
+        "identity", c, "conjecture", started, failure,
         {"enumerated": count, "formula": formula},
     )
 
@@ -560,11 +560,11 @@ def _single_first_class(max_n: int) -> Iterable[Composition]:
     return iter_compositions(max_n, lambda m: m[0] == 1 and len(m) >= 3)
 
 
-# suite -> (its inputs up to ring size max_n, the reports on one input at a
-# seed).  The lambdas look the check functions up at call time, so a rebound
-# module-level check_* (a tracing wrapper, say) is the one that runs.
-# run_suites reports in this order.
-SUITES: dict[str, tuple[Callable[[int], Iterable], Callable[..., list[SuiteReport]]]] = {
+# suite -> (its compositions up to ring size max_n, the reports on one
+# composition at a seed).  The lambdas look the check functions up at call
+# time, so a rebound module-level check_* (a tracing wrapper, say) is the
+# one that runs.  run_suites reports in this order.
+SUITES: dict[str, tuple[Callable[[int], Iterable[Composition]], Callable[..., list[SuiteReport]]]] = {
     "fm3": (
         _three_species,
         lambda c, seed: [check_fm3_theorem(c, seed), check_three_species_lemma(c)],
@@ -573,12 +573,12 @@ SUITES: dict[str, tuple[Callable[[int], Iterable], Callable[..., list[SuiteRepor
     "zpart": (_single_first_class, lambda c, seed: [check_partition_function(c)]),
     "main": (iter_compositions, lambda c, seed: [check_main_conjecture(c, seed)]),
     "lw": (
-        lambda max_n: range(3, min(max_n, 5) + 1),
-        lambda n, seed: [check_lw_normalization_and_positivity(n)],
+        lambda max_n: iter_compositions(min(max_n, 5), lambda m: len(m) >= 3 and max(m) == 1),
+        lambda c, seed: [check_lw_normalization_and_positivity(c)],
     ),
     "identity": (
-        lambda max_n: range(2, min(max_n, 6) + 1),
-        lambda n, seed: [check_identity_count(n)],
+        lambda max_n: iter_compositions(min(max_n, 6), lambda m: max(m) == 1),
+        lambda c, seed: [check_identity_count(c)],
     ),
     "uniform": (iter_compositions, lambda c, seed: [check_uniform_stationarity(c)]),
     "coupe": (_three_species, lambda c, seed: [check_coupe_theorem(c)]),
@@ -600,16 +600,15 @@ def run_suites(
     plan = []
     for name, (inputs, check) in SUITES.items():
         if name in names or "all" in names:
-            items = []
-            for item in inputs(max_n):
-                if isinstance(item, Composition):
-                    check_queue_count(item)
-                items.append(item)
-            plan.append((check, items))
+            compositions = []
+            for c in inputs(max_n):
+                check_queue_count(c)
+                compositions.append(c)
+            plan.append((check, compositions))
     reports: list[SuiteReport] = []
-    for check, items in plan:
-        for item in items:
-            reports.extend(check(item, seed))
+    for check, compositions in plan:
+        for c in compositions:
+            reports.extend(check(c, seed))
     if not reports:
         raise ValueError(
             f"nothing to check: no input of {' '.join(names)} has N <= {max_n}; "

@@ -104,6 +104,12 @@ def test_enumerate_words_multinomial_count(m):
     assert len(set(words)) == len(words)
 
 
+def test_enumerate_words_is_the_sorted_set_of_permutations():
+    for c in iter_compositions(7):
+        word = tuple(cls for cls, part in enumerate(c.m, start=1) for _ in range(part))
+        assert enumerate_words(c) == sorted(set(itertools.permutations(word))), c.m
+
+
 def test_enumerate_words_refuses_a_word_space_too_large_up_front(monkeypatch):
     import mlqtasep.core as core
 
@@ -502,6 +508,21 @@ def test_orbit_representatives_are_the_first_queues_of_the_enumeration(m):
     assert all(q[0][-1] for q in representatives)
     if c.n >= 3:
         assert tuple(representatives) == project_orbit_representatives(c)[0].queues
+
+
+@pytest.mark.parametrize(
+    "caller",
+    ["enumerate_mlqs", "orbit_representatives", "_ring_rows", "project_queues", "project_orbit_representatives"],
+)
+def test_row_listing_refuses_before_listing_a_row(monkeypatch, caller):
+    import mlqtasep.core as core
+
+    # every space-building caller lists its rows through _rows, which
+    # refuses the 250 queues of (1,1,2,1) before any row pattern is listed
+    monkeypatch.setattr(core, "MAX_QUEUES", 249)
+    monkeypatch.setattr(core, "_row_patterns", None)
+    with pytest.raises(ValueError, match=r"m = \(1, 1, 2, 1\) has 250 multiline queues"):
+        getattr(core, caller)(build_composition((1, 1, 2, 1)))
 
 
 def test_orbit_representatives_refuse_a_queue_space_too_large(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from mlqtasep.chains import ChainGraph, build_fm_chain, build_tasep_chain
 from mlqtasep.core import (
+    Composition,
     build_composition,
     bully_projection,
     enumerate_mlqs,
@@ -19,6 +20,7 @@ from mlqtasep.core import (
 )
 from mlqtasep.poly import LaurentPoly, q_int_derivative
 from mlqtasep.verify import (
+    SUITES,
     check_coupe_theorem,
     check_fm1_theorem,
     check_fm3_theorem,
@@ -692,18 +694,49 @@ def test_point_check_failure_is_reported(monkeypatch, check, m, counterexample):
 
 
 def test_lw_positivity():
-    report3 = check_lw_normalization_and_positivity(3)
+    report3 = check_lw_normalization_and_positivity(build_composition((1, 1, 1)))
     assert report3.ok, report3.counterexample
-    report4 = check_lw_normalization_and_positivity(4)
+    report4 = check_lw_normalization_and_positivity(build_composition((1, 1, 1, 1)))
     assert report4.ok, report4.counterexample
 
 
 def test_identity_counts():
-    assert check_identity_count(2).details["enumerated"] == 1
-    three = check_identity_count(3)
+    assert check_identity_count(build_composition((1, 1))).details["enumerated"] == 1
+    three = check_identity_count(build_composition((1, 1, 1)))
     assert three.ok and three.details == {"enumerated": 2, "formula": 2}
-    four = check_identity_count(4)
+    four = check_identity_count(build_composition((1, 1, 1, 1)))
     assert four.ok and four.details == {"enumerated": 9, "formula": 9}
+
+
+@pytest.mark.parametrize(
+    "check, m",
+    [
+        (check_lw_normalization_and_positivity, (1, 2)),
+        (check_lw_normalization_and_positivity, (2, 1, 1)),
+        (check_lw_normalization_and_positivity, (1, 1, 1, 1, 1, 1)),
+        (check_identity_count, (1, 2)),
+        (check_identity_count, (2, 1, 1)),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_permutation_suites_refuse_other_compositions(check, m):
+    with pytest.raises(ValueError, match=r"m = \(1\^n\)"):
+        check(build_composition(m))
+
+
+@pytest.mark.parametrize("suite, cap, count", [("lw", 5, 3), ("identity", 6, 5)])
+def test_permutation_suites_list_their_compositions_up_to_their_cap(monkeypatch, suite, cap, count):
+    # --max-N 40 lists (1^n) up to the suite's cap only: one more input
+    # listed fails the test
+    bound_suite_inputs(monkeypatch, suite, count)
+    reports = run_suites([suite], 40)
+    assert [report.composition for report in reports] == [(1,) * n for n in range(cap - count + 1, cap + 1)]
+    assert golden_form(reports) == golden_form(run_suites([suite], cap))
+
+
+def test_every_suite_lists_compositions():
+    for name, (inputs, _) in SUITES.items():
+        assert all(isinstance(c, Composition) for c in inputs(6)), name
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +981,7 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
     [
         (check_fm3_theorem, build_composition((1, 2, 2))),
         (check_coupe_theorem, build_composition((1, 2, 2))),
-        (check_lw_normalization_and_positivity, 3),
+        (check_lw_normalization_and_positivity, build_composition((1, 1, 1))),
         # 500 queues, above SOLVE_CAP, and 250, under it: fm1's point
         # solves run on its orbit chain, so it never projects every queue
         (check_fm1_theorem, build_composition((1, 1, 1, 2))),
@@ -958,7 +991,7 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
 )
 def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
     # one projection pass per report: fm3 and coupe read the one their
-    # chain carries, lw(3) makes its own, and fm1 and zpart project their
+    # chain carries, lw makes its own, and fm1 and zpart project their
     # mlq_count / N orbit representatives only, never the whole queue space
     import mlqtasep.core as core
 
@@ -971,9 +1004,8 @@ def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
 
     monkeypatch.setattr(core, "_project", spy)
     assert check(arg).ok
-    c = build_composition((1,) * arg) if isinstance(arg, int) else arg
     orbits = check in (check_fm1_theorem, check_partition_function)
-    assert passes == [mlq_count(c) // c.N if orbits else mlq_count(c)]
+    assert passes == [mlq_count(arg) // arg.N if orbits else mlq_count(arg)]
 
 
 def test_failure_helpers_counterexamples():
