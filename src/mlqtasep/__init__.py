@@ -18,6 +18,6 @@ from .core import (
     parse_word,
     ringing_transition,
 )
-from .poly import LaurentPoly, complete_homogeneous, parse_poly, q_int_derivative
+from .poly import LaurentPoly, parse_poly, q_int_derivative
 
 __version__ = "0.1.0"

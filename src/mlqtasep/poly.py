@@ -3,9 +3,11 @@
 All stationary weights, transition rates and partition functions in this
 package are exact objects in Z[x1^-1, x1, ..., xk^-1, xk].  Terms are kept
 in a dict mapping exponent tuples (one signed integer per variable) to a
-nonzero int coefficient; the zero polynomial is the empty dict.  Printing
-uses a fixed graded order so rendered strings are stable across runs and
-can be used as golden fixtures.
+nonzero int coefficient; the zero polynomial is the empty dict.  A
+polynomial carries no variable names: text(names) chooses them when it
+prints, x1..xk unless told otherwise.  Printing uses a fixed graded order
+so rendered strings are stable across runs and can be used as golden
+fixtures.
 """
 
 from __future__ import annotations
@@ -13,23 +15,28 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
-def _default_names(nvars: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(nvars))
+def _names(names: Sequence[str] | None, nvars: int) -> tuple[str, ...]:
+    """One distinct name per variable, x1..xk when none are given."""
+    if names is None:
+        return tuple(f"x{i + 1}" for i in range(nvars))
+    if len(names) != nvars or len(set(names)) != nvars:
+        raise ValueError(f"need {nvars} distinct names, got {tuple(names)}")
+    return tuple(names)
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with int coefficients.
 
-    Equality is structural (same variable count, same term dict); display
-    names do not participate in comparisons.
+    Equality is structural (same variable count, same term dict).  The
+    variables have no names until text(names) prints them.
     """
 
-    __slots__ = ("nvars", "terms", "names")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms=None, names: Sequence[str] | None = None):
+    def __init__(self, nvars: int, terms=None):
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
         clean: dict[tuple[int, ...], int] = {}
@@ -41,7 +48,6 @@ class LaurentPoly:
                 clean[exps] = int(coeff)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "names", tuple(names) if names else _default_names(nvars))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -49,28 +55,28 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, names=None) -> "LaurentPoly":
-        return cls(nvars, {}, names)
+    def zero(cls, nvars: int) -> "LaurentPoly":
+        return cls(nvars, {})
 
     @classmethod
-    def constant(cls, value: int, nvars: int, names=None) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: value}, names)
+    def constant(cls, value: int, nvars: int) -> "LaurentPoly":
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def one(cls, nvars: int, names=None) -> "LaurentPoly":
-        return cls.constant(1, nvars, names)
+    def one(cls, nvars: int) -> "LaurentPoly":
+        return cls.constant(1, nvars)
 
     @classmethod
-    def variable(cls, index: int, nvars: int, names=None) -> "LaurentPoly":
+    def variable(cls, index: int, nvars: int) -> "LaurentPoly":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1}, names)
+        return cls(nvars, {exps: 1})
 
     @classmethod
-    def monomial(cls, coeff: int, exps: Sequence[int], names=None) -> "LaurentPoly":
+    def monomial(cls, coeff: int, exps: Sequence[int]) -> "LaurentPoly":
         exps = tuple(exps)
-        return cls(len(exps), {exps: coeff}, names)
+        return cls(len(exps), {exps: coeff})
 
     # -- basic structure ---------------------------------------------------
 
@@ -100,7 +106,7 @@ class LaurentPoly:
                 )
             return other
         if isinstance(other, int):
-            return LaurentPoly.constant(other, self.nvars, self.names)
+            return LaurentPoly.constant(other, self.nvars)
         return NotImplemented
 
     def __add__(self, other) -> "LaurentPoly":
@@ -114,14 +120,12 @@ class LaurentPoly:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        return LaurentPoly(self.nvars, terms, self.names)
+        return LaurentPoly(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(
-            self.nvars, {e: -c for e, c in self.terms.items()}, self.names
-        )
+        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -145,7 +149,7 @@ class LaurentPoly:
                     terms[exps] = new
                 else:
                     terms.pop(exps, None)
-        return LaurentPoly(self.nvars, terms, self.names)
+        return LaurentPoly(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -172,9 +176,10 @@ class LaurentPoly:
             key=lambda item: (sum(item[0]), tuple(-e for e in item[0])),
         )
 
-    def _term_str(self, exps: tuple[int, ...], coeff: int) -> str:
+    @staticmethod
+    def _term_str(names: Sequence[str], exps: tuple[int, ...], coeff: int) -> str:
         factors = []
-        for name, e in zip(self.names, exps):
+        for name, e in zip(names, exps):
             if e == 1:
                 factors.append(name)
             elif e != 0:
@@ -186,7 +191,10 @@ class LaurentPoly:
             return body
         return f"{abs(coeff)}*{body}"
 
-    def __str__(self) -> str:
+    def text(self, names: Sequence[str] | None = None) -> str:
+        """The canonical rendering with the variables named by names, x1..xk
+        by default; parse_poly with the same names inverts it."""
+        names = _names(names, self.nvars)
         if not self.terms:
             return "0"
         parts = []
@@ -195,8 +203,11 @@ class LaurentPoly:
                 sign = "-" if coeff < 0 else ""
             else:
                 sign = " - " if coeff < 0 else " + "
-            parts.append(sign + self._term_str(exps, coeff))
+            parts.append(sign + self._term_str(names, exps, coeff))
         return "".join(parts)
+
+    def __str__(self) -> str:
+        return self.text()
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -256,15 +267,14 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Lau
 
     Grammar: terms joined by + or -, each term a '*'-separated product of an
     optional integer coefficient and factors name or name^exp (exp may be
-    negative).  Inverse of str() for any polynomial with the same names.
+    negative).  Inverse of text(names) for any polynomial of nvars variables.
     """
-    names = tuple(names) if names else _default_names(nvars)
-    index = {name: i for i, name in enumerate(names)}
+    index = {name: i for i, name in enumerate(_names(names, nvars))}
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
     if text == "0":
-        return LaurentPoly.zero(nvars, names)
+        return LaurentPoly.zero(nvars)
     # Split into signed terms; a minus directly after ^ is an exponent sign.
     chunks = re.split(r"(?<!\^)\s*([+-])\s*", text)
     if chunks[0] == "":
@@ -273,7 +283,7 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Lau
         chunks = ["+"] + chunks
     if len(chunks) % 2 != 0:
         raise ValueError(f"cannot parse polynomial {text!r}")
-    result = LaurentPoly.zero(nvars, names)
+    result = LaurentPoly.zero(nvars)
     for sign, body in zip(chunks[0::2], chunks[1::2]):
         coeff = -1 if sign == "-" else 1
         exps = [0] * nvars
@@ -288,7 +298,7 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Lau
             if not m or m.group(1) not in index:
                 raise ValueError(f"unknown factor {factor!r} in {text!r}")
             exps[index[m.group(1)]] += int(m.group(2) or 1)
-        result = result + LaurentPoly.monomial(coeff, exps, names)
+        result = result + LaurentPoly.monomial(coeff, exps)
     return result
 
 
@@ -297,7 +307,7 @@ def x_vars(nvars: int) -> list[LaurentPoly]:
     return [LaurentPoly.variable(i, nvars) for i in range(nvars)]
 
 
-def q_int_derivative(k: int, d: int, names: Sequence[str] = ("q",)) -> LaurentPoly:
+def q_int_derivative(k: int, d: int) -> LaurentPoly:
     """d-th derivative of the q-integer [k]_q, in closed form.
 
     Equals d! * sum_{i=0}^{k-d-1} binom(i+d, i) q^i; for d >= k the sum is
@@ -308,32 +318,5 @@ def q_int_derivative(k: int, d: int, names: Sequence[str] = ("q",)) -> LaurentPo
     if d < 0:
         raise ValueError("derivative order must be nonnegative")
     fact = factorial(d)
-    return LaurentPoly(1, {(i,): fact * comb(i + d, i) for i in range(k - d)}, names)
+    return LaurentPoly(1, {(i,): fact * comb(i + d, i) for i in range(k - d)})
 
-
-def complete_homogeneous(k: int, gens: Iterable[LaurentPoly]) -> LaurentPoly:
-    """Complete homogeneous symmetric polynomial h_k evaluated at gens.
-
-    Computed by the layered recurrence over the generating function
-    prod_i 1/(1 - g_i t) truncated at degree k.
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    gens = list(gens)
-    if not gens:
-        return LaurentPoly.zero(0) if k > 0 else LaurentPoly.one(0)
-    nvars, names = gens[0].nvars, gens[0].names
-    # h[d] = h_d of the generators consumed so far.
-    h = [LaurentPoly.one(nvars, names)] + [LaurentPoly.zero(nvars, names)] * k
-    for g in gens:
-        powers = [LaurentPoly.one(nvars, names)]
-        for _ in range(k):
-            powers.append(powers[-1] * g)
-        new = [LaurentPoly.zero(nvars, names) for _ in range(k + 1)]
-        for d in range(k + 1):
-            acc = new[d]
-            for j in range(d + 1):
-                acc = acc + h[d - j] * powers[j]
-            new[d] = acc
-        h = new
-    return h[k]

@@ -24,7 +24,7 @@ from .chains import (
     build_fm_chain,
     build_tasep_chain,
 )
-from .core import Composition, build_composition
+from .core import Composition
 
 # process -> its chain builder.  The lambdas look the builders up at call
 # time, so a rebound module-level build_* (a tracing wrapper, say) is the one
@@ -57,9 +57,6 @@ class SimConfig:
     events: int = 1_000_000
     burn_in: float = 0.1
 
-    def composition(self) -> Composition:
-        return build_composition(self.m)
-
 
 def check_config(cfg: SimConfig) -> None:
     """ValueError unless the rates are positive, the event horizon is positive
@@ -80,12 +77,14 @@ class EmpiricalDistribution:
     events: int
 
 
-def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalDistribution:
+def gillespie_run(cfg: SimConfig, chain: ChainGraph) -> EmpiricalDistribution:
     """Time-weighted occupation fractions after burn-in.
 
     Holding times are exponential with the total-rate parameter and the next
     state is drawn proportionally to the outgoing rates; burn-in discards
-    the first burn_in fraction of events from the occupation tally.
+    the first burn_in fraction of events from the occupation tally.  chain
+    is cfg.process's graph on cfg.m, which the caller builds once
+    (build_process_chain) and may sample many times.
 
     One jump table per run holds each state's cumulative float rates, their
     total and its targets padded with the last (bisect_right may return the
@@ -94,8 +93,6 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalD
     3.10-3.13, so the draws and every float match a loop calling it.
     """
     check_config(cfg)
-    if chain is None:
-        chain = build_process_chain(cfg.process, cfg.composition())
     out = chain.out_records()
     distinct = {id(rate): rate for records in out for _, _, rate, _ in records}
     floats = {key: _float_rate(rate, cfg.rates) for key, rate in distinct.items()}

@@ -40,7 +40,7 @@ from .core import (
     ring_successors,
     word_label,
 )
-from .poly import LaurentPoly, complete_homogeneous, q_int_derivative
+from .poly import LaurentPoly, q_int_derivative
 from .solve import (
     lifted_irreducible,
     lump,
@@ -293,49 +293,48 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     return _report("fm1", c, "theorem", started, failure, details)
 
 
+def _binomial_series(M: int, top: int) -> LaurentPoly:
+    """sum_{i <= top} C(M + i - 1, i) a^i, the series of (1 - a)^-M cut at a^top."""
+    return LaurentPoly(1, {(i,): comb(M + i - 1, i) for i in range(top + 1)})
+
+
 def check_partition_function(c: Composition) -> SuiteReport:
     """Sum of a^(V1 - z1) over all queues against the two closed forms.
 
     The binomial product form and the q-integer derivative form are
-    asserted; the symmetric-function form as printed (h_{n-r} in r copies
-    of a) is only reported, since it rewrites the product correctly just
+    asserted; the symmetric-function form as printed, whose factor r is
+    h_{n-r}(1, a, ..., a) with r copies of a, computed as its binomial
+    series, is only reported, since it rewrites the product correctly just
     when N = n.
     """
     started = time.perf_counter()
     if c.m[0] != 1:
         raise ValueError("partition function suite needs m_1 = 1")
-    a_name = ("a",)
     # V1 - z1, the first conjectured exponent, once per rotation orbit of N
     # queues, on which the certificate makes it constant
     projection, equivariant = project_orbit_representatives(c)
     counts = Counter(exps[0] for exps in projection.exponents)
-    enumerated = LaurentPoly(1, {(e,): c.N * count for e, count in counts.items()}, a_name)
-    a = LaurentPoly.variable(0, 1, a_name)
-    one = LaurentPoly.one(1, a_name)
-    explicit = q_form = h_form = LaurentPoly.constant(c.N, 1, a_name)
+    enumerated = LaurentPoly(1, {(e,): c.N * count for e, count in counts.items()})
+    explicit = q_form = h_form = LaurentPoly.constant(c.N, 1)
     # q_form stays multiplied by the (M_r - 1)! each derivative is divided by
     factorials = 1
     for r in range(2, c.n):
         M = c.M[r - 1]
-        factor = LaurentPoly(
-            1,
-            {(i,): comb(M + i - 1, M - 1) for i in range(c.N - M + 1)},
-            a_name,
-        )
-        explicit = explicit * factor
-        q_form = q_form * q_int_derivative(c.N, M - 1, a_name)
+        explicit = explicit * _binomial_series(M, c.N - M)
+        q_form = q_form * q_int_derivative(c.N, M - 1)
         factorials *= factorial(M - 1)
-        h_form = h_form * complete_homogeneous(c.n - r, [one] + [a] * r)
+        h_form = h_form * _binomial_series(r, c.n - r)
+    a = ("a",)
     failure = None
     if not equivariant:
         failure = {"check": "projection-rotation"}
     elif enumerated != explicit:
-        failure = {"check": "enumeration-vs-binomial-product", "enumerated": str(enumerated), "explicit": str(explicit)}
-    elif explicit * LaurentPoly.constant(factorials, 1, a_name) != q_form:
+        failure = {"check": "enumeration-vs-binomial-product", "enumerated": enumerated.text(a), "explicit": explicit.text(a)}
+    elif explicit * factorials != q_form:
         failure = {"check": "binomial-product-vs-q-derivative"}
     details = {
-        "partition_function": str(enumerated),
-        "h_form": str(h_form),
+        "partition_function": enumerated.text(a),
+        "h_form": h_form.text(a),
         "h_form_matches": h_form == explicit,
     }
     return _report("zpart", c, "theorem", started, failure, details)

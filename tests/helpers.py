@@ -4,7 +4,8 @@ The two closed-form weights are the paper's special cases of the
 conjectured weight, kept here in their own form so that tests can check
 conjectured_exponents against them; conjectured_exponents reads the
 exponents off the z-statistics, the oracle of the per-row rule in core.
-q_int is the oracle of q_int_derivative.  reference_projection is the
+q_int is the oracle of q_int_derivative; h_bruteforce, h_k summed over
+multisets, that of verify's binomial series.  reference_projection is the
 whole-queue bully-path projection, the oracle of the row-step fold in
 core; reference_project_row labels one lower row pattern from one upper
 row, sorting the paths anew for each pair, the oracle of
@@ -49,7 +50,7 @@ import random
 import time
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -334,11 +335,23 @@ def conjectured_exponents(labeling: BullyLabeling) -> tuple[int, ...]:
     return _exponents_of_z(labeling.composition, labeling.z)
 
 
-def q_int(k: int, names=("q",)) -> LaurentPoly:
+def q_int(k: int) -> LaurentPoly:
     """The q-integer 1 + q + ... + q^(k-1)."""
     if k < 0:
         raise ValueError("q-integer index must be nonnegative")
-    return LaurentPoly(1, {(i,): 1 for i in range(k)}, names)
+    return LaurentPoly(1, {(i,): 1 for i in range(k)})
+
+
+def h_bruteforce(k: int, gens: Sequence[LaurentPoly]) -> LaurentPoly:
+    """h_k(gens): the sum of every product of k generators, taken with
+    repetition and without regard to order."""
+    total = LaurentPoly.zero(gens[0].nvars)
+    for combo in combinations_with_replacement(gens, k):
+        term = LaurentPoly.one(gens[0].nvars)
+        for g in combo:
+            term = term * g
+        total = total + term
+    return total
 
 
 OrderFn = Callable[[int, int, list[int]], list[int]]
@@ -475,7 +488,7 @@ def reference_gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> 
     the first burn_in fraction of events from the occupation tally.
     """
     if chain is None:
-        chain = build_process_chain(cfg.process, cfg.composition())
+        chain = build_process_chain(cfg.process, build_composition(cfg.m))
     if any(rate <= 0 for rate in cfg.rates):
         raise ValueError("rates must be positive")
     if cfg.events <= 0:

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -9,13 +8,13 @@ from hypothesis import strategies as st
 
 from mlqtasep.poly import (
     LaurentPoly,
-    complete_homogeneous,
     eval_common,
     parse_poly,
     q_int_derivative,
     x_vars,
 )
-from helpers import q_int, reference_eval
+from mlqtasep.verify import _binomial_series
+from helpers import h_bruteforce, q_int, reference_eval
 
 X2_OVER_X1 = LaurentPoly.monomial(1, (-1, 1))
 
@@ -63,9 +62,9 @@ def test_positivity_check():
 
 
 def test_q_int_derivative_closed_form():
-    assert str(q_int_derivative(3, 0)) == "1 + q + q^2"
-    assert str(q_int_derivative(3, 1)) == "1 + 2*q"
-    assert q_int_derivative(4, 2) == LaurentPoly(1, {(0,): 2, (1,): 6}, ("q",))
+    assert q_int_derivative(3, 0).text(("q",)) == "1 + q + q^2"
+    assert q_int_derivative(3, 1).text(("q",)) == "1 + 2*q"
+    assert q_int_derivative(4, 2) == LaurentPoly(1, {(0,): 2, (1,): 6})
     assert q_int_derivative(3, 3).is_zero()
     assert q_int_derivative(3, 7).is_zero()
 
@@ -75,7 +74,7 @@ def _formal_derivative(p: LaurentPoly) -> LaurentPoly:
     for (e,), c in p.terms.items():
         if e != 0:
             terms[(e - 1,)] = terms.get((e - 1,), 0) + c * e
-    return LaurentPoly(1, terms, p.names)
+    return LaurentPoly(1, terms)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -87,35 +86,22 @@ def test_q_int_derivative_matches_termwise_oracle(k):
         assert q_int_derivative(k, d) == expected
 
 
-def _h_bruteforce(k, gens):
-    total = LaurentPoly.zero(gens[0].nvars, gens[0].names)
-    for combo in combinations_with_replacement(gens, k):
-        term = LaurentPoly.one(gens[0].nvars, gens[0].names)
-        for g in combo:
-            term = term * g
-        total = total + term
-    return total
-
-
 def test_complete_homogeneous_small_cases():
-    a = LaurentPoly.variable(0, 1, ("a",))
-    one = LaurentPoly.one(1, ("a",))
-    assert str(complete_homogeneous(1, [one, a, a])) == "1 + 2*a"
-    assert complete_homogeneous(0, [one, a, a]) == LaurentPoly.one(1, ("a",))
-    assert str(complete_homogeneous(2, [one, a])) == "1 + a + a^2"
-    assert complete_homogeneous(2, [one, a]) == _h_bruteforce(2, [one, a])
-    # no generators: h_0 = 1 and h_k = 0 for k > 0
-    assert complete_homogeneous(0, []) == LaurentPoly.one(0)
-    assert complete_homogeneous(2, []) == LaurentPoly.zero(0)
+    # h_k(1, a, ..., a) with r copies of a is _binomial_series(r, k)
+    a, one = LaurentPoly.variable(0, 1), LaurentPoly.one(1)
+    assert h_bruteforce(1, [one, a, a]).text(("a",)) == "1 + 2*a"
+    assert _binomial_series(2, 1).text(("a",)) == "1 + 2*a"
+    assert h_bruteforce(0, [one, a, a]) == _binomial_series(2, 0) == one
+    assert h_bruteforce(2, [one, a]).text(("a",)) == "1 + a + a^2"
+    assert _binomial_series(1, 2).text(("a",)) == "1 + a + a^2"
 
 
 @pytest.mark.parametrize("k,r", [(k, r) for k in range(9) for r in range(1, 7)])
 def test_complete_homogeneous_binomial_coefficients(k, r):
-    a = LaurentPoly.variable(0, 1, ("a",))
-    gens = [LaurentPoly.one(1, ("a",))] + [a] * r
-    h = complete_homogeneous(k, gens)
-    for i in range(k + 1):
-        assert h.terms.get((i,), 0) == comb(i + r - 1, i)
+    a = LaurentPoly.variable(0, 1)
+    h = _binomial_series(r, k)
+    assert h == h_bruteforce(k, [LaurentPoly.one(1)] + [a] * r)
+    assert h.terms == {(i,): comb(i + r - 1, i) for i in range(k + 1)}
 
 
 def _random_poly(rng, nvars, nterms, max_deg=3, laurent=False):
@@ -162,7 +148,7 @@ def test_str_parse_round_trip():
         1, (6, 5, 6, 2, 1)
     )
     assert parse_poly("0", 2).is_zero()
-    assert parse_poly("3 + 6*a", 1, ("a",)) == LaurentPoly(1, {(0,): 3, (1,): 6}, ("a",))
+    assert parse_poly("3 + 6*a", 1, ("a",)) == LaurentPoly(1, {(0,): 3, (1,): 6})
 
 
 @st.composite
@@ -176,10 +162,15 @@ def laurent_polys(draw, nvars=None):
     return LaurentPoly(nvars, draw(st.dictionaries(exps, st.integers(-50, 50), max_size=6)))
 
 
+NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
 @settings(max_examples=200, deadline=None)
-@given(laurent_polys())
-def test_parse_poly_inverts_str(p):
+@given(laurent_polys(), st.data())
+def test_parse_poly_inverts_str(p, data):
     assert parse_poly(str(p), p.nvars) == p
+    names = data.draw(st.lists(NAME, min_size=p.nvars, max_size=p.nvars, unique=True))
+    assert parse_poly(p.text(names), p.nvars, names) == p
 
 
 def _outcome(evaluate, *args):
@@ -217,8 +208,18 @@ def test_eval_matches_termwise_oracle(data):
 def test_str_canonical_order():
     x1, x2 = x_vars(2)
     assert str(x2 + x1) == "x1 + x2"
-    assert str(LaurentPoly.constant(3, 1, ("a",)) + 6 * LaurentPoly.variable(0, 1, ("a",))) == "3 + 6*a"
+    assert (LaurentPoly.constant(3, 1) + 6 * LaurentPoly.variable(0, 1)).text(("a",)) == "3 + 6*a"
     assert str(x1 * x1 - x2) == "-x2 + x1^2"
+    assert (x1 * x1 - x2).text(("u", "v")) == "-v + u^2"
+    # a missing, extra or repeated name would print or read a variable wrongly
+    with pytest.raises(ValueError, match=r"^need 2 distinct names, got \('a',\)$"):
+        x1.text(("a",))
+    with pytest.raises(ValueError, match="^need 2 distinct names, got "):
+        (x1 + x2).text(("a", "a"))
+    with pytest.raises(ValueError, match="^need 2 distinct names, got "):
+        parse_poly("c", 2, ("a", "b", "c"))
+    with pytest.raises(ValueError, match="^need 2 distinct names, got "):
+        parse_poly("a", 2, ("a", "a"))
 
 
 def test_mismatched_nvars_rejected():

@@ -35,18 +35,19 @@ def _config(**overrides):
 
 
 def test_determinism():
-    a = gillespie_run(_config())
-    b = gillespie_run(_config())
+    chain = _small_chain("tasep", (1, 1, 1))
+    a = gillespie_run(_config(), chain)
+    b = gillespie_run(_config(), chain)
     assert a.fractions == b.fractions
     assert a.total_time == b.total_time
-    c = gillespie_run(_config(seed=8))
+    c = gillespie_run(_config(seed=8), chain)
     assert c.fractions != a.fractions
 
 
 def test_tasep_matches_exact_target():
     cfg = _config(events=200_000)
-    emp = gillespie_run(cfg)
     chain = build_tasep_chain(build_composition((1, 1, 1)))
+    emp = gillespie_run(cfg, chain)
     exact = stationary_solve(chain, cfg.rates)
     assert exact == [3, 2, 2, 3, 3, 2]
     report = compare_to_exact(emp, exact, tolerance=0.02)
@@ -55,7 +56,7 @@ def test_tasep_matches_exact_target():
 
 def test_uniform_multiline_target():
     cfg = _config(process="fm", m=(1, 1, 1), rates=(Fraction(1), Fraction(1)), events=100_000)
-    emp = gillespie_run(cfg)
+    emp = gillespie_run(cfg, _small_chain("fm", (1, 1, 1)))
     report = compare_to_exact(emp, [1] * 9, tolerance=0.02)
     assert report["passed"], report["tv"]
 
@@ -63,8 +64,8 @@ def test_uniform_multiline_target():
 def test_tv_shrinks_with_horizon():
     chain = build_tasep_chain(build_composition((1, 1, 1)))
     exact = stationary_solve(chain, (Fraction(2), Fraction(1)))
-    small = compare_to_exact(gillespie_run(_config(events=10_000)), exact, 1.0)
-    large = compare_to_exact(gillespie_run(_config(events=1_000_000)), exact, 1.0)
+    small = compare_to_exact(gillespie_run(_config(events=10_000), chain), exact, 1.0)
+    large = compare_to_exact(gillespie_run(_config(events=1_000_000), chain), exact, 1.0)
     assert large["tv"] < small["tv"]
 
 
@@ -186,26 +187,27 @@ def test_gillespie_run_refuses_what_the_expovariate_loop_refuses():
 
 
 def test_csv_output_stable():
-    emp = gillespie_run(_config(events=5_000))
     chain = build_tasep_chain(build_composition((1, 1, 1)))
+    emp = gillespie_run(_config(events=5_000), chain)
     exact = stationary_solve(chain, (Fraction(2), Fraction(1)))
     report = compare_to_exact(emp, exact, 0.05)
     text = to_csv(emp, report)
     assert text.splitlines()[0] == "state,empirical,exact,z_score"
     assert len(text.splitlines()) == 7
-    assert text == to_csv(gillespie_run(_config(events=5_000)), report)
+    assert text == to_csv(gillespie_run(_config(events=5_000), chain), report)
 
 
 def test_bad_config_rejected():
+    chain = _small_chain("tasep", (1, 1, 1))
     with pytest.raises(ValueError):
-        gillespie_run(_config(rates=(Fraction(0), Fraction(1))))
+        gillespie_run(_config(rates=(Fraction(0), Fraction(1))), chain)
     with pytest.raises(ValueError):
-        gillespie_run(_config(events=0))
+        gillespie_run(_config(events=0), chain)
     # rates whose floats overflow or underflow are refused before the run
     huge, tiny = Fraction(10**400), Fraction(1, 10**400)
     with pytest.raises(ValueError, match=r"rate x1 is inf as a float, .* x1=10{400}, x2=1$"):
-        gillespie_run(_config(rates=(huge, Fraction(1))))
+        gillespie_run(_config(rates=(huge, Fraction(1))), chain)
     with pytest.raises(ValueError, match=r"rate x2 is 0.0 as a float, .* x1=2, x2=1/10{400}$"):
-        gillespie_run(_config(rates=(Fraction(2), tiny)))
+        gillespie_run(_config(rates=(Fraction(2), tiny)), chain)
     with pytest.raises(ValueError):
         build_process_chain("nonsense", build_composition((1, 1)))

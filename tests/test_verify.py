@@ -18,7 +18,7 @@ from mlqtasep.core import (
     ring_successors,
     rotate,
 )
-from mlqtasep.poly import LaurentPoly, q_int_derivative
+from mlqtasep.poly import LaurentPoly, parse_poly, q_int_derivative
 from mlqtasep.verify import (
     SUITES,
     check_coupe_theorem,
@@ -40,6 +40,7 @@ from helpers import (
     GOLDEN_DIR,
     bound_suite_inputs,
     golden_form,
+    h_bruteforce,
     reference_block_sums,
     reference_fm1_theorem,
     reference_uniform_stationarity,
@@ -586,9 +587,9 @@ def test_partition_function_permutation_case():
 def test_partition_function_catches_a_wrong_q_derivative(monkeypatch):
     import mlqtasep.verify as verify
 
-    def wrong(k, d, names):
+    def wrong(k, d):
         # one coefficient off by d!, so the form stays a multiple of d!
-        return q_int_derivative(k, d, names) + LaurentPoly.constant(factorial(d), 1, names)
+        return q_int_derivative(k, d) + LaurentPoly.constant(factorial(d), 1)
 
     monkeypatch.setattr(verify, "q_int_derivative", wrong)
     report = check_partition_function(build_composition((1, 2, 3)))
@@ -623,6 +624,45 @@ def test_partition_function_catches_a_wrong_binomial_factor(monkeypatch):
     assert failure["check"] == "enumeration-vs-binomial-product"
     assert failure["enumerated"] == enumerated != failure["explicit"]
     assert report.details["partition_function"] == enumerated
+
+
+def test_partition_function_prints_a_wrong_enumeration_in_a(monkeypatch):
+    # one representative's V1 - z1 raised by one moves N queues up a power
+    # of a: the enumeration fails against the product, and both sides of the
+    # counterexample print in a
+    import mlqtasep.verify as verify
+
+    c = build_composition((1, 2, 3))
+    explicit = check_partition_function(c).details["partition_function"]
+    original = verify.project_orbit_representatives
+
+    def doctored(c):
+        projection, equivariant = original(c)
+        *rest, (e, *tail) = projection.exponents
+        return replace(projection, exponents=(*rest, (e + 1, *tail))), equivariant
+
+    monkeypatch.setattr(verify, "project_orbit_representatives", doctored)
+    report = check_partition_function(c)
+    failure = report.counterexample
+    assert report.status == "fail"
+    assert failure["check"] == "enumeration-vs-binomial-product"
+    assert failure["explicit"] == explicit == "6 + 18*a + 36*a^2 + 60*a^3"
+    enumerated, product = (parse_poly(failure[key], 1, ("a",)) for key in ("enumerated", "explicit"))
+    assert enumerated != product and enumerated.eval([1]) == product.eval([1])
+    assert report.details["partition_function"] == failure["enumerated"]
+
+
+def test_partition_function_h_form_is_the_product_of_complete_homogeneous_polynomials():
+    # factor r is h_{n-r}(1, a, ..., a) with r copies of a, summed over
+    # multisets here and printed in a
+    a, one = LaurentPoly.variable(0, 1), LaurentPoly.one(1)
+    compositions = list(SUITES["zpart"][0](6))
+    assert len(compositions) == 26
+    for c in compositions:
+        expected = LaurentPoly.constant(c.N, 1)
+        for r in range(2, c.n):
+            expected = expected * h_bruteforce(c.n - r, [one] + [a] * r)
+        assert check_partition_function(c).details["h_form"] == expected.text(("a",))
 
 
 def test_lift_reports_match_the_golden_lift():
