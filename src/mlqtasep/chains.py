@@ -145,6 +145,12 @@ class ChainGraph:
                 k += 1
         return tuple(orbit)
 
+    @functools.cached_property
+    def rotation_heads(self) -> tuple[int, ...]:
+        """Per state, the first state of its orbit in rotation_orbits."""
+        first: dict[int, int] = {}
+        return tuple(first.setdefault(block, state) for state, block in enumerate(self.rotation_orbits))
+
 
 # ---------------------------------------------------------------------------
 # Word process

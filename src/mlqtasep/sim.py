@@ -26,15 +26,14 @@ from .chains import (
 )
 from .core import Composition
 
-# process -> its chain builder.  The lambdas look the builders up at call
-# time, so a rebound module-level build_* (a tracing wrapper, say) is the one
-# that runs.
-PROCESSES: dict[str, Callable[[Composition], ChainGraph]] = {
-    "tasep": lambda c: build_tasep_chain(c),
-    "fm": lambda c: build_fm_chain(c, "uniform"),
-    "fm3": lambda c: build_fm_chain(c, "three_species"),
-    "fm1": lambda c: build_fm_chain(c, "one_first_class"),
-    "coupe": lambda c: build_coupe_chain(c),
+# process -> (the kind of the chain it builds, its builder).  The lambdas look the
+# builders up at call time, so a rebound build_* (a tracing wrapper, say) runs.
+PROCESSES: dict[str, tuple[str, Callable[[Composition], ChainGraph]]] = {
+    "tasep": ("tasep", lambda c: build_tasep_chain(c)),
+    "fm": ("fm-uniform", lambda c: build_fm_chain(c, "uniform")),
+    "fm3": ("fm-three_species", lambda c: build_fm_chain(c, "three_species")),
+    "fm1": ("fm-one_first_class", lambda c: build_fm_chain(c, "one_first_class")),
+    "coupe": ("coupe", lambda c: build_coupe_chain(c)),
 }
 
 
@@ -45,7 +44,7 @@ class AbsorbingStateError(Exception):
 def build_process_chain(process: str, c: Composition) -> ChainGraph:
     if process not in PROCESSES:
         raise ValueError(f"unknown process {process!r}")
-    return PROCESSES[process](c)
+    return PROCESSES[process][1](c)
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph) -> EmpiricalDistribution:
     state is drawn proportionally to the outgoing rates; burn-in discards
     the first burn_in fraction of events from the occupation tally.  chain
     is cfg.process's graph on cfg.m, which the caller builds once
-    (build_process_chain) and may sample many times.
+    (build_process_chain) and may sample many times; ValueError if it is not.
 
     One jump table per run holds each state's cumulative float rates, their
     total and its targets padded with the last (bisect_right may return the
@@ -93,6 +92,8 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph) -> EmpiricalDistribution:
     3.10-3.13, so the draws and every float match a loop calling it.
     """
     check_config(cfg)
+    if (PROCESSES.get(cfg.process, ("",))[0], tuple(cfg.m)) != (chain.kind, chain.composition.m):
+        raise ValueError(f"config is {cfg.process} on m = {cfg.m}, chain is {chain.kind} on m = {chain.composition.m}")
     out = chain.out_records()
     distinct = {id(rate): rate for records in out for _, _, rate, _ in records}
     floats = {key: _float_rate(rate, cfg.rates) for key, rate in distinct.items()}

@@ -32,38 +32,54 @@ class ReducibleChainError(Exception):
         super().__init__(reason or f"stationary space has dimension {dimension}, expected 1")
 
 
+def orbit_heads(g: ChainGraph, weights: Sequence[LaurentPoly]) -> Sequence[int]:
+    """g.rotation_heads on a word chain with weights equal along each orbit,
+    else each state itself; queue chains are not searched, as their rotation
+    search would cost about what it saves."""
+    heads = g.rotation_heads if g.kind == "tasep" else range(len(weights))
+    constant = all(weights[head] is w or weights[head] == w for head, w in zip(heads, weights))
+    return heads if constant else range(len(weights))
+
+
 def master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[LaurentPoly]:
     """Per-state balance: sum of incoming rate * weight minus outgoing.
 
-    Each state's residual is summed in one exponent -> coefficient dict,
-    every term of rate * weight added at the destination and subtracted at
-    the source, and a term is dropped as soon as it cancels to 0 (the last
-    one by clear(), which also frees the table an emptied dict keeps).
+    Summed at the states that are their own orbit_heads, whose residual
+    objects the rest of each orbit shares, in one exponent -> coefficient
+    dict per state: every term of rate * weight added at the destination and
+    subtracted at the source, and a term dropped as soon as it cancels to 0
+    (the last one by clear(), which also frees the table an emptied dict keeps).
     """
     if len(weights) != len(g.states):
         raise ValueError("need one weight per state")
-    sums: list[dict[tuple[int, ...], int]] = [{} for _ in g.states]
+    heads = orbit_heads(g, weights)
+    sums = [{} if head == state else None for state, head in enumerate(heads)]
     for src, dst, rate, _ in g.transitions:
         into, out = sums[dst], sums[src]
+        if into is None and out is None:
+            continue
         for e1, c1 in rate.terms.items():
             for e2, c2 in weights[src].terms.items():
                 exps, coeff = tuple(map(add, e1, e2)), c1 * c2
-                total = into.get(exps, 0) + coeff
-                if total:
-                    into[exps] = total
-                elif len(into) > 1:
-                    del into[exps]
-                else:
-                    into.clear()
-                total = out.get(exps, 0) - coeff
-                if total:
-                    out[exps] = total
-                elif len(out) > 1:
-                    del out[exps]
-                else:
-                    out.clear()
+                if into is not None:
+                    total = into.get(exps, 0) + coeff
+                    if total:
+                        into[exps] = total
+                    elif len(into) > 1:
+                        del into[exps]
+                    else:
+                        into.clear()
+                if out is not None:
+                    total = out.get(exps, 0) - coeff
+                    if total:
+                        out[exps] = total
+                    elif len(out) > 1:
+                        del out[exps]
+                    else:
+                        out.clear()
     zero = LaurentPoly.zero(g.nvars)
-    return [LaurentPoly(g.nvars, terms) if terms else zero for terms in sums]
+    residuals = [LaurentPoly(g.nvars, terms) if terms else zero for terms in sums]
+    return [residuals[head] for head in heads]
 
 
 def residual_at_point(
@@ -174,18 +190,14 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     values = dict(zip(distinct, numerators))
     rates = [values[id(rate)] for _, _, rate, _ in g.transitions]
     connected = all(v > 0 for v in values.values()) and g.irreducible
-    orbit = g.rotation_orbits if connected else range(n)
-    heads: list[int] = []  # each orbit's first state
-    for state, block in enumerate(orbit):
-        if block == len(heads):
-            heads.append(state)
-    k = len(heads)
+    orbit, heads = (g.rotation_orbits, g.rotation_heads) if connected else (range(n), range(n))
+    k = max(orbit) + 1
     quotient: list[dict[int, int]] = [{} for _ in range(k)]
     for (src, dst, _, _), value in zip(g.transitions, rates):
         block, into = orbit[src], orbit[dst]
-        if heads[into] == dst:
+        if heads[dst] == dst:
             quotient[into][block] = quotient[into].get(block, 0) + value
-        if heads[block] == src:
+        if heads[src] == src:
             quotient[block][block] = quotient[block].get(block, 0) - value
     modulus, residues = 1, [0] * k
     for exponent in _MERSENNE_EXPONENTS:

@@ -45,6 +45,7 @@ from .solve import (
     lifted_irreducible,
     lump,
     master_residual,
+    orbit_heads,
     point_vector,
     stationary_solve,
 )
@@ -146,9 +147,12 @@ def _monomials(exponents: Sequence[tuple[int, ...]]) -> list[LaurentPoly]:
 
 def _point_failure(chain: ChainGraph, weights: Sequence[LaurentPoly], points, check: str) -> dict | None:
     """Counterexample at the first rate point where the exact solve of chain
-    is not the weights' values, or None."""
+    is not the weights' values, each evaluated at its orbit_heads, or None."""
+    heads = orbit_heads(chain, weights)
+    firsts = sorted(set(heads))
     for point in points:
-        if stationary_solve(chain, point) != point_vector(weights, point):
+        values = dict(zip(firsts, point_vector([weights[head] for head in firsts], point)))
+        if stationary_solve(chain, point) != [values[head] for head in heads]:
             return {"check": check, "point": [str(x) for x in point]}
     return None
 
@@ -169,6 +173,25 @@ def _aggregated_weights(word_chain: ChainGraph, projection: QueueProjection) -> 
     for word, exps in zip(projection.words, projection.exponents):
         exponents[word][exps] += 1
     return [LaurentPoly(word_chain.nvars, exponents[w]) for w in word_chain.states]
+
+
+def _word_weights(c: Composition) -> tuple[ChainGraph, list[LaurentPoly], dict | None]:
+    """c's word chain, _aggregated_weights over all of c's queues, and None.
+    For m_1 = 1 the sums come from the orbit representatives, one object per
+    rotation orbit, each counted at every turn of its word that heads an
+    orbit, with the failure of their projection-rotation certificate."""
+    word_chain = build_tasep_chain(c)
+    if c.m[0] != 1:
+        return word_chain, _aggregated_weights(word_chain, project_queues(c)), None
+    projection, equivariant = project_orbit_representatives(c)
+    heads, index = word_chain.rotation_heads, {w: i for i, w in enumerate(word_chain.states)}
+    onto_heads = {w: [i for i in (index[w[k:] + w[:k]] for k in range(c.N)) if heads[i] == i] for w in set(projection.words)}
+    exponents = [Counter() for _ in heads]
+    for (word, exps), count in Counter(zip(projection.words, projection.exponents)).items():
+        for i in onto_heads[word]:
+            exponents[i][exps] += count
+    weights = [LaurentPoly(word_chain.nvars, terms) for terms in exponents]
+    return word_chain, [weights[head] for head in heads], None if equivariant else {"check": "projection-rotation"}
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +371,10 @@ def check_partition_function(c: Composition) -> SuiteReport:
 def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Aggregated monomial queue weights against the exact word solution."""
     started = time.perf_counter()
-    chain = build_tasep_chain(c)
-    sums = _aggregated_weights(chain, project_queues(c))
+    chain, sums, failure = _word_weights(c)
     details: dict = {"words": len(chain.states), "queues": mlq_count(c)}
-    failure = None
     empty = next((i for i, s in enumerate(sums) if s.is_zero()), None)
-    if empty is not None:
+    if failure is None and empty is not None:
         failure = {"check": "projection-misses-word", "word": chain.state_label(empty)}
     if failure is None:
         failure = _residual_failure(chain, sums, "symbolic-residual")
@@ -375,11 +396,9 @@ def check_lw_normalization_and_positivity(c: Composition) -> SuiteReport:
     n = c.n
     if c.m != (1,) * n or not 3 <= n <= 5:
         raise ValueError("positivity suite covers m = (1^n) for n = 3, 4, 5")
-    failure = None
     details: dict = {}
-    word_chain = build_tasep_chain(c)
-    sums = _aggregated_weights(word_chain, project_queues(c))
-    if _residual_failure(word_chain, sums) is not None:
+    word_chain, sums, failure = _word_weights(c)
+    if failure is None and _residual_failure(word_chain, sums) is not None:
         failure = {"check": "weights-not-stationary"}
     if failure is None:
         w0 = tuple(range(n, 0, -1))

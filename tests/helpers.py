@@ -39,7 +39,12 @@ oracle of ChainGraph.rotation_orbits; unrolled_chain spells out the
 cover of a voltage graph, the oracle of solve.lifted_irreducible, and
 turn_to_representative turns a queue with m_1 = 1 to its orbit's
 representative.  reference_block_sums adds up fm3's block sums queue by
-queue, the oracle of verify's word aggregation.  bound_suite_inputs
+queue, the oracle of verify's word aggregation.
+reference_master_residual sums the balance at every state, the oracle of
+solve.master_residual, which sums it at one state per rotation orbit of a
+word chain whose weights are orbit-constant; full_word_weights is a word
+chain with verify's aggregation of every queue onto it, the oracle of the
+orbit representatives' word weights.  bound_suite_inputs
 caps how far run_suites may list a suite's inputs.  golden_form puts
 reports in the form of the benchmark's golden files under GOLDEN_DIR.
 """
@@ -51,12 +56,13 @@ import time
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
+from operator import add
 from pathlib import Path
 from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
-from mlqtasep.chains import ChainGraph, Coupe, TransitionRecord, _move_left, build_fm_chain
+from mlqtasep.chains import ChainGraph, Coupe, TransitionRecord, _move_left, build_fm_chain, build_tasep_chain
 from mlqtasep.core import (
     BullyLabeling,
     Composition,
@@ -66,6 +72,7 @@ from mlqtasep.core import (
     bully_projection,
     composition_of_queue,
     enumerate_words,
+    project_queues,
     queue_label,
     rotate,
 )
@@ -592,6 +599,48 @@ def reference_uniform_stationarity(c: Composition) -> verify.SuiteReport:
             # vector at rate one; with irreducibility this pins uniqueness
             details["method"] = "balance-certificate"
     return verify._report("uniform", c, "theorem", started, failure, details)
+
+
+def reference_master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """Per-state balance: sum of incoming rate * weight minus outgoing.
+
+    Each state's residual is summed in one exponent -> coefficient dict,
+    every term of rate * weight added at the destination and subtracted at
+    the source, and a term is dropped as soon as it cancels to 0 (the last
+    one by clear(), which also frees the table an emptied dict keeps).
+    """
+    if len(weights) != len(g.states):
+        raise ValueError("need one weight per state")
+    sums: list[dict[tuple[int, ...], int]] = [{} for _ in g.states]
+    for src, dst, rate, _ in g.transitions:
+        into, out = sums[dst], sums[src]
+        for e1, c1 in rate.terms.items():
+            for e2, c2 in weights[src].terms.items():
+                exps, coeff = tuple(map(add, e1, e2)), c1 * c2
+                total = into.get(exps, 0) + coeff
+                if total:
+                    into[exps] = total
+                elif len(into) > 1:
+                    del into[exps]
+                else:
+                    into.clear()
+                total = out.get(exps, 0) - coeff
+                if total:
+                    out[exps] = total
+                elif len(out) > 1:
+                    del out[exps]
+                else:
+                    out.clear()
+    zero = LaurentPoly.zero(g.nvars)
+    return [LaurentPoly(g.nvars, terms) if terms else zero for terms in sums]
+
+
+@functools.lru_cache(maxsize=None)
+def full_word_weights(m: tuple[int, ...]) -> tuple[ChainGraph, tuple[LaurentPoly, ...]]:
+    """The word chain of m and, per word, the sum of the conjectured
+    monomials of all of m's queues that project to it."""
+    chain = build_tasep_chain(build_composition(m))
+    return chain, tuple(verify._aggregated_weights(chain, project_queues(chain.composition)))
 
 
 def reference_rotation_orbits(g: ChainGraph, point: Sequence[Fraction]) -> tuple[int, ...]:

@@ -1,19 +1,32 @@
-"""master_residual against the residual in LaurentPoly ring arithmetic.
+"""master_residual against the residual in LaurentPoly ring arithmetic,
+and against the full loop on word chains.
 
 The reference forms each transition's flow rate * weight as a polynomial
 and adds it at the target and subtracts it at the source with LaurentPoly's
 own + and -.  It shares no code with the term-dict accumulation of
 master_residual; the property runs both on random small chains whose rates
 and weights are Laurent polynomials of several terms that cancel.
+
+On a word chain whose weights are equal along each rotation orbit,
+master_residual sums one word per orbit; reference_master_residual sums
+every word.  They must agree on every word chain with N <= 6, for the
+aggregated queue weights, for drawn weights that are orbit-constant (one
+object per orbit, or equal copies) and for drawn weights that are not.
 """
 
+import random
+from functools import lru_cache
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlqtasep.chains import ChainGraph, TransitionRecord
+from mlqtasep.chains import ChainGraph, TransitionRecord, build_tasep_chain
 from mlqtasep.core import build_composition
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.solve import master_residual
+from mlqtasep.verify import check_main_conjecture, iter_compositions
+from helpers import compositions_up_to_six, full_word_weights, reference_master_residual
 
 
 def oracle_residual(g: ChainGraph, weights) -> list[LaurentPoly]:
@@ -73,3 +86,109 @@ def test_master_residual_matches_the_ring_arithmetic(case):
     assert residuals == expected
     assert [r.is_zero() for r in residuals] == [r.is_zero() for r in expected]
     assert all(residuals[state].is_zero() for state in balanced)
+
+
+# ---------------------------------------------------------------------------
+# Word chains: the residual at one word per rotation orbit
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _word_chain(m):
+    return build_tasep_chain(build_composition(m))
+
+
+def _shares_per_orbit(chain, values) -> bool:
+    """Whether every state holds its orbit head's object."""
+    return all(value is values[head] for value, head in zip(values, chain.rotation_heads))
+
+
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6)], ids=str)
+def test_head_residual_equals_the_full_loop_on_the_aggregated_weights(m):
+    # the aggregated weights are orbit-constant on all 57 compositions, so
+    # the residual is summed at the heads and shared along each orbit
+    chain, weights = full_word_weights(m)
+    residuals = master_residual(chain, weights)
+    assert residuals == reference_master_residual(chain, weights)
+    assert _shares_per_orbit(chain, residuals)
+
+
+def _polys(nvars):
+    """Laurent polynomials in nvars variables of one to three terms, exponents in -2..2."""
+    exponents = st.tuples(*[st.integers(-2, 2)] * nvars)
+    terms = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    return terms.map(lambda terms: LaurentPoly(nvars, terms))
+
+
+@st.composite
+def word_chains_with_weights(draw):
+    """A word chain with N <= 6, weights picked from a small drawn pool, and
+    their shape: one object per orbit, equal copies per orbit, or one pick
+    per word, which is orbit-constant only by chance."""
+    chain = _word_chain(draw(compositions_up_to_six()).m)
+    pool = draw(st.lists(_polys(chain.nvars), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(["shared", "copies", "free"]))
+    heads = chain.rotation_heads
+    picks = {head: rng.choice(pool) for head in heads}
+    if shape == "shared":
+        weights = [picks[head] for head in heads]
+    elif shape == "copies":
+        weights = [LaurentPoly(chain.nvars, dict(picks[head].terms)) for head in heads]
+    else:
+        weights = [rng.choice(pool) for _ in heads]
+    return chain, weights, shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_chains_with_weights())
+def test_head_residual_equals_the_full_loop_on_drawn_weights(case):
+    chain, weights, shape = case
+    residuals = master_residual(chain, weights)
+    assert residuals == reference_master_residual(chain, weights)
+    constant = all(w == weights[head] for w, head in zip(weights, chain.rotation_heads))
+    assert _shares_per_orbit(chain, residuals) or not constant
+    if shape != "free":
+        assert constant
+
+
+def _off_word(chain) -> int:
+    """The first word that does not head its rotation orbit."""
+    return next(s for s, head in enumerate(chain.rotation_heads) if head != s)
+
+
+@pytest.mark.parametrize("m", [(1, 1, 2), (2, 1, 1), (1, 2, 3), (1, 1, 1, 1)], ids=str)
+def test_a_non_head_word_weight_off_shows_in_the_residual(m):
+    # one non-head word's weight times x1: the weights are no longer
+    # orbit-constant, so every word is summed, and that word's outflow is off
+    chain, weights = full_word_weights(m)
+    off = _off_word(chain)
+    weights = list(weights)
+    weights[off] = weights[off] * LaurentPoly.variable(0, chain.nvars)
+    residuals = master_residual(chain, weights)
+    assert residuals == reference_master_residual(chain, weights)
+    assert not residuals[off].is_zero()
+
+
+@pytest.mark.parametrize("m", [(1, 1, 2), (2, 1, 1), (1, 2, 2)], ids=str)
+def test_main_counterexample_is_the_full_loops_when_a_non_head_word_is_off(monkeypatch, m):
+    import mlqtasep.verify as verify
+
+    original = verify._word_weights
+    x1 = LaurentPoly.variable(0, len(m) - 1)
+
+    def perturbed(c):
+        chain, weights, failure = original(c)
+        off = _off_word(chain)
+        return chain, weights[:off] + [weights[off] * x1] + weights[off + 1:], failure
+
+    monkeypatch.setattr(verify, "_word_weights", perturbed)
+    c = build_composition(m)
+    report = check_main_conjecture(c)
+    chain, weights, _ = perturbed(c)
+    residuals = reference_master_residual(chain, weights)
+    bad = next(i for i, r in enumerate(residuals) if not r.is_zero())
+    assert report.status == "disagree"
+    assert report.counterexample == {
+        "check": "symbolic-residual", "word": chain.state_label(bad), "residual": str(residuals[bad])
+    }

@@ -111,7 +111,7 @@ def test_absorbing_state_detected():
 
     c = build_composition((1, 1))
     chain = ChainGraph(
-        kind="custom",
+        kind="tasep",  # the kind the configs below name
         composition=c,
         states=((1, 2), (2, 1)),
         transitions=(TransitionRecord(0, 1, LaurentPoly.one(1), "a"),),
@@ -184,6 +184,18 @@ def test_gillespie_run_refuses_what_the_expovariate_loop_refuses():
         expected = _outcome(reference_gillespie_run, cfg, chain)
         assert expected[0] is ValueError
         assert _outcome(gillespie_run, cfg, chain) == expected
+
+
+def test_gillespie_run_refuses_a_chain_its_config_did_not_build():
+    # the config names the process and composition; the chain must be theirs
+    coupe = _small_chain("coupe", (1, 2, 3))
+    rates = (Fraction(2), Fraction(1))
+    for process, m in [("tasep", (1, 1, 1)), ("fm", (1, 2, 3)), ("tasep", (1, 2, 3)), ("coupe", (1, 2, 2))]:
+        with pytest.raises(ValueError, match=f"^config is {process} on m = "):
+            gillespie_run(SimConfig(process, m, rates, events=100), coupe)
+    assert gillespie_run(SimConfig("coupe", (1, 2, 3), rates, events=100), coupe).events == 100
+    with pytest.raises(ValueError, match=r"chain is tasep on m = \(1, 1, 1\)$"):
+        gillespie_run(SimConfig("tasep", (1, 1), rates[:1], events=100), _small_chain("tasep", (1, 1, 1)))
 
 
 def test_csv_output_stable():

@@ -39,6 +39,7 @@ from mlqtasep.verify import (
 from helpers import (
     GOLDEN_DIR,
     bound_suite_inputs,
+    full_word_weights,
     golden_form,
     h_bruteforce,
     reference_block_sums,
@@ -733,6 +734,37 @@ def test_point_check_failure_is_reported(monkeypatch, check, m, counterexample):
     assert report.counterexample == counterexample
 
 
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6, lambda m: m[0] == 1)], ids=str)
+def test_word_weights_from_the_representatives_equal_the_full_aggregation(m):
+    # all 31 compositions with m_1 = 1 and N <= 6: the representatives'
+    # sums are every queue's, one object per rotation orbit of words
+    import mlqtasep.verify as verify
+
+    chain, full = full_word_weights(m)
+    word_chain, weights, failure = verify._word_weights(build_composition(m))
+    assert failure is None and word_chain == chain and weights == list(full)
+    assert all(w is weights[head] for w, head in zip(weights, chain.rotation_heads))
+
+
+@pytest.mark.parametrize(
+    "check, m, details",
+    [
+        (check_main_conjecture, (1, 1, 2, 1), {"words": 60, "queues": 250}),
+        (check_lw_normalization_and_positivity, (1, 1, 1, 1), {}),
+    ],
+)
+def test_main_and_lw_fail_when_the_rotation_certificate_fails(monkeypatch, check, m, details):
+    # the representatives stand for their orbits only under the certificate
+    import mlqtasep.verify as verify
+
+    original = verify.project_orbit_representatives
+    monkeypatch.setattr(verify, "project_orbit_representatives", lambda c: (original(c)[0], False))
+    report = check(build_composition(m))
+    assert report.status == "disagree"
+    assert report.counterexample == {"check": "projection-rotation"}
+    assert report.details == details
+
+
 def test_lw_positivity():
     report3 = check_lw_normalization_and_positivity(build_composition((1, 1, 1)))
     assert report3.ok, report3.counterexample
@@ -1027,12 +1059,16 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
         (check_fm1_theorem, build_composition((1, 1, 1, 2))),
         (check_partition_function, build_composition((1, 1, 2, 1))),
         (check_fm1_theorem, build_composition((1, 1, 2, 1))),
+        (check_main_conjecture, build_composition((1, 1, 1, 2))),
+        (check_main_conjecture, build_composition((2, 1, 1))),
+        (check_lw_normalization_and_positivity, build_composition((1, 1, 1, 1))),
     ],
 )
 def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
     # one projection pass per report: fm3 and coupe read the one their
-    # chain carries, lw makes its own, and fm1 and zpart project their
-    # mlq_count / N orbit representatives only, never the whole queue space
+    # chain carries; fm1, zpart, lw and main on m_1 = 1 project their
+    # mlq_count / N orbit representatives only, never the whole queue
+    # space, and main on m_1 >= 2 projects every queue
     import mlqtasep.core as core
 
     passes = []
@@ -1044,7 +1080,7 @@ def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
 
     monkeypatch.setattr(core, "_project", spy)
     assert check(arg).ok
-    orbits = check in (check_fm1_theorem, check_partition_function)
+    orbits = arg.m[0] == 1 and check not in (check_fm3_theorem, check_coupe_theorem)
     assert passes == [mlq_count(arg) // arg.N if orbits else mlq_count(arg)]
 
 
