@@ -4,7 +4,10 @@ Every suite returns a SuiteReport rather than raising: proved statements
 ("theorem" kind) are expected to pass and a failure is a library bug, while
 conjectured statements ("conjecture" kind) are reported as agree/disagree.
 All randomness is a seeded drawing of small positive rational rate points,
-so each report is reproducible from (composition, seed).
+so each report is reproducible from (composition, seed).  run_suites lists
+the compositions once and runs every chosen suite on one composition before
+the next; the word chain, projections and word weights the suites of one
+composition read are built once for it through _once, and dropped after it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Sequence
 
 from .chains import (
@@ -108,17 +111,26 @@ def rate_points(nvars: int, count: int, seed: int) -> list[tuple[Fraction, ...]]
     ]
 
 
-def iter_compositions(
-    max_total: int, pred: Callable[[tuple[int, ...]], bool] | None = None
-) -> Iterable[Composition]:
+def iter_compositions(max_total: int) -> Iterable[Composition]:
     """All positive compositions with at least two parts, N ascending."""
     for total in range(2, max_total + 1):
         for parts in range(2, total + 1):
             for cuts in itertools.combinations(range(1, total), parts - 1):
                 bounds = (0,) + cuts + (total,)
-                m = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-                if pred is None or pred(m):
-                    yield build_composition(m)
+                yield build_composition(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+_made: dict | None = None  # (make, c) -> make(c) while run_suites checks c
+
+
+def _once(make: Callable, c: Composition):
+    """make(c), built once per composition while run_suites checks c, and
+    built anew on every call outside it."""
+    if _made is None:
+        return make(c)
+    if (make, c) not in _made:
+        _made[make, c] = make(c)
+    return _made[make, c]
 
 
 def _residual_failure(
@@ -180,10 +192,10 @@ def _word_weights(c: Composition) -> tuple[ChainGraph, list[LaurentPoly], dict |
     For m_1 = 1 the sums come from the orbit representatives, one object per
     rotation orbit, each counted at every turn of its word that heads an
     orbit, with the failure of their projection-rotation certificate."""
-    word_chain = build_tasep_chain(c)
+    word_chain = _once(build_tasep_chain, c)
     if c.m[0] != 1:
-        return word_chain, _aggregated_weights(word_chain, project_queues(c)), None
-    projection, equivariant = project_orbit_representatives(c)
+        return word_chain, _aggregated_weights(word_chain, _once(project_queues, c)), None
+    projection, equivariant = _once(project_orbit_representatives, c)
     heads, index = word_chain.rotation_heads, {w: i for i, w in enumerate(word_chain.states)}
     onto_heads = {w: [i for i in (index[w[k:] + w[:k]] for k in range(c.N)) if heads[i] == i] for w in set(projection.words)}
     exponents = [Counter() for _ in heads]
@@ -204,13 +216,13 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     started = time.perf_counter()
     if c.n != 3:
         raise ValueError("three-species suite needs n = 3")
-    chain = build_fm_chain(c, "three_species")
+    chain = ringing_chain(c, "three_species", ring_successors(c), _once(project_queues, c))
     weights = _monomials(chain.projection.exponents)
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
     failure = _residual_failure(chain, weights)
 
     if failure is None:
-        word_chain = build_tasep_chain(c)
+        word_chain = _once(build_tasep_chain, c)
         failure = _word_lumping(chain, word_chain, chain.projection.words)
         if failure is None:
             sums = _aggregated_weights(word_chain, chain.projection)
@@ -230,7 +242,7 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
         raise ValueError("three-species lemma needs n = 3")
     failure = None
     checked = 0
-    projection = project_queues(c)
+    projection = _once(project_queues, c)
     cuts = {word: decompose_coupes(word) for word in set(projection.words)}
     # both in enumerate_mlqs order; strict, so a length mismatch raises
     fields = (projection.queues, projection.words, projection.covered)
@@ -294,7 +306,7 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     started = time.perf_counter()
     if c.m[0] != 1 or c.n < 3:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
-    projection, equivariant = project_orbit_representatives(c)
+    projection, equivariant = _once(project_orbit_representatives, c)
     walk, commutes = orbit_ring_successors(c)
     details: dict = {"states": mlq_count(c)}
     failure = None if equivariant else {"check": "projection-rotation"}
@@ -335,7 +347,7 @@ def check_partition_function(c: Composition) -> SuiteReport:
         raise ValueError("partition function suite needs m_1 = 1")
     # V1 - z1, the first conjectured exponent, once per rotation orbit of N
     # queues, on which the certificate makes it constant
-    projection, equivariant = project_orbit_representatives(c)
+    projection, equivariant = _once(project_orbit_representatives, c)
     counts = Counter(exps[0] for exps in projection.exponents)
     enumerated = LaurentPoly(1, {(e,): c.N * count for e, count in counts.items()})
     explicit = q_form = h_form = LaurentPoly.constant(c.N, 1)
@@ -371,7 +383,7 @@ def check_partition_function(c: Composition) -> SuiteReport:
 def check_main_conjecture(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Aggregated monomial queue weights against the exact word solution."""
     started = time.perf_counter()
-    chain, sums, failure = _word_weights(c)
+    chain, sums, failure = _once(_word_weights, c)
     details: dict = {"words": len(chain.states), "queues": mlq_count(c)}
     empty = next((i for i, s in enumerate(sums) if s.is_zero()), None)
     if failure is None and empty is not None:
@@ -397,7 +409,7 @@ def check_lw_normalization_and_positivity(c: Composition) -> SuiteReport:
     if c.m != (1,) * n or not 3 <= n <= 5:
         raise ValueError("positivity suite covers m = (1^n) for n = 3, 4, 5")
     details: dict = {}
-    word_chain, sums, failure = _word_weights(c)
+    word_chain, sums, failure = _once(_word_weights, c)
     if failure is None and _residual_failure(word_chain, sums) is not None:
         failure = {"check": "weights-not-stationary"}
     if failure is None:
@@ -441,18 +453,18 @@ def check_identity_count(c: Composition) -> SuiteReport:
     n = c.n
     if c.m != (1,) * n:
         raise ValueError("identity count needs m = (1^n)")
+    # under the certificate an orbit holds one queue per turn of its
+    # representative's word, and a word of (1^n) has n distinct turns
     identity = tuple(range(1, n + 1))
-    count = project_queues(c).words.count(identity)
-    formula = 1
-    for i in range(1, n):
-        formula *= comb(n - 1, i)
-    failure = None
-    if count != formula:
-        failure = {"check": "count", "enumerated": count, "formula": formula}
-    return _report(
-        "identity", c, "conjecture", started, failure,
-        {"enumerated": count, "formula": formula},
-    )
+    turns = {identity[k:] + identity[:k] for k in range(n)}
+    projection, equivariant = _once(project_orbit_representatives, c)
+    count = sum(word in turns for word in projection.words)
+    formula = prod(comb(n - 1, i) for i in range(1, n))
+    details = {"enumerated": count, "formula": formula}
+    failure = None if equivariant else {"check": "projection-rotation"}
+    if failure is None and count != formula:
+        failure = {"check": "count", **details}
+    return _report("identity", c, "conjecture", started, failure, details)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +535,7 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
         failure = _residual_failure(chain, weights)
 
     if failure is None:
-        failure = _word_lumping(chain, build_tasep_chain(c), words)
+        failure = _word_lumping(chain, _once(build_tasep_chain, c), words)
     return _report("coupe", c, "theorem", started, failure, details)
 
 
@@ -570,66 +582,54 @@ def _check_seat_bookkeeping(chain: ChainGraph, words) -> dict | None:
 # ---------------------------------------------------------------------------
 
 
-def _three_species(max_n: int) -> Iterable[Composition]:
-    return iter_compositions(max_n, lambda m: len(m) == 3)
-
-
-def _single_first_class(max_n: int) -> Iterable[Composition]:
-    return iter_compositions(max_n, lambda m: m[0] == 1 and len(m) >= 3)
-
-
-# suite -> (its compositions up to ring size max_n, the reports on one
-# composition at a seed).  The lambdas look the check functions up at call
-# time, so a rebound module-level check_* (a tracing wrapper, say) is the
-# one that runs.  run_suites reports in this order.
-SUITES: dict[str, tuple[Callable[[int], Iterable[Composition]], Callable[..., list[SuiteReport]]]] = {
-    "fm3": (
-        _three_species,
-        lambda c, seed: [check_fm3_theorem(c, seed), check_three_species_lemma(c)],
-    ),
-    "fm1": (_single_first_class, lambda c, seed: [check_fm1_theorem(c)]),
-    "zpart": (_single_first_class, lambda c, seed: [check_partition_function(c)]),
-    "main": (iter_compositions, lambda c, seed: [check_main_conjecture(c, seed)]),
-    "lw": (
-        lambda max_n: iter_compositions(min(max_n, 5), lambda m: len(m) >= 3 and max(m) == 1),
-        lambda c, seed: [check_lw_normalization_and_positivity(c)],
-    ),
-    "identity": (
-        lambda max_n: iter_compositions(min(max_n, 6), lambda m: max(m) == 1),
-        lambda c, seed: [check_identity_count(c)],
-    ),
-    "uniform": (iter_compositions, lambda c, seed: [check_uniform_stationarity(c)]),
-    "coupe": (_three_species, lambda c, seed: [check_coupe_theorem(c)]),
+# suite -> (whether it checks the composition m, the largest N it checks or
+# None, the reports on one composition at a seed).  The lambdas look the
+# check functions up at call time, so a rebound module-level check_* (a
+# tracing wrapper, say) is the one that runs.  run_suites reports in this order.
+SUITES: dict[str, tuple[Callable[[tuple[int, ...]], bool], int | None, Callable[..., list[SuiteReport]]]] = {
+    "fm3": (lambda m: len(m) == 3, None, lambda c, seed: [check_fm3_theorem(c, seed), check_three_species_lemma(c)]),
+    "fm1": (lambda m: m[0] == 1 and len(m) >= 3, None, lambda c, seed: [check_fm1_theorem(c)]),
+    "zpart": (lambda m: m[0] == 1 and len(m) >= 3, None, lambda c, seed: [check_partition_function(c)]),
+    "main": (lambda m: True, None, lambda c, seed: [check_main_conjecture(c, seed)]),
+    "lw": (lambda m: len(m) >= 3 and max(m) == 1, 5, lambda c, seed: [check_lw_normalization_and_positivity(c)]),
+    "identity": (lambda m: max(m) == 1, 6, lambda c, seed: [check_identity_count(c)]),
+    "uniform": (lambda m: True, None, lambda c, seed: [check_uniform_stationarity(c)]),
+    "coupe": (lambda m: len(m) == 3, None, lambda c, seed: [check_coupe_theorem(c)]),
 }
 
 
 def run_suites(
     names: Sequence[str], max_n: int = DEFAULT_MAX_N, seed: int = DEFAULT_SEED
 ) -> list[SuiteReport]:
-    """Reports of the named suites, or of every suite for "all", in SUITES order.
+    """Reports of the named suites, or of every suite for "all", in SUITES
+    order and each suite's in iter_compositions order.
 
-    Raises ValueError before running anything when a composition among the
-    inputs has more than MAX_QUEUES multiline queues; each composition is
-    checked as it is listed, so the listing stops at the first one refused.
+    Lists the compositions first, and raises ValueError before anything
+    runs at the first one a chosen suite takes that has too many queues.
     """
+    global _made
     unknown = [name for name in names if name not in SUITES and name != "all"]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
+    chosen = {name: entry for name, entry in SUITES.items() if name in names or "all" in names}
+    top = min(max_n, max((cap or max_n for _, cap, _ in chosen.values()), default=0))
     plan = []
-    for name, (inputs, check) in SUITES.items():
-        if name in names or "all" in names:
-            compositions = []
-            for c in inputs(max_n):
-                check_queue_count(c)
-                compositions.append(c)
-            plan.append((check, compositions))
-    reports: list[SuiteReport] = []
-    for check, compositions in plan:
-        for c in compositions:
-            reports.extend(check(c, seed))
-    if not reports:
+    for c in iter_compositions(top):
+        checks = [(name, check) for name, (takes, cap, check) in chosen.items() if c.N <= (cap or top) and takes(c.m)]
+        if checks:
+            check_queue_count(c)
+            plan.append((c, checks))
+    reports: dict[str, list[SuiteReport]] = {name: [] for name in chosen}
+    for c, checks in plan:
+        _made = {}
+        try:
+            for name, check in checks:
+                reports[name].extend(check(c, seed))
+        finally:
+            _made = None
+    if not any(reports.values()):
         raise ValueError(
             f"nothing to check: no input of {' '.join(names)} has N <= {max_n}; "
             "suites start at N = 2 or 3"
         )
-    return reports
+    return [report for suite in reports.values() for report in suite]

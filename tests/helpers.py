@@ -45,7 +45,7 @@ solve.master_residual, which sums it at one state per rotation orbit of a
 word chain whose weights are orbit-constant; full_word_weights is a word
 chain with verify's aggregation of every queue onto it, the oracle of the
 orbit representatives' word weights.  bound_suite_inputs
-caps how far run_suites may list a suite's inputs.  golden_form puts
+caps how many compositions a suite's predicate may take.  golden_form puts
 reports in the form of the benchmark's golden files under GOLDEN_DIR.
 """
 
@@ -695,18 +695,22 @@ def unrolled_chain(g: ChainGraph) -> ChainGraph:
 
 
 def bound_suite_inputs(monkeypatch, suite: str, bound: int) -> None:
-    """Let run_suites list at most bound inputs of the suite: listing one
-    more fails with AssertionError, so a listing that would run on for ever
-    fails the test instead."""
-    inputs, check = verify.SUITES[suite]
+    """Let the suite's predicate take at most bound compositions from now
+    on: taking one more fails with AssertionError, so a listing that would
+    run on for ever fails the test instead."""
+    takes, cap, check = verify.SUITES[suite]
+    taken = 0
 
-    def bounded(max_n):
-        for count, item in enumerate(inputs(max_n)):
-            if count == bound:
-                raise AssertionError(f"listed more than {bound} inputs of {suite}")
-            yield item
+    def bounded(m):
+        nonlocal taken
+        if not takes(m):
+            return False
+        taken += 1
+        if taken > bound:
+            raise AssertionError(f"listed more than {bound} inputs of {suite}")
+        return True
 
-    monkeypatch.setitem(verify.SUITES, suite, (bounded, check))
+    monkeypatch.setitem(verify.SUITES, suite, (bounded, cap, check))
 
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"

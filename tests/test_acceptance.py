@@ -107,7 +107,7 @@ def test_criterion_02_three_species_chain():
 def test_criterion_03_three_species_theorem_at_scale():
     started = time.perf_counter()
     failures = []
-    for c in iter_compositions(6, pred=lambda m: len(m) == 3):
+    for c in [c for c in iter_compositions(6) if c.n == 3]:
         report = check_fm3_theorem(c)
         if not report.ok:
             failures.append((c.m, report.counterexample))
@@ -133,7 +133,7 @@ def test_criterion_05_single_first_class_and_partition_function():
     golden = json.loads((GOLDEN_DIR / "lift.json").read_text(encoding="utf-8"))["reports"]
     failures = []
     reports = []
-    for c in iter_compositions(6, pred=lambda m: m[0] == 1 and len(m) >= 3):
+    for c in [c for c in iter_compositions(6) if c.m[0] == 1 and c.n >= 3]:
         fm1 = check_fm1_theorem(c)
         zpart = check_partition_function(c)
         reports += [fm1, zpart]
@@ -169,7 +169,7 @@ def test_criterion_07_coupe_process():
         (2, 0, "x1"), (5, 8, "x1"), (5, 6, "x2"), (8, 0, "x1"),
     }
     failures = [] if ok else [("edge-set", c.m)]
-    for comp in iter_compositions(6, pred=lambda m: len(m) == 3):
+    for comp in [c for c in iter_compositions(6) if c.n == 3]:
         report = check_coupe_theorem(comp)
         if not report.ok:
             failures.append((comp.m, report.counterexample))
@@ -193,7 +193,7 @@ def test_criterion_08_identity_count():
 def test_criterion_09_three_species_block_lemma():
     started = time.perf_counter()
     failures = []
-    for c in iter_compositions(6, pred=lambda m: len(m) == 3):
+    for c in [c for c in iter_compositions(6) if c.n == 3]:
         report = check_three_species_lemma(c)
         if not report.ok:
             failures.append((c.m, report.counterexample))

@@ -435,7 +435,7 @@ def test_ring_successors_match_the_oracle_on_drawn_queues(c, draws):
 
 
 @pytest.mark.parametrize(
-    "m", [c.m for c in iter_compositions(6, lambda m: m[0] == 1 and len(m) <= 4)], ids=str
+    "m", [c.m for c in iter_compositions(6) if c.m[0] == 1 and c.n <= 4], ids=str
 )
 def test_orbit_ring_successors_turn_the_full_successors(m):
     # the representatives are the first mlq_count / N ids, and each ring's
@@ -459,7 +459,7 @@ def test_orbit_walks_turn_no_loop_for_three_classes_or_more():
     # a turned loop, B + sid at sid, would need one ring to turn every row;
     # a ring moves at most one particle of a row, so it turns only rows of
     # one particle, and for n >= 3 the second row holds M_2 >= 2 of them
-    for c in iter_compositions(6, lambda m: m[0] == 1 and len(m) >= 3):
+    for c in [c for c in iter_compositions(6) if c.m[0] == 1 and c.n >= 3]:
         B = mlq_count(c) // c.N
         walk, _ = orbit_ring_successors(c)
         assert all(B + sid not in successors for sid, successors in walk), c.m
@@ -579,7 +579,7 @@ def test_orbit_projection_certificate_makes_each_distinct_step_once(monkeypatch)
 
 def test_ring_rows_commute_with_rotation():
     # the certificate holds on every composition with m_1 = 1 and N <= 6
-    assert all(orbit_ring_successors(c)[1] for c in iter_compositions(6, lambda m: m[0] == 1))
+    assert all(orbit_ring_successors(c)[1] for c in iter_compositions(6) if c.m[0] == 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -698,7 +698,7 @@ def test_project_queues_five_species():
 
 
 @pytest.mark.parametrize(
-    "m", [c.m for c in iter_compositions(6, lambda m: sum(m) == 6 and len(m) <= 4)], ids=str
+    "m", [c.m for c in iter_compositions(6) if c.N == 6 and c.n <= 4], ids=str
 )
 def test_project_queues_matches_the_oracle_at_six(m):
     _assert_projection_matches_the_oracle(build_composition(m))
@@ -708,7 +708,7 @@ def test_rotating_a_queue_rotates_its_projection():
     # every queue of N <= 6 with at most four species: turning all rows one
     # column right turns the word, keeps the exponents, and moves each
     # covered bottom-row column one bit up, the last column wrapping to bit 0
-    for c in iter_compositions(6, lambda m: len(m) <= 4):
+    for c in [c for c in iter_compositions(6) if c.n <= 4]:
         projection = project_queues(c)
         index = {q: i for i, q in enumerate(projection.queues)}
         full = (1 << c.N) - 1

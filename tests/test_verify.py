@@ -7,13 +7,13 @@ import pytest
 
 from mlqtasep.chains import ChainGraph, build_fm_chain, build_tasep_chain
 from mlqtasep.core import (
-    Composition,
     build_composition,
     bully_projection,
     enumerate_mlqs,
     mlq_count,
     orbit_ring_successors,
     project_orbit_representatives,
+    project_queues,
     queue_label,
     ring_successors,
     rotate,
@@ -55,9 +55,11 @@ def test_iter_compositions():
     assert (1, 1) in comps and (2, 2) in comps and (1, 1, 1, 1) in comps
     assert (4,) not in comps
     assert len(comps) == 1 + 3 + 7  # N = 2, 3, 4
-    three = [c.m for c in iter_compositions(5, pred=lambda m: len(m) == 3)]
-    assert all(len(m) == 3 for m in three)
-    assert len(three) == 1 + 3 + 6
+    # N ascending, then the number of parts
+    five = [c.m for c in iter_compositions(5)]
+    assert five[:len(comps)] == comps
+    assert [(sum(m), len(m)) for m in five] == sorted((sum(m), len(m)) for m in five)
+    assert len(five) - len(comps) == 2**4 - 1
 
 
 def test_rate_points_reproducible():
@@ -93,7 +95,7 @@ def test_fm3_larger_systems(m):
     assert report.ok, report.counterexample
 
 
-@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6, lambda m: len(m) == 3)], ids=str)
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6) if c.n == 3], ids=str)
 def test_fm3_block_sums_equal_the_per_state_oracle(m):
     c = build_composition(m)
     report = check_fm3_theorem(c)
@@ -236,7 +238,7 @@ def test_fm1_weights_share_one_monomial_per_exponent(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "m", [c.m for c in iter_compositions(5, lambda m: m[0] == 1 and len(m) >= 3)] + [(1, 1, 2, 1, 1)],
+    "m", [c.m for c in iter_compositions(5) if c.m[0] == 1 and c.n >= 3] + [(1, 1, 2, 1, 1)],
     ids=str,
 )
 def test_fm1_report_equals_the_full_chain_oracle(m):
@@ -500,7 +502,7 @@ def _turned_to_representative(q):
 
 @pytest.mark.parametrize(
     "m",
-    [c.m for c in iter_compositions(5, lambda m: m[0] == 1 and len(m) >= 3)] + [(1, 1, 2, 1, 1)],
+    [c.m for c in iter_compositions(5) if c.m[0] == 1 and c.n >= 3] + [(1, 1, 2, 1, 1)],
     ids=str,
 )
 def test_fm1_orbit_chain_is_the_full_chain_turned_to_representatives(monkeypatch, m):
@@ -657,7 +659,7 @@ def test_partition_function_h_form_is_the_product_of_complete_homogeneous_polyno
     # factor r is h_{n-r}(1, a, ..., a) with r copies of a, summed over
     # multisets here and printed in a
     a, one = LaurentPoly.variable(0, 1), LaurentPoly.one(1)
-    compositions = list(SUITES["zpart"][0](6))
+    compositions = [c for c in iter_compositions(6) if SUITES["zpart"][0](c.m)]
     assert len(compositions) == 26
     for c in compositions:
         expected = LaurentPoly.constant(c.N, 1)
@@ -734,7 +736,7 @@ def test_point_check_failure_is_reported(monkeypatch, check, m, counterexample):
     assert report.counterexample == counterexample
 
 
-@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6, lambda m: m[0] == 1)], ids=str)
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6) if c.m[0] == 1], ids=str)
 def test_word_weights_from_the_representatives_equal_the_full_aggregation(m):
     # all 31 compositions with m_1 = 1 and N <= 6: the representatives'
     # sums are every queue's, one object per rotation orbit of words
@@ -751,6 +753,7 @@ def test_word_weights_from_the_representatives_equal_the_full_aggregation(m):
     [
         (check_main_conjecture, (1, 1, 2, 1), {"words": 60, "queues": 250}),
         (check_lw_normalization_and_positivity, (1, 1, 1, 1), {}),
+        (check_identity_count, (1, 1, 1, 1), {"enumerated": 9, "formula": 9}),
     ],
 )
 def test_main_and_lw_fail_when_the_rotation_certificate_fails(monkeypatch, check, m, details):
@@ -780,6 +783,15 @@ def test_identity_counts():
     assert four.ok and four.details == {"enumerated": 9, "formula": 9}
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_identity_counts_the_fiber_of_every_queue(n):
+    # the representatives whose word is a turn of 1 2 ... n, against the
+    # queues of (1^n), all of them projected, whose word is 1 2 ... n
+    c = build_composition((1,) * n)
+    count = project_queues(c).words.count(tuple(range(1, n + 1)))
+    assert check_identity_count(c).details["enumerated"] == count
+
+
 @pytest.mark.parametrize(
     "check, m",
     [
@@ -800,15 +812,16 @@ def test_permutation_suites_refuse_other_compositions(check, m):
 def test_permutation_suites_list_their_compositions_up_to_their_cap(monkeypatch, suite, cap, count):
     # --max-N 40 lists (1^n) up to the suite's cap only: one more input
     # listed fails the test
+    expected = golden_form(run_suites([suite], cap))
     bound_suite_inputs(monkeypatch, suite, count)
     reports = run_suites([suite], 40)
     assert [report.composition for report in reports] == [(1,) * n for n in range(cap - count + 1, cap + 1)]
-    assert golden_form(reports) == golden_form(run_suites([suite], cap))
+    assert golden_form(reports) == expected
 
 
 def test_every_suite_lists_compositions():
-    for name, (inputs, _) in SUITES.items():
-        assert all(isinstance(c, Composition) for c in inputs(6)), name
+    for name, (takes, cap, _) in SUITES.items():
+        assert any(takes(c.m) for c in iter_compositions(min(6, cap or 6))), name
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +862,7 @@ def test_uniform_report_equals_the_full_chain_oracle(m):
 
 
 @pytest.mark.parametrize(
-    "m", [c.m for c in iter_compositions(5, lambda m: m[0] == 1 and len(m) >= 3)], ids=str
+    "m", [c.m for c in iter_compositions(5) if c.m[0] == 1 and c.n >= 3], ids=str
 )
 def test_uniform_orbit_degrees_are_the_full_chains(monkeypatch, m):
     # the lemma the orbit path rests on: each representative's records in
@@ -1155,6 +1168,56 @@ def test_all_reports_match_the_golden_sweep():
     assert golden_form(run_suites(["all"], max_n=5)) == golden
 
 
+SHARED = ("build_tasep_chain", "project_queues", "project_orbit_representatives", "_word_weights")
+
+
+def _spy_builds(monkeypatch) -> Counter:
+    """From now on: the calls of each shared builder, per (name, m)."""
+    import mlqtasep.verify as verify
+
+    built = Counter()
+    for name in SHARED:
+        def spy(c, name=name, original=getattr(verify, name)):
+            built[name, c.m] += 1
+            return original(c)
+
+        monkeypatch.setattr(verify, name, spy)
+    return built
+
+
+def test_run_suites_builds_what_a_composition_shares_once(monkeypatch):
+    import mlqtasep.verify as verify
+
+    built = _spy_builds(monkeypatch)
+    reports = run_suites(["all"], 5)
+    assert verify._made is None
+    assert {name for name, _ in built} == set(SHARED)
+    assert max(built.values()) == 1
+    # every composition's word chain is built once, by fm3, main or coupe
+    assert {m for name, m in built if name == "build_tasep_chain"} == {r.composition for r in reports}
+
+
+def test_run_suites_drops_what_it_shares_when_a_check_raises(monkeypatch):
+    import mlqtasep.verify as verify
+
+    def raises(c):
+        assert verify._made is not None
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(verify, "check_identity_count", raises)
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_suites(["all"], 3)
+    assert verify._made is None
+
+
+def test_nothing_is_shared_outside_run_suites(monkeypatch):
+    # two direct calls, two projection passes: nothing outlives a composition
+    built = _spy_builds(monkeypatch)
+    c = build_composition((1, 1, 2))
+    assert check_fm1_theorem(c).ok and check_fm1_theorem(c).ok
+    assert built == {("project_orbit_representatives", (1, 1, 2)): 2}
+
+
 def test_run_suites_rejects_unknown():
     with pytest.raises(ValueError):
         run_suites(["nonsense"])
@@ -1183,13 +1246,20 @@ def test_run_suites_refuses_while_listing(monkeypatch):
 
 
 def test_run_suites_lists_no_suite_after_a_refusal(monkeypatch):
-    # fm3 is listed first and refuses (4, 2, 7), its 252nd input; no later
-    # suite is listed
-    bound_suite_inputs(monkeypatch, "fm3", 252)
-    for suite in ("fm1", "zpart", "main", "uniform", "coupe"):
-        bound_suite_inputs(monkeypatch, suite, 0)
-    with pytest.raises(ValueError, match=r"m = \(4, 2, 7\) has 1226940 multiline queues"):
+    # the compositions are listed once for every suite: all --max-N 40
+    # refuses (1,1,1,1,1,2) at N = 7, main's 114th input, as --max-N 7
+    # does, and no check runs
+    import mlqtasep.verify as verify
+
+    with pytest.raises(ValueError) as seven:
+        run_suites(["all"], 7)
+    for name in vars(verify).copy():
+        if name.startswith("check_") and name != "check_queue_count":
+            monkeypatch.setattr(verify, name, None)
+    bound_suite_inputs(monkeypatch, "main", 114)
+    with pytest.raises(ValueError, match=r"m = \(1, 1, 1, 1, 1, 2\) has 3781575 multiline queues") as forty:
         run_suites(["all"], 40)
+    assert str(forty.value) == str(seven.value)
 
 
 def test_run_suites_rejects_empty_run():
