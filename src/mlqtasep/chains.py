@@ -12,8 +12,9 @@ destination to its orbit's representative.
 The queue chains whose rates or jumps read the projected word keep the
 projection of their states on the chain, so the suites that check them
 read it instead of projecting again.  The facts that do not depend on a
-rate point, strong connectivity and the rotation orbits, are properties
-of the chain, each computed on first read.
+rate point, strong connectivity with the potentials of its forward walk,
+the rotation orbits and the distinct rates, are properties of the chain,
+each computed on first read.
 """
 
 from __future__ import annotations
@@ -91,31 +92,50 @@ class ChainGraph:
     @functools.cached_property
     def irreducible(self) -> bool:
         """True iff the transition digraph is strongly connected: state 0
-        reaches every state, and then every state reaches state 0.  One
-        direction's adjacency lists are held at a time."""
+        reaches every state, on the walk that gives the potentials, and then
+        every state reaches state 0.  One direction's adjacency lists are
+        held at a time."""
         if len(self.states) <= 1:
             return len(self.states) == 1
-        return self._reaches_all(0, 1) and self._reaches_all(1, 0)
+        return None not in self.potentials and None not in self._walk(1, 0)
 
-    def _reaches_all(self, head: int, tail: int) -> bool:
-        """Whether state 0 reaches every state along the records read from
-        field head to field tail: (0, 1) walks them forward, (1, 0) backward."""
-        n = len(self.states)
+    @functools.cached_property
+    def potentials(self) -> tuple[int | None, ...]:
+        """Per state, phi from the forward walk from state 0, or None where
+        that walk does not reach: phi(0) = 0, and phi(u) - v = phi(w) on the
+        record u -> w of voltage v (0 on a chain with none) that first
+        reaches w."""
+        return tuple(self._walk(0, 1))
+
+    def _walk(self, head: int, tail: int) -> list[int | None]:
+        """Per state, None where state 0 does not reach it along the records
+        read from field head to field tail, (0, 1) forward and (1, 0)
+        backward; else its phi, with phi(u) - v = phi(w) on every record
+        u -> w of voltage v the walk crosses."""
+        n, records, voltages = len(self.states), self.transitions, self.voltages
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        for rec in self.transitions:
-            adjacency[rec[head]].append(rec[tail])
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
+        for k, rec in enumerate(records):
+            adjacency[rec[head]].append(k)
+        sign = 1 if head else -1  # backward, phi(u) = phi(w) + v
+        phi: list[int | None] = [None] * n
+        phi[0], stack = 0, [0]
         while stack:
             node = stack.pop()
-            for nxt in adjacency[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    count += 1
+            for k in adjacency[node]:
+                nxt = records[k][tail]
+                if phi[nxt] is None:
+                    phi[nxt] = (phi[node] + sign * voltages[k]) if voltages else 0
                     stack.append(nxt)
-        return count == n
+        return phi
+
+    @functools.cached_property
+    def distinct_rates(self) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
+        """The distinct rate objects, in order of first record, and each
+        record's index among them.  Rates are told apart by identity, as in
+        rotation_orbits."""
+        distinct = {id(rate): rate for _, _, rate, _ in self.transitions}
+        index = {key: i for i, key in enumerate(distinct)}
+        return tuple(distinct.values()), tuple(index[id(rate)] for _, _, rate, _ in self.transitions)
 
     @functools.cached_property
     def rotation_orbits(self) -> tuple[int, ...]:

@@ -418,7 +418,8 @@ def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool
     stepped, its row and patterns turned k = 1..N-1 columns right, steps to
     its steps turned k: so the rest of each orbit projects as its
     representative turned.  Each upper-row orbit is walked once, since
-    turning N columns is the identity.
+    turning N columns is the identity; at each turn every step turned, its
+    rows sliced one column right, is compared with the step made there.
     """
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")
@@ -433,9 +434,11 @@ def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool
             if upper in walked:
                 continue
             for _ in range(c.N - 1):
-                upper = rotate(upper)
+                upper = upper[-1:] + upper[:-1]
                 walked.add(upper)
-                turned = [rotate(labeled[i]) for i in back]  # classes and cover turned right
+                # classes and cover turned one column right
+                turned = [(row[-1:] + row[:-1], cover[-1:] + cover[:-1])
+                          for row, cover in map(labeled.__getitem__, back)]
                 labeled = made.get(upper) or project_rows(upper, patterns, depth + 1)
                 if labeled != turned:
                     return projection, False

@@ -49,34 +49,45 @@ def master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[Laure
     dict per state: every term of rate * weight added at the destination and
     subtracted at the source, and a term dropped as soon as it cancels to 0
     (the last one by clear(), which also frees the table an emptied dict keeps).
+    The terms of rate * weight are formed once per distinct pair of rate
+    and weight objects, as records share their chain's few rates and
+    states often share their weight; the records and weights keep both
+    objects alive, so their ids key the pairs for the whole call.
     """
     if len(weights) != len(g.states):
         raise ValueError("need one weight per state")
     heads = orbit_heads(g, weights)
     sums = [{} if head == state else None for state, head in enumerate(heads)]
+    products: dict[tuple[int, int], list] = {}  # (id(rate), id(weight)) -> terms of rate * weight
     for src, dst, rate, _ in g.transitions:
         into, out = sums[dst], sums[src]
         if into is None and out is None:
             continue
-        for e1, c1 in rate.terms.items():
-            for e2, c2 in weights[src].terms.items():
-                exps, coeff = tuple(map(add, e1, e2)), c1 * c2
-                if into is not None:
-                    total = into.get(exps, 0) + coeff
-                    if total:
-                        into[exps] = total
-                    elif len(into) > 1:
-                        del into[exps]
-                    else:
-                        into.clear()
-                if out is not None:
-                    total = out.get(exps, 0) - coeff
-                    if total:
-                        out[exps] = total
-                    elif len(out) > 1:
-                        del out[exps]
-                    else:
-                        out.clear()
+        weight = weights[src]
+        terms = products.get((id(rate), id(weight)))
+        if terms is None:
+            terms = products[id(rate), id(weight)] = [
+                (tuple(map(add, e1, e2)), c1 * c2)
+                for e1, c1 in rate.terms.items()
+                for e2, c2 in weight.terms.items()
+            ]
+        for exps, coeff in terms:
+            if into is not None:
+                total = into.get(exps, 0) + coeff
+                if total:
+                    into[exps] = total
+                elif len(into) > 1:
+                    del into[exps]
+                else:
+                    into.clear()
+            if out is not None:
+                total = out.get(exps, 0) - coeff
+                if total:
+                    out[exps] = total
+                elif len(out) > 1:
+                    del out[exps]
+                else:
+                    out.clear()
     zero = LaurentPoly.zero(g.nvars)
     residuals = [LaurentPoly(g.nvars, terms) if terms else zero for terms in sums]
     return [residuals[head] for head in heads]
@@ -147,9 +158,10 @@ def _null_vector_mod(rows: Sequence[dict[int, int]], n: int, p: int) -> tuple[in
     return n - len(pivots), vector
 
 
-def _reconstruct(residue: int, modulus: int) -> Fraction | None:
+def _reconstruct(residue: int, modulus: int) -> tuple[int, int] | None:
     """The fraction a/b = residue (mod modulus) with |a|, b <= sqrt(modulus/2),
-    if there is one (Wang's rational reconstruction)."""
+    if there is one, as the coprime pair (a, b) with b > 0 (Wang's rational
+    reconstruction)."""
     bound = isqrt(modulus >> 1)
     r0, r1, s0, s1 = modulus, residue, 0, 1
     while r1 > bound:
@@ -157,20 +169,22 @@ def _reconstruct(residue: int, modulus: int) -> Fraction | None:
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """Exact stationary vector at a rate point, as coprime positive integers.
 
     Builds the integer generator, its rates the numerators of the chain's
-    distinct rate objects in one eval_common call, and eliminates one
-    unknown per orbit of g.rotation_orbits if the chain is strongly
-    connected with every evaluated rate positive, else one per state.  An
-    orbit's row is its first state's row with the columns summed per orbit;
+    distinct rate objects, g.distinct_rates, in one eval_common call, and
+    eliminates one unknown per orbit of g.rotation_orbits if the chain is
+    strongly connected with every evaluated rate positive, else one per
+    state.  An orbit's row is its first state's row with the columns summed per orbit;
     the first row is dropped, as the rows weighted by orbit sizes sum to
     zero.  The elimination is sparse and mod 2^127 - 1; further Mersenne
-    primes are CRT-combined only while rational reconstruction fails.
+    primes are CRT-combined only while rational reconstruction fails, and
+    the reconstructed pairs are scaled to integers by the lcm of their
+    denominators.
 
     The result is certified, not trusted: each orbit's value goes to all its
     states, and the vector is returned only when residual_at_point on the
@@ -185,11 +199,10 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """
     n = len(g.states)
     # records share their chain's few rate objects: evaluate each one once
-    distinct = {id(rate): rate for _, _, rate, _ in g.transitions}
-    numerators, _ = eval_common(list(distinct.values()), point)
-    values = dict(zip(distinct, numerators))
-    rates = [values[id(rate)] for _, _, rate, _ in g.transitions]
-    connected = all(v > 0 for v in values.values()) and g.irreducible
+    distinct, index = g.distinct_rates
+    numerators, _ = eval_common(distinct, point)
+    rates = list(map(numerators.__getitem__, index))
+    connected = all(v > 0 for v in numerators) and g.irreducible
     orbit, heads = (g.rotation_orbits, g.rotation_heads) if connected else (range(n), range(n))
     k = max(orbit) + 1
     quotient: list[dict[int, int]] = [{} for _ in range(k)]
@@ -218,8 +231,10 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
         candidate = [_reconstruct(r, modulus) for r in residues]
         if None in candidate:
             continue
-        per_orbit = normalize_rationals(candidate)
-        ints = [per_orbit[block] for block in orbit]
+        scale = lcm(*[b for _, b in candidate])
+        per_orbit = [a * (scale // b) for a, b in candidate]
+        common = gcd(*per_orbit)
+        ints = [per_orbit[block] // common for block in orbit]
         if any(residual_at_point(g, ints, rates)):
             continue
         bad = next((i for i, value in enumerate(ints) if value <= 0), None)
@@ -238,15 +253,6 @@ def point_vector(weights: Sequence[LaurentPoly], point: Sequence[Fraction]) -> l
     numerators, _ = eval_common(weights, point)
     common = gcd(*numerators)
     return [v // common for v in numerators]
-
-
-def normalize_rationals(values: Sequence[Fraction]) -> list[int]:
-    """Scale a positive rational vector to coprime positive integers."""
-    values = [Fraction(v) for v in values]
-    scale = lcm(*[v.denominator for v in values])
-    ints = [int(v * scale) for v in values]
-    common = gcd(*ints)
-    return [v // common for v in ints]
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +311,14 @@ def lifted_irreducible(g: ChainGraph) -> bool:
     """Whether the N-fold cover of g is strongly connected, N the ring's
     size: states (u, a), a mod N, (u, a) -> (w, a - v) per record u -> w of
     voltage v = g.voltages[k] (0 on a chain with none).  Exactly when g is,
-    and gcd(N, phi(u) - v - phi(w)) = 1 over its records, phi(w) =
-    phi(u) - v along a walk from state 0."""
+    and gcd(N, phi(u) - v - phi(w)) = 1 over its records, phi = g.potentials,
+    which the forward walk of g.irreducible carries: so the chain is walked
+    once each way, and a later solve reads g.irreducible as computed."""
     if not g.irreducible:
         return False
-    voltages = g.voltages or (0,) * len(g.transitions)
-    out: list[list[int]] = [[] for _ in g.states]
-    for k, rec in enumerate(g.transitions):
-        out[rec.src].append(k)
-    phi: list = [None] * len(g.states)
-    phi[0], stack = 0, [0]
-    while stack:
-        for k in out[stack.pop()]:
-            src, dst, _, _ = g.transitions[k]
-            if phi[dst] is None:
-                phi[dst] = phi[src] - voltages[k]
-                stack.append(dst)
-    common = g.composition.N
-    for (src, dst, _, _), v in zip(g.transitions, voltages, strict=True):
+    phi, common = g.potentials, g.composition.N
+    for (src, dst, _, _), v in zip(g.transitions, g.voltages or (0,) * len(g.transitions), strict=True):
         common = gcd(common, phi[src] - v - phi[dst])
+        if common == 1:
+            return True
     return common == 1

@@ -180,11 +180,14 @@ def _word_lumping(chain: ChainGraph, word_chain: ChainGraph, words: Sequence) ->
 
 def _aggregated_weights(word_chain: ChainGraph, projection: QueueProjection) -> list[LaurentPoly]:
     """Per state of word_chain, the sum of the conjectured monomials of the
-    queues that project to its word, counted by exponent."""
+    queues that project to its word, counted by exponent.  A sum equal to
+    its orbit head's is the head's object, so that orbit_heads, in the
+    residual and again in the point check, finds it by identity."""
     exponents = {w: Counter() for w in word_chain.states}
     for word, exps in zip(projection.words, projection.exponents):
         exponents[word][exps] += 1
-    return [LaurentPoly(word_chain.nvars, exponents[w]) for w in word_chain.states]
+    sums = [LaurentPoly(word_chain.nvars, exponents[w]) for w in word_chain.states]
+    return [sums[head] if sums[head] == w else w for head, w in zip(word_chain.rotation_heads, sums)]
 
 
 def _word_weights(c: Composition) -> tuple[ChainGraph, list[LaurentPoly], dict | None]:

@@ -44,7 +44,10 @@ reference_master_residual sums the balance at every state, the oracle of
 solve.master_residual, which sums it at one state per rotation orbit of a
 word chain whose weights are orbit-constant; full_word_weights is a word
 chain with verify's aggregation of every queue onto it, the oracle of the
-orbit representatives' word weights.  bound_suite_inputs
+orbit representatives' word weights.  normalize_rationals scales a
+rational vector to coprime integers, the form stationary_solve returns;
+reference_reconstruct is Wang's reconstruction giving a Fraction, the
+oracle of solve._reconstruct's integer pairs.  bound_suite_inputs
 caps how many compositions a suite's predicate may take.  golden_form puts
 reports in the form of the benchmark's golden files under GOLDEN_DIR.
 """
@@ -56,6 +59,7 @@ import time
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
+from math import gcd, isqrt, lcm
 from operator import add
 from pathlib import Path
 from typing import Callable, Sequence
@@ -633,6 +637,28 @@ def reference_master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> 
                     out.clear()
     zero = LaurentPoly.zero(g.nvars)
     return [LaurentPoly(g.nvars, terms) if terms else zero for terms in sums]
+
+
+def normalize_rationals(values: Sequence[Fraction]) -> list[int]:
+    """Scale a positive rational vector to coprime positive integers."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*[v.denominator for v in values])
+    ints = [int(v * scale) for v in values]
+    common = gcd(*ints)
+    return [v // common for v in ints]
+
+
+def reference_reconstruct(residue: int, modulus: int) -> Fraction | None:
+    """The fraction a/b = residue (mod modulus) with |a|, b <= sqrt(modulus/2),
+    if there is one (Wang's rational reconstruction)."""
+    bound = isqrt(modulus >> 1)
+    r0, r1, s0, s1 = modulus, residue, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 @functools.lru_cache(maxsize=None)

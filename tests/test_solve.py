@@ -13,11 +13,14 @@ from mlqtasep.chains import (
     build_coupe_chain,
     build_fm_chain,
     build_tasep_chain,
+    ringing_chain,
 )
 from mlqtasep.core import (
     build_composition,
     bully_projection,
     enumerate_words,
+    orbit_ring_successors,
+    project_orbit_representatives,
 )
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.solve import (
@@ -25,7 +28,6 @@ from mlqtasep.solve import (
     lifted_irreducible,
     lump,
     master_residual,
-    normalize_rationals,
     point_vector,
     residual_at_point,
     stationary_solve,
@@ -33,6 +35,7 @@ from mlqtasep.solve import (
 from helpers import (
     bully_partition,
     first_state_quotient,
+    normalize_rationals,
     reference_eval,
     three_species_weight,
     transition_matrix,
@@ -152,6 +155,15 @@ def test_stationary_solve_evaluates_each_distinct_rate_once(monkeypatch):
     # a fresh rate object per record gives the same vector
     copies = tuple(rec._replace(rate=rec.rate + 0) for rec in g.transitions)
     assert stationary_solve(replace(g, transitions=copies), point) == solved
+
+
+def test_distinct_rates_index_every_record_once_per_chain():
+    # the 110 records of the three-species chain on (1,2,2) share x1 and x2
+    g = build_fm_chain(build_composition((1, 2, 2)), "three_species")
+    distinct, index = g.distinct_rates
+    assert len(distinct) == 2
+    assert all(distinct[i] is rec.rate for i, rec in zip(index, g.transitions, strict=True))
+    assert g.distinct_rates is g.distinct_rates
 
 
 def test_stationary_solve_refuses_a_rotation_swapped_reducible_chain():
@@ -382,6 +394,20 @@ def test_lifted_irreducible_controls(size, order, arcs, expected):
     g = _voltage_graph(size, order, arcs)
     assert lifted_irreducible(g) is expected
     assert unrolled_chain(g).irreducible is expected
+
+
+def test_lifted_irreducible_and_a_later_solve_walk_the_chain_once_each_way(monkeypatch):
+    # the forward walk of g.irreducible carries the potentials that
+    # lifted_irreducible reads, and the solve reads g.irreducible as computed
+    c = build_composition((1, 1, 2, 1))
+    walk, _ = orbit_ring_successors(c)
+    g = ringing_chain(c, "one_first_class", walk, project_orbit_representatives(c)[0])
+    honest, walks = ChainGraph._walk, []
+    monkeypatch.setattr(ChainGraph, "_walk", lambda g, head, tail: walks.append((head, tail)) or honest(g, head, tail))
+    assert lifted_irreducible(g)
+    assert walks == [(0, 1), (1, 0)]
+    stationary_solve(g, (Fraction(2), Fraction(1), Fraction(1)))
+    assert walks == [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("N", range(2, 7))

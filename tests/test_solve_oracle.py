@@ -5,12 +5,17 @@ simple and slow, so it only runs on chains of a few states.  Random chains
 come in two kinds: 1-tuple states, where rotation finds no orbit, and
 orbit chains of whole rotation orbits of words with records closed under
 rotation, where the solve eliminates one unknown per orbit.
+
+The solve's rational reconstruction gives coprime integer pairs; a
+property holds it to the Fraction reconstruction it replaced
+(reference_reconstruct), which accepts the same residues, so every solve
+tries the same primes.
 """
 
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +25,9 @@ import mlqtasep.solve as solve
 from mlqtasep.chains import ChainGraph, TransitionRecord, build_fm_chain, build_tasep_chain
 from mlqtasep.core import build_composition
 from mlqtasep.poly import LaurentPoly
-from mlqtasep.solve import ReducibleChainError, normalize_rationals, stationary_solve
+from mlqtasep.solve import ReducibleChainError, stationary_solve
+
+from helpers import normalize_rationals, reference_reconstruct
 
 
 def _bareiss_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -196,6 +203,50 @@ def test_stationary_solve_at_a_rate_equal_to_the_first_prime():
     nullity, solution = oracle_nullspace(g, point)
     assert nullity == 1
     assert stationary_solve(g, point) == normalize_rationals(solution)
+
+
+def test_stationary_solve_tries_the_same_primes_at_a_rate_equal_to_the_first_prime(monkeypatch):
+    # the weights do not reconstruct mod 2^127 - 1 alone: the integer pairs
+    # are refused there as the fractions were, and the solve certifies
+    # after CRT with 2^521 - 1
+    g = build_tasep_chain(build_composition((1, 1, 1)))
+    honest, primes = solve._null_vector_mod, []
+    monkeypatch.setattr(solve, "_null_vector_mod", lambda rows, n, p: primes.append(p) or honest(rows, n, p))
+    big = 2**127
+    assert stationary_solve(g, (big - 1, 1)) == [big, big - 1, big - 1, big, big, big - 1]
+    assert primes == [2**127 - 1, 2**521 - 1]
+
+
+def _moduli():
+    """The moduli the solve reconstructs over, products of its first one
+    to three Mersenne primes, and small ones."""
+    primes = [(1 << e) - 1 for e in solve._MERSENNE_EXPONENTS[:3]]
+    return st.integers(1, 3).map(lambda k: prod(primes[:k])) | st.integers(2, 10**6)
+
+
+@st.composite
+def reconstruction_inputs(draw):
+    """A modulus and a residue: any residue, or the image of a fraction
+    a/b whose a and b lie near the reconstruction bound."""
+    modulus = draw(_moduli())
+    if draw(st.booleans()):
+        return draw(st.integers(0, modulus - 1)), modulus
+    bound = isqrt(modulus >> 1)
+    a = draw(st.integers(-2 * bound, 2 * bound))
+    b = draw(st.integers(1, 2 * bound + 1).filter(lambda b: gcd(b, modulus) == 1))
+    return a * pow(b, -1, modulus) % modulus, modulus
+
+
+@settings(max_examples=300, deadline=None)
+@given(reconstruction_inputs())
+@example((0, 2**127 - 1))
+@example((1, 2))
+def test_reconstruct_accepts_as_the_fraction_reconstruction_does(case):
+    residue, modulus = case
+    pair, fraction = solve._reconstruct(residue, modulus), reference_reconstruct(residue, modulus)
+    assert (pair is None) == (fraction is None)
+    if pair is not None:
+        assert pair == (fraction.numerator, fraction.denominator)
 
 
 def _spy_unknowns(monkeypatch) -> list[int]:

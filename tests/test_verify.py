@@ -313,7 +313,7 @@ def _spy_chain_facts(monkeypatch) -> tuple[list, Counter, list]:
     import mlqtasep.verify as verify
 
     solved, walks, turned = [], Counter(), []
-    solve, reaches_all, rotate = verify.stationary_solve, ChainGraph._reaches_all, chains.rotate
+    solve, walk, rotate = verify.stationary_solve, ChainGraph._walk, chains.rotate
 
     def solve_spy(g, point):
         solved.append(g)
@@ -321,14 +321,14 @@ def _spy_chain_facts(monkeypatch) -> tuple[list, Counter, list]:
 
     def walk_spy(g, head, tail):
         walks[id(g)] += (head, tail) == (0, 1)
-        return reaches_all(g, head, tail)
+        return walk(g, head, tail)
 
     def rotate_spy(state):
         turned.append(state)
         return rotate(state)
 
     monkeypatch.setattr(verify, "stationary_solve", solve_spy)
-    monkeypatch.setattr(ChainGraph, "_reaches_all", walk_spy)
+    monkeypatch.setattr(ChainGraph, "_walk", walk_spy)
     monkeypatch.setattr(chains, "rotate", rotate_spy)
     return solved, walks, turned
 
