@@ -58,7 +58,7 @@ class ChainGraph:
     transitions: tuple[TransitionRecord, ...]
     nvars: int
     # the projection of the states of a projecting queue chain (fm under
-    # three_species or one_first_class, fm1's orbit chain, coupe); else None
+    # three_species or one_first_class, coupe); else None
     projection: QueueProjection | None = field(default=None, compare=False, repr=False)
     # one voltage per record on an orbit chain with a turned record; else empty
     voltages: tuple[int, ...] = ()
@@ -229,22 +229,22 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
 
 
 def ringing_chain(
-    c: Composition, rate_rule: str, walk: Iterable, states: QueueProjection | Sequence[Queue]
+    c: Composition, rate_rule: str, walk: Iterable, states: QueueProjection | Sequence[Queue], words: Iterable[Word] = ()
 ) -> ChainGraph:
     """The chain of walk's rings: each state id, from 0 on, with its
     successors' ids as columns 0..N-1 ring (its own id for a loop, and
     B + w, past the B states, for a record to w of voltage 1).  The states
-    are a projection's queues, or the queues given under uniform rates,
-    which read no word.  Each record reads its rate from one table per
-    chain, keyed by the projected class and covered bit of its column."""
+    are a projection's queues, or the queues given with the words their
+    rates read, uncovered (uniform rates read none).  Each record reads its
+    rate from one table per chain, keyed by class and covered bit."""
     nvars = c.n - 1
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
     rule = RATE_RULES[rate_rule]
     table = [[rule(cls, bit, x, one) for bit in (0, 1)] for cls in range(c.n + 1)]  # row 0 unused
     projection = states if isinstance(states, QueueProjection) else None
-    if projection is None:  # uniform rates read no word: each ring reads an uncovered 1
+    if projection is None:  # with no words given, each ring reads an uncovered 1
         states = tuple(states)
-        words, covers = itertools.repeat((1,) * c.N, len(states)), itertools.repeat(0, len(states))
+        words, covers = words or itertools.repeat((1,) * c.N, len(states)), itertools.repeat(0, len(states))
     else:
         states, words, covers = projection.queues, projection.words, projection.covered
     mechanisms = [f"ringing({i + 1})" for i in range(c.N)]

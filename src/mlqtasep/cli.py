@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or agreement, 1 failed check, 2 usage or validation
 error, 3 solver degeneracy (reducible chain at the rate point) or give-up
-(no certified vector modulo the listed primes), 4 simulation anomaly.  All
+(no certified vector modulo the listed primes), 4 simulation anomaly, 141
+stdout closed early, as by `| head -1`, with nothing on stderr.  All
 machine-readable output goes to stdout (JSON or CSV); progress and
 summaries go to stderr.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from time import perf_counter
@@ -188,6 +190,7 @@ def cmd_verify(args) -> int:
     reports = run_suites([args.suite], max_n=args.max_n, seed=args.seed)
     for report in reports:
         print(json.dumps(report.to_dict(), sort_keys=True))
+    sys.stdout.flush()  # a closed pipe fails here, before the summary
     failed = [r for r in reports if not r.ok]
     summary = f"{len(reports) - len(failed)}/{len(reports)} checks ok"
     print(summary, file=sys.stderr)
@@ -239,7 +242,13 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so that exit adds no message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except AbsorbingStateError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

@@ -412,6 +412,33 @@ def project_queues(c: Composition) -> QueueProjection:
     return _project(c, _rows(c))[0]
 
 
+def _first_class_step(row: tuple[int, ...], col: int) -> tuple[int, int]:
+    """The class-1 path into row at col: the column of the row's first particle
+    at or right of col, circularly, and the vacancies it passes on the way."""
+    passed = (row[col:] + row[:col]).index(1)
+    return (col + passed) % len(row), passed
+
+
+def first_class_walk(c: Composition) -> tuple[list[tuple[int, int]], bool]:
+    """For m_1 = 1, per orbit representative in orbit_representatives order,
+    its bottom-row class-1 column and V_1 - z_1, stepped one lower row at a
+    time from column N - 1, each distinct (column, exponent) once; and the
+    certificate that _first_class_step on each pattern turned one column
+    right, entered one column on, exits one column on past as many
+    vacancies.  Paths go in class order, so the class-1 path meets no other."""
+    if c.m[0] != 1:
+        raise ValueError("orbit representatives need m_1 = 1")
+    N, walked, commutes = c.N, [(c.N - 1, c.V[0])], True
+    for patterns in _rows(c)[1:]:
+        steps = {p: [_first_class_step(p, col) for col in range(N)] for p in patterns}
+        commutes = commutes and all(steps[rotate(p)] == [((out + 1) % N, k) for out, k in row[-1:] + row[:-1]]
+                                    for p, row in steps.items())
+        columns = list(zip(*steps.values()))  # per entry column, each pattern's step
+        below = {(col, e): [(out, e - passed) for out, passed in columns[col]] for col, e in set(walked)}
+        walked = [step for prefix in walked for step in below[prefix]]
+    return walked, commutes
+
+
 def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool]:
     """For m_1 = 1, project_queues on the first mlq_count / N queues, the
     rotation-orbit representatives, and the certificate that each upper row
@@ -420,6 +447,7 @@ def project_orbit_representatives(c: Composition) -> tuple[QueueProjection, bool
     representative turned.  Each upper-row orbit is walked once, since
     turning N columns is the identity; at each turn every step turned, its
     rows sliced one column right, is compared with the step made there.
+    main, lw and identity read it; fm1 and zpart read first_class_walk.
     """
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")

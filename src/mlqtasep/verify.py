@@ -6,8 +6,9 @@ conjectured statements ("conjecture" kind) are reported as agree/disagree.
 All randomness is a seeded drawing of small positive rational rate points,
 so each report is reproducible from (composition, seed).  run_suites lists
 the compositions once and runs every chosen suite on one composition before
-the next; the word chain, projections and word weights the suites of one
-composition read are built once for it through _once, and dropped after it.
+the next; the word chain, projections, first-class walk and word weights the
+suites of one composition read are built once for it through _once, and
+dropped after it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     QueueProjection,
     build_composition,
     check_queue_count,
+    first_class_walk,
     mlq_count,
     orbit_representatives,
     orbit_ring_successors,
@@ -194,11 +196,13 @@ def _word_weights(c: Composition) -> tuple[ChainGraph, list[LaurentPoly], dict |
     """c's word chain, _aggregated_weights over all of c's queues, and None.
     For m_1 = 1 the sums come from the orbit representatives, one object per
     rotation orbit, each counted at every turn of its word that heads an
-    orbit, with the failure of their projection-rotation certificate."""
+    orbit; or no sums when their projection-rotation certificate fails."""
     word_chain = _once(build_tasep_chain, c)
     if c.m[0] != 1:
         return word_chain, _aggregated_weights(word_chain, _once(project_queues, c)), None
     projection, equivariant = _once(project_orbit_representatives, c)
+    if not equivariant:  # then a representative's word may not even be a word of c
+        return word_chain, [], {"check": "projection-rotation"}
     heads, index = word_chain.rotation_heads, {w: i for i, w in enumerate(word_chain.states)}
     onto_heads = {w: [i for i in (index[w[k:] + w[:k]] for k in range(c.N)) if heads[i] == i] for w in set(projection.words)}
     exponents = [Counter() for _ in heads]
@@ -206,7 +210,7 @@ def _word_weights(c: Composition) -> tuple[ChainGraph, list[LaurentPoly], dict |
         for i in onto_heads[word]:
             exponents[i][exps] += count
     weights = [LaurentPoly(word_chain.nvars, terms) for terms in exponents]
-    return word_chain, [weights[head] for head in heads], None if equivariant else {"check": "projection-rotation"}
+    return word_chain, [weights[head] for head in heads], None
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +303,27 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
 def check_fm1_theorem(c: Composition) -> SuiteReport:
     """Weights x1^(V1 - z1) are stationary when m_1 = 1 and x_i = 1 for i >= 2.
 
-    V1 - z1 is the x1 exponent of the conjectured weight; the states share
-    one monomial per distinct exponent, as the chain's records share rates.
-    Everything runs on one queue per rotation orbit, once rates and
-    weights are certified rotation-invariant: the residual at a
-    representative is the full chain's, and as every orbit holds N queues,
-    the orbit chain's stationary vector is the full one on representatives.
+    Weights and rates, x1 at the first-class column, come off first_class_walk;
+    the states share one monomial per distinct exponent.  Everything runs
+    on one queue per rotation orbit, once rates and weights are certified
+    rotation-invariant: the residual at a representative is the full
+    chain's, and as every orbit holds N queues, the orbit chain's
+    stationary vector is the full one on representatives.
     """
     started = time.perf_counter()
     if c.m[0] != 1 or c.n < 3:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
-    projection, equivariant = _once(project_orbit_representatives, c)
+    walked, equivariant = _once(first_class_walk, c)
     walk, commutes = orbit_ring_successors(c)
     details: dict = {"states": mlq_count(c)}
     failure = None if equivariant else {"check": "projection-rotation"}
     if failure is None and not commutes:
         failure = {"check": "ring-rotation"}
     if failure is None:
-        orbits = ringing_chain(c, "one_first_class", walk, projection)
-        weights = _monomials([(e[0],) + (0,) * (c.n - 2) for e in projection.exponents])
+        # a word with a 1 at the first-class column is all the rate reads
+        ones = [(c.n,) * col + (1,) + (c.n,) * (c.N - 1 - col) for col in range(c.N)]
+        orbits = ringing_chain(c, "one_first_class", walk, orbit_representatives(c), [ones[col] for col, _ in walked])
+        weights = _monomials([(e,) + (0,) * (c.n - 2) for _, e in walked])
         failure = _residual_failure(orbits, weights)
         if failure is None and not lifted_irreducible(orbits):
             failure = {"check": "irreducible"}
@@ -348,10 +354,10 @@ def check_partition_function(c: Composition) -> SuiteReport:
     started = time.perf_counter()
     if c.m[0] != 1:
         raise ValueError("partition function suite needs m_1 = 1")
-    # V1 - z1, the first conjectured exponent, once per rotation orbit of N
-    # queues, on which the certificate makes it constant
-    projection, equivariant = _once(project_orbit_representatives, c)
-    counts = Counter(exps[0] for exps in projection.exponents)
+    # V1 - z1 once per rotation orbit of N queues, on which the certificate
+    # makes it constant
+    walked, equivariant = _once(first_class_walk, c)
+    counts = Counter(e for _, e in walked)
     enumerated = LaurentPoly(1, {(e,): c.N * count for e, count in counts.items()})
     explicit = q_form = h_form = LaurentPoly.constant(c.N, 1)
     # q_form stays multiplied by the (M_r - 1)! each derivative is divided by

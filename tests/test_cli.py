@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -283,6 +287,25 @@ def test_verify_all_tiny(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-N", "3")
     assert code == 0
     assert all(json.loads(line)["status"] in ("pass", "agree") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "zpart", "--max-N", "3"], ["verify", "all", "--max-N", "4"], ["enumerate", "mlqs", "-m", "1,1,2"]]
+)
+def test_a_closed_stdout_pipe_exits_quietly(argv):
+    # the reader is gone before the first write, as when `head -1` has
+    # read its line: exit 141, no summary and no error on stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mlqtasep.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_verify_choices_are_the_registry(capsys):

@@ -15,6 +15,7 @@ from mlqtasep.core import (
     conjectured_weight,
     enumerate_mlqs,
     enumerate_words,
+    first_class_walk,
     mlq_count,
     orbit_representatives,
     orbit_ring_successors,
@@ -494,6 +495,8 @@ def test_orbit_representatives_need_one_first_class_particle():
     with pytest.raises(ValueError, match="m_1 = 1"):
         project_orbit_representatives(c)
     with pytest.raises(ValueError, match="m_1 = 1"):
+        first_class_walk(c)
+    with pytest.raises(ValueError, match="m_1 = 1"):
         orbit_representatives(c)
 
 
@@ -512,7 +515,8 @@ def test_orbit_representatives_are_the_first_queues_of_the_enumeration(m):
 
 @pytest.mark.parametrize(
     "caller",
-    ["enumerate_mlqs", "orbit_representatives", "_ring_rows", "project_queues", "project_orbit_representatives"],
+    ["enumerate_mlqs", "orbit_representatives", "_ring_rows", "project_queues", "project_orbit_representatives",
+     "first_class_walk"],
 )
 def test_row_listing_refuses_before_listing_a_row(monkeypatch, caller):
     import mlqtasep.core as core
@@ -543,6 +547,30 @@ def test_orbit_projection_is_the_full_projection_on_block_zero(m):
     assert projection.queues == full.queues[:B]
     for field in ("words", "exponents", "covered"):
         assert getattr(projection, field) == getattr(full, field)[:B]
+
+
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6) if c.m[0] == 1 and c.n >= 3], ids=str)
+def test_first_class_walk_is_the_projection_of_the_representatives(m):
+    # per representative, in order, the column of the bottom-row 1 and the
+    # first conjectured exponent V1 - z1, on all 26 compositions with N <= 6
+    c = build_composition(m)
+    projection, equivariant = project_orbit_representatives(c)
+    walked, commutes = first_class_walk(c)
+    assert commutes and equivariant
+    assert walked == [(word.index(1), exps[0]) for word, exps in zip(projection.words, projection.exponents)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=8).filter(any).map(tuple), st.integers(0, 7))
+def test_first_class_step_commutes_with_turning(row, col):
+    # the row turned one column right, entered one column on, exits one
+    # column on past as many vacancies, each of them a vacancy of the row
+    import mlqtasep.core as core
+
+    N, col = len(row), col % len(row)
+    out, passed = core._first_class_step(row, col)
+    assert core._first_class_step(rotate(row), (col + 1) % N) == ((out + 1) % N, passed)
+    assert row[out] and not any(row[(col + k) % N] for k in range(passed))
 
 
 def _row_steps(monkeypatch, project):

@@ -271,9 +271,9 @@ def test_fm1_counterexample_equals_the_oracle_when_an_orbit_weight_is_off(monkey
 
 
 def test_fm1_solves_on_its_orbit_chain_only(monkeypatch):
-    # (1,1,2,1) has 250 queues, under SOLVE_CAP: one projection pass over
-    # its 50 representatives, every point solve on the 50-state orbit
-    # chain, and no full chain built
+    # (1,1,2,1) has 250 queues, under SOLVE_CAP: no projection pass, since
+    # the first-class walk gives the weights and rates, every point solve
+    # on the 50-state orbit chain, and no full chain built
     import mlqtasep.chains as chains
     import mlqtasep.core as core
     import mlqtasep.verify as verify
@@ -301,8 +301,8 @@ def test_fm1_solves_on_its_orbit_chain_only(monkeypatch):
     assert report.ok and report.details == {"states": 250, "solver_points": 3}
     assert mlq_count(c) <= verify.SOLVE_CAP
     assert built == []
-    assert passes == [mlq_count(c) // c.N] == [50]
-    assert solved == [50, 50, 50]
+    assert passes == []
+    assert solved == [50, 50, 50] == [mlq_count(c) // c.N] * 3
 
 
 def _spy_chain_facts(monkeypatch) -> tuple[list, Counter, list]:
@@ -372,83 +372,6 @@ def test_fm1_point_solve_failure_is_reported(monkeypatch):
     report = check_fm1_theorem(build_composition((1, 1, 2)))
     assert report.status == "fail"
     assert report.counterexample == {"check": "point-solve", "x1": "2"}
-
-
-def test_fm1_fails_when_a_projection_step_breaks_rotation(monkeypatch):
-    # a cover in column 1 is never recorded, so a step turned onto column 1
-    # disagrees with the step turned: the certificate fails the report
-    import mlqtasep.core as core
-
-    original = core.project_rows
-
-    def mutant(upper, patterns, new_class):
-        return [(classes, (0,) + cover[1:]) for classes, cover in original(upper, patterns, new_class)]
-
-    monkeypatch.setattr(core, "project_rows", mutant)
-    report = check_fm1_theorem(build_composition((1, 1, 2, 1)))
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "projection-rotation"}
-
-
-def _stepped_upper_rows(c):
-    """(new class, labeled upper row) of each step the representatives'
-    pass makes, in the order the pass first meets them."""
-    stepped = {}
-    for q in project_orbit_representatives(c)[0].queues:
-        for depth, upper in enumerate(bully_projection(q).classes[:-1], start=1):
-            stepped.setdefault((depth + 1, upper))
-    return list(stepped)
-
-
-def _fm1_with_corrupted_steps(monkeypatch, c, corrupt):
-    """check_fm1_theorem on c with the steps of each (new class, upper row)
-    that corrupt accepts made with no leftover class; and those rows."""
-    import mlqtasep.core as core
-
-    original, corrupted = core.project_rows, []
-
-    def mutant(upper, patterns, new_class):
-        steps = original(upper, patterns, new_class)
-        if not corrupt((new_class, upper)):
-            return steps
-        corrupted.append((new_class, upper))
-        return [(tuple(cls * (cls != new_class) for cls in classes), cover) for classes, cover in steps]
-
-    monkeypatch.setattr(core, "project_rows", mutant)
-    return check_fm1_theorem(c), corrupted
-
-
-def test_fm1_fails_when_only_a_freshly_turned_row_breaks_rotation(monkeypatch):
-    # only the upper rows the representatives' pass never steps go wrong,
-    # so the pass's own steps all hold and only the certificate's fresh
-    # step of a turned row can catch the fault
-    c = build_composition((1, 1, 2, 1))
-    stepped = set(_stepped_upper_rows(c))
-    report, corrupted = _fm1_with_corrupted_steps(monkeypatch, c, lambda key: key not in stepped)
-    assert corrupted
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "projection-rotation"}
-
-
-def test_fm1_fails_when_a_row_on_a_walked_orbit_breaks_rotation(monkeypatch):
-    # the first upper row the pass steps that turns into a row stepped
-    # before it: the certificate never walks its orbit again, so only the
-    # walk from the earlier row, which turns onto it, can catch the fault
-    c = build_composition((1, 1, 2, 1))
-    stepped = _stepped_upper_rows(c)
-
-    def orbit(key):
-        new_class, upper = key
-        turns = [upper]
-        while len(turns) < c.N:
-            turns.append(rotate(turns[-1]))
-        return {(new_class, turned) for turned in turns}
-
-    later = next(key for n, key in enumerate(stepped) if orbit(key) & set(stepped[:n]))
-    report, corrupted = _fm1_with_corrupted_steps(monkeypatch, c, lambda key: key == later)
-    assert corrupted == [later]
-    assert report.status == "fail"
-    assert report.counterexample == {"check": "projection-rotation"}
 
 
 def test_fm1_fails_when_a_ring_row_breaks_rotation(monkeypatch):
@@ -606,9 +529,9 @@ def test_partition_function_fails_when_its_rotation_certificate_fails(monkeypatc
     import mlqtasep.verify as verify
 
     c = build_composition((1, 1, 2, 1))
-    original = verify.project_orbit_representatives
+    original = verify.first_class_walk
     expected = check_partition_function(c).details
-    monkeypatch.setattr(verify, "project_orbit_representatives", lambda c: (original(c)[0], False))
+    monkeypatch.setattr(verify, "first_class_walk", lambda c: (original(c)[0], False))
     report = check_partition_function(c)
     assert report.status == "fail"
     assert report.counterexample == {"check": "projection-rotation"}
@@ -637,14 +560,13 @@ def test_partition_function_prints_a_wrong_enumeration_in_a(monkeypatch):
 
     c = build_composition((1, 2, 3))
     explicit = check_partition_function(c).details["partition_function"]
-    original = verify.project_orbit_representatives
+    original = verify.first_class_walk
 
     def doctored(c):
-        projection, equivariant = original(c)
-        *rest, (e, *tail) = projection.exponents
-        return replace(projection, exponents=(*rest, (e + 1, *tail))), equivariant
+        (*rest, (col, e)), commutes = original(c)
+        return [*rest, (col, e + 1)], commutes
 
-    monkeypatch.setattr(verify, "project_orbit_representatives", doctored)
+    monkeypatch.setattr(verify, "first_class_walk", doctored)
     report = check_partition_function(c)
     failure = report.counterexample
     assert report.status == "fail"
@@ -653,6 +575,53 @@ def test_partition_function_prints_a_wrong_enumeration_in_a(monkeypatch):
     enumerated, product = (parse_poly(failure[key], 1, ("a",)) for key in ("enumerated", "explicit"))
     assert enumerated != product and enumerated.eval([1]) == product.eval([1])
     assert report.details["partition_function"] == failure["enumerated"]
+
+
+def _mutate_first_class_step(monkeypatch, change):
+    """From now on: _first_class_step's (exit column, vacancies passed) for
+    (row, entry column) as change(row, col, out, passed) gives it."""
+    import mlqtasep.core as core
+
+    original = core._first_class_step
+    monkeypatch.setattr(core, "_first_class_step", lambda row, col: change(row, col, *original(row, col)))
+
+
+@pytest.mark.parametrize("m", [(1, 2, 2), (1, 1, 2, 1)], ids=str)
+def test_fm1_and_zpart_fail_when_a_first_class_step_breaks_rotation(monkeypatch, m):
+    # a vacancy in column 1 is never counted, so a step turned across it
+    # passes one vacancy fewer than the step turned: the certificate fails
+    # both reports
+    _mutate_first_class_step(
+        monkeypatch, lambda row, col, out, passed: (out, passed - (0 in {(col + k) % len(row) for k in range(passed)}))
+    )
+    c = build_composition(m)
+    for report in (check_fm1_theorem(c), check_partition_function(c)):
+        assert report.status == "fail"
+        assert report.counterexample == {"check": "projection-rotation"}
+
+
+@pytest.mark.parametrize("m", [(1, 2, 2), (1, 1, 2, 1)], ids=str)
+def test_fm1_and_zpart_fail_when_a_first_class_step_is_turned_but_wrong(monkeypatch, m):
+    # a particle straight below the path counted as a passed cell: the
+    # tables still commute with turning, so the certificate holds, and the
+    # weights are off on the queues where the path drops straight down
+    _mutate_first_class_step(monkeypatch, lambda row, col, out, passed: (out, passed + row[col]))
+    c = build_composition(m)
+    fm1, zpart = check_fm1_theorem(c), check_partition_function(c)
+    assert fm1.status == zpart.status == "fail"
+    assert fm1.counterexample["check"] == "residual"
+    assert zpart.counterexample["check"] == "enumeration-vs-binomial-product"
+
+
+def test_only_zpart_catches_a_first_class_step_that_counts_its_landing_cell(monkeypatch):
+    # every step one more: each of (1,1,2,1)'s queues passes two lower rows,
+    # so every weight is x1^-2 times its own, a constant factor stationarity
+    # cannot see, and only the partition function's normalization can
+    _mutate_first_class_step(monkeypatch, lambda row, col, out, passed: (out, passed + 1))
+    c = build_composition((1, 1, 2, 1))
+    assert check_fm1_theorem(c).ok
+    report = check_partition_function(c)
+    assert report.status == "fail" and report.counterexample["check"] == "enumeration-vs-binomial-product"
 
 
 def test_partition_function_h_form_is_the_product_of_complete_homogeneous_polynomials():
@@ -766,6 +735,84 @@ def test_main_and_lw_fail_when_the_rotation_certificate_fails(monkeypatch, check
     assert report.status == "disagree"
     assert report.counterexample == {"check": "projection-rotation"}
     assert report.details == details
+
+
+def test_main_fails_when_a_projection_step_breaks_rotation(monkeypatch):
+    # a cover in column 1 is never recorded, so a step turned onto column 1
+    # disagrees with the step turned: the certificate fails the report
+    import mlqtasep.core as core
+
+    original = core.project_rows
+
+    def mutant(upper, patterns, new_class):
+        return [(classes, (0,) + cover[1:]) for classes, cover in original(upper, patterns, new_class)]
+
+    monkeypatch.setattr(core, "project_rows", mutant)
+    report = check_main_conjecture(build_composition((1, 1, 2, 1)))
+    assert report.status == "disagree"
+    assert report.counterexample == {"check": "projection-rotation"}
+
+
+def _stepped_upper_rows(c):
+    """(new class, labeled upper row) of each step the representatives'
+    pass makes, in the order the pass first meets them."""
+    stepped = {}
+    for q in project_orbit_representatives(c)[0].queues:
+        for depth, upper in enumerate(bully_projection(q).classes[:-1], start=1):
+            stepped.setdefault((depth + 1, upper))
+    return list(stepped)
+
+
+def _main_with_corrupted_steps(monkeypatch, c, corrupt):
+    """check_main_conjecture on c with the steps of each (new class, upper
+    row) that corrupt accepts made with no leftover class; and those rows."""
+    import mlqtasep.core as core
+
+    original, corrupted = core.project_rows, []
+
+    def mutant(upper, patterns, new_class):
+        steps = original(upper, patterns, new_class)
+        if not corrupt((new_class, upper)):
+            return steps
+        corrupted.append((new_class, upper))
+        return [(tuple(cls * (cls != new_class) for cls in classes), cover) for classes, cover in steps]
+
+    monkeypatch.setattr(core, "project_rows", mutant)
+    return check_main_conjecture(c), corrupted
+
+
+def test_main_fails_when_only_a_freshly_turned_row_breaks_rotation(monkeypatch):
+    # only the upper rows the representatives' pass never steps go wrong,
+    # so the pass's own steps all hold and only the certificate's fresh
+    # step of a turned row can catch the fault
+    c = build_composition((1, 1, 2, 1))
+    stepped = set(_stepped_upper_rows(c))
+    report, corrupted = _main_with_corrupted_steps(monkeypatch, c, lambda key: key not in stepped)
+    assert corrupted
+    assert report.status == "disagree"
+    assert report.counterexample == {"check": "projection-rotation"}
+
+
+def test_main_fails_when_a_row_on_a_walked_orbit_breaks_rotation(monkeypatch):
+    # the first upper row the pass steps that turns into a row stepped
+    # before it: the certificate never walks its orbit again, so only the
+    # walk from the earlier row, which turns onto it, can catch the fault;
+    # the words its steps leave are not words of c, and main reads none
+    c = build_composition((1, 1, 2, 1))
+    stepped = _stepped_upper_rows(c)
+
+    def orbit(key):
+        new_class, upper = key
+        turns = [upper]
+        while len(turns) < c.N:
+            turns.append(rotate(turns[-1]))
+        return {(new_class, turned) for turned in turns}
+
+    later = next(key for n, key in enumerate(stepped) if orbit(key) & set(stepped[:n]))
+    report, corrupted = _main_with_corrupted_steps(monkeypatch, c, lambda key: key == later)
+    assert corrupted == [later]
+    assert report.status == "disagree"
+    assert report.counterexample == {"check": "projection-rotation"}
 
 
 def test_lw_positivity():
@@ -1067,8 +1114,8 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
         (check_fm3_theorem, build_composition((1, 2, 2))),
         (check_coupe_theorem, build_composition((1, 2, 2))),
         (check_lw_normalization_and_positivity, build_composition((1, 1, 1))),
-        # 500 queues, above SOLVE_CAP, and 250, under it: fm1's point
-        # solves run on its orbit chain, so it never projects every queue
+        # 500 queues, above SOLVE_CAP, and 250, under it: fm1 and zpart
+        # read the first-class walk and project nothing
         (check_fm1_theorem, build_composition((1, 1, 1, 2))),
         (check_partition_function, build_composition((1, 1, 2, 1))),
         (check_fm1_theorem, build_composition((1, 1, 2, 1))),
@@ -1079,22 +1126,32 @@ def test_lumpability_checked_once_per_report(monkeypatch, check):
 )
 def test_each_queue_projected_once_per_use(monkeypatch, check, arg):
     # one projection pass per report: fm3 and coupe read the one their
-    # chain carries; fm1, zpart, lw and main on m_1 = 1 project their
-    # mlq_count / N orbit representatives only, never the whole queue
-    # space, and main on m_1 >= 2 projects every queue
+    # chain carries; lw and main on m_1 = 1 project their mlq_count / N
+    # orbit representatives only, never the whole queue space, and main on
+    # m_1 >= 2 projects every queue; fm1 and zpart make no pass and step no
+    # row of one
     import mlqtasep.core as core
 
-    passes = []
-    original = core._project
+    passes, stepped = [], []
+    original, step = core._project, core.project_rows
 
     def spy(c, rows):
         passes.append(prod(map(len, rows)))
         return original(c, rows)
 
+    def step_spy(*args):
+        stepped.append(args)
+        return step(*args)
+
     monkeypatch.setattr(core, "_project", spy)
+    monkeypatch.setattr(core, "project_rows", step_spy)
     assert check(arg).ok
+    if check in (check_fm1_theorem, check_partition_function):
+        assert passes == stepped == []
+        return
     orbits = arg.m[0] == 1 and check not in (check_fm3_theorem, check_coupe_theorem)
     assert passes == [mlq_count(arg) // arg.N if orbits else mlq_count(arg)]
+    assert stepped
 
 
 def test_failure_helpers_counterexamples():
@@ -1168,7 +1225,7 @@ def test_all_reports_match_the_golden_sweep():
     assert golden_form(run_suites(["all"], max_n=5)) == golden
 
 
-SHARED = ("build_tasep_chain", "project_queues", "project_orbit_representatives", "_word_weights")
+SHARED = ("build_tasep_chain", "project_queues", "project_orbit_representatives", "first_class_walk", "_word_weights")
 
 
 def _spy_builds(monkeypatch) -> Counter:
@@ -1211,11 +1268,11 @@ def test_run_suites_drops_what_it_shares_when_a_check_raises(monkeypatch):
 
 
 def test_nothing_is_shared_outside_run_suites(monkeypatch):
-    # two direct calls, two projection passes: nothing outlives a composition
+    # two direct calls, two first-class walks: nothing outlives a composition
     built = _spy_builds(monkeypatch)
     c = build_composition((1, 1, 2))
     assert check_fm1_theorem(c).ok and check_fm1_theorem(c).ok
-    assert built == {("project_orbit_representatives", (1, 1, 2)): 2}
+    assert built == {("first_class_walk", (1, 1, 2)): 2}
 
 
 def test_run_suites_rejects_unknown():
