@@ -141,6 +141,7 @@ def cmd_enumerate(args) -> int:
     else:
         for line in texts:
             print(line)
+        sys.stdout.flush()  # a closed pipe fails here, before the count
         print(f"count: {len(items)}", file=sys.stderr)
     return 0
 
@@ -215,13 +216,14 @@ def cmd_simulate(args) -> int:
     start = perf_counter()
     emp = gillespie_run(cfg, chain)
     seconds = perf_counter() - start
-    rate = f"{emp.events / seconds:.3g}" if seconds > 0 else "inf"
-    print(f"{emp.events} events in {seconds:.2f} s ({rate} events/s)", file=sys.stderr)
     comparison = None
     if args.compare_exact:
         exact = stationary_solve(chain, rates)
         comparison = compare_to_exact(emp, exact, args.tolerance)
     sys.stdout.write(to_csv(emp, comparison))
+    sys.stdout.flush()  # a closed pipe fails here, before the summary
+    rate = f"{emp.events / seconds:.3g}" if seconds > 0 else "inf"
+    print(f"{emp.events} events in {seconds:.2f} s ({rate} events/s)", file=sys.stderr)
     if comparison is not None:
         print(
             f"tv = {comparison['tv']:.6g} (tolerance {comparison['tolerance']})",

@@ -4,7 +4,7 @@ Floats appear here and nowhere else in the package: holding times and the
 event selection use binary64, while every comparison target comes from the
 exact solver.  A single seeded random.Random instance drives each run, so
 identical configurations reproduce identical event sequences byte for byte;
-each event costs two random() calls, one log and one bisect on a jump table.
+an event costs two random() calls and a bisect, and a log once past burn-in.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Sequence
 
 import random
@@ -58,10 +58,12 @@ class SimConfig:
 
 
 def check_config(cfg: SimConfig) -> None:
-    """ValueError unless the rates are positive, the event horizon is positive
-    and the burn-in fraction lies in [0, 1)."""
+    """ValueError unless the rates are positive, the event horizon is a
+    positive int (not a bool) and the burn-in fraction lies in [0, 1)."""
     if any(rate <= 0 for rate in cfg.rates):
         raise ValueError("rates must be positive")
+    if not isinstance(cfg.events, int) or isinstance(cfg.events, bool):
+        raise ValueError(f"event horizon must be an int count of events, got {cfg.events!r}")
     if cfg.events <= 0:
         raise ValueError("event horizon must be positive")
     if not 0 <= cfg.burn_in < 1:
@@ -102,19 +104,25 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph) -> EmpiricalDistribution:
         sums = list(accumulate(floats[id(rate)] for _, _, rate, _ in records))
         targets = [dst for _, dst, _, _ in records]
         table.append((sums, sums[-1], targets + targets[-1:]) if records else None)
-    rand, log = random.Random(cfg.seed).random, math.log
+    rand, log, bisect = random.Random(cfg.seed).random, math.log, bisect_right
     occupation = [0.0] * len(chain.states)
     state, clock, skip = 0, 0.0, int(cfg.burn_in * cfg.events)
-    for done in range(cfg.events):
+    for _ in repeat(None, skip):
+        jumps = table[state]
+        if jumps is None:
+            raise AbsorbingStateError(f"no outgoing rate at state {chain.state_label(state)}")
+        sums, total, targets = jumps
+        rand()  # the hold's draw, untallied
+        state = targets[bisect(sums, rand() * total)]
+    for _ in repeat(None, cfg.events - skip):
         jumps = table[state]
         if jumps is None:
             raise AbsorbingStateError(f"no outgoing rate at state {chain.state_label(state)}")
         sums, total, targets = jumps
         hold = -log(1.0 - rand()) / total
-        if done >= skip:
-            occupation[state] += hold
-            clock += hold
-        state = targets[bisect_right(sums, rand() * total)]
+        occupation[state] += hold
+        clock += hold
+        state = targets[bisect(sums, rand() * total)]
     if clock <= 0.0:
         raise AbsorbingStateError("no simulated time accumulated after burn-in")
     fractions = [t / clock for t in occupation]

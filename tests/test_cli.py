@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -290,13 +291,21 @@ def test_verify_all_tiny(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "zpart", "--max-N", "3"], ["verify", "all", "--max-N", "4"], ["enumerate", "mlqs", "-m", "1,1,2"]]
+    "argv",
+    [
+        ["verify", "zpart", "--max-N", "3"],
+        ["verify", "all", "--max-N", "4"],
+        ["enumerate", "mlqs", "-m", "1,1,2"],
+        ["simulate", "tasep", "-m", "1,1,1", "--rates", "2,1", "--events", "100"],
+    ],
 )
 def test_a_closed_stdout_pipe_exits_quietly(argv):
     # the reader is gone before the first write, as when `head -1` has
-    # read its line: exit 141, no summary and no error on stderr
+    # read its line: exit 141, no summary and no error on stderr.  stdout is
+    # block-buffered, as in a shell pipe, so a write lands only when flushed
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
     read, write = os.pipe()
     os.close(read)
     try:
@@ -345,6 +354,27 @@ def test_simulate_deterministic_csv(capsys):
     assert out1 == to_csv(reference_gillespie_run(cfg))
     # the sampler's rate goes to stderr, never into the CSV
     assert re.fullmatch(r"20000 events in \d+\.\d\d s \((?:[\d.]+(?:e\+\d+)?|inf) events/s\)\n", err1)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "simulate coupe -m 1,2,3 --rates 2,1 --events 200000 --seed 3 --compare-exact --tolerance 0.05",
+            "a50f474bab9091e58fd7aa9422048184b4b7e17c1b8f0d1bbbaf6a36c9befd70",
+        ),
+        (
+            "simulate fm -m 1,1,2 --rates 1,1 --events 50000 --seed 11 --burn-in 0",
+            "761a49eed5c53683eaac64a3b9658e10743b348e8caefdd7cbe0304a055f83aa",
+        ),
+    ],
+)
+def test_simulate_csv_bytes_are_pinned_on_long_runs(capsys, argv, digest):
+    # the expovariate oracle runs stop at 3,000 events; these digests of
+    # long runs' stdout hold the sampler to the same bytes at scale
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_compare_exact(capsys):

@@ -176,6 +176,27 @@ def test_gillespie_run_equals_the_expovariate_loop_on_drawn_runs(chain_case, see
     assert _outcome(gillespie_run, cfg, chain) == _outcome(reference_gillespie_run, cfg, chain)
 
 
+@pytest.mark.parametrize("burn_in", [0.0, 0.1, 0.99])
+def test_burn_in_events_compute_no_log(monkeypatch, burn_in):
+    # only tallied events turn their draw into a holding time
+    import math
+
+    calls = []
+    original = math.log
+
+    def spy(x):
+        calls.append(x)
+        return original(x)
+
+    chain = _small_chain("coupe", (1, 2, 1))
+    cfg = SimConfig("coupe", (1, 2, 1), (Fraction(2), Fraction(1)), seed=5, events=1_000, burn_in=burn_in)
+    monkeypatch.setattr(math, "log", spy)
+    emp = gillespie_run(cfg, chain)
+    monkeypatch.undo()
+    assert len(calls) == cfg.events - int(burn_in * cfg.events)
+    assert emp == reference_gillespie_run(cfg, chain)
+
+
 def test_gillespie_run_refuses_what_the_expovariate_loop_refuses():
     chain = _small_chain("tasep", (1, 1, 1))
     huge, tiny = Fraction(10**400), Fraction(1, 10**400)
@@ -215,6 +236,10 @@ def test_bad_config_rejected():
         gillespie_run(_config(rates=(Fraction(0), Fraction(1))), chain)
     with pytest.raises(ValueError):
         gillespie_run(_config(events=0), chain)
+    # the horizon is an int count: neither a float nor a bool passes for one
+    for events in (1.5, True):
+        with pytest.raises(ValueError, match=rf"^event horizon must be an int count of events, got {events!r}$"):
+            gillespie_run(_config(events=events), chain)
     # rates whose floats overflow or underflow are refused before the run
     huge, tiny = Fraction(10**400), Fraction(1, 10**400)
     with pytest.raises(ValueError, match=r"rate x1 is inf as a float, .* x1=10{400}, x2=1$"):
