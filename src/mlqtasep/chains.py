@@ -24,6 +24,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -52,6 +53,9 @@ class TransitionRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ChainGraph:
+    """States and one record per state-changing event, whose ends are distinct state
+    ids: checked in builtins, and on a failure record by record to name the first."""
+
     kind: str
     composition: Composition
     states: tuple
@@ -66,10 +70,16 @@ class ChainGraph:
     def __post_init__(self):
         if self.voltages and len(self.voltages) != len(self.transitions):
             raise ValueError(f"{len(self.voltages)} voltages for {len(self.transitions)} transitions")
-        ids = range(len(self.states))
-        for pos, (src, dst, _, _) in enumerate(self.transitions):
-            if src == dst or src not in ids or dst not in ids:
-                raise ValueError(f"transition {pos}, {src} -> {dst}, is a loop or leaves {ids}")
+        ids, records = range(len(self.states)), self.transitions
+        sources, targets = list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
+        try:
+            valid = not any(map(eq, sources, targets)) and set(sources).union(targets) <= set(ids)
+        except TypeError:  # an unhashable end, which the loop names
+            valid = False
+        if not valid:
+            for pos, (src, dst, _, _) in enumerate(records):
+                if src == dst or src not in ids or dst not in ids:
+                    raise ValueError(f"transition {pos}, {src} -> {dst}, is a loop or leaves {ids}")
 
     def state_label(self, i: int) -> str:
         state = self.states[i]

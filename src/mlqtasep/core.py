@@ -91,11 +91,15 @@ def enumerate_words(c: Composition) -> list[Word]:
 
 
 def _row_patterns(N: int, k: int) -> list[tuple[int, ...]]:
-    patterns = [
-        tuple(1 if i in ones else 0 for i in range(N))
-        for ones in itertools.combinations(range(N), k)
-    ]
-    return sorted(patterns)
+    """The 0/1 rows of length N with k ones, ascending: combinations come descending."""
+    patterns = []
+    for ones in itertools.combinations(range(N), k):
+        cells = [0] * N
+        for i in ones:
+            cells[i] = 1
+        patterns.append(tuple(cells))
+    patterns.reverse()
+    return patterns
 
 
 # enumerate_mlqs and project_queues refuse a queue space larger than this,
@@ -217,22 +221,21 @@ def _ring_rows(c: Composition) -> tuple[list, int]:
     return rows, stride
 
 
-def _ring_walk(rows: list, sids: Iterable[int], ids: Sequence) -> Iterator[tuple[int, list]]:
+def _ring_walk(rows: list, sids: Sequence[int], ids: Sequence) -> Iterator[tuple[int, list]]:
     """Ids sids (0, 1, ...) and ids[successor id] per ringing column.  A row's
-    ring table maps (rank, entry column) to (rank change times the row's
-    stride, exit column), so a ring adds up n - 1 entries, bottom row up."""
-    tables = [[[((rank[row] - k) * stride, out) for row, out in m] for k, m in enumerate(moves)]
-              for stride, rank, moves in rows]
-    for sid, steps in zip(sids, itertools.product(*reversed(tables))):
-        bottom, *upper = reversed(steps)
-        succ = []
-        for s, col in bottom:
-            s += sid
-            for table in upper:
-                d, col = table[col]
-                s += d
-            succ.append(ids[s])
-        yield sid, succ
+    ring table maps (rank, entry column) to (the rank of the row after,
+    times the row's stride, exit column), so a successor's id is the sum of
+    the entries read along its ring.  Per choice of upper rows, the climb
+    through them from each entry column is summed once, top row down; each
+    queue then adds its bottom row's entry to the climb from its exit column."""
+    bottom, *upper = [[[(rank[row] * stride, out) for row, out in m] for m in moves] for stride, rank, moves in rows]
+    size, N = len(bottom), len(bottom[0])
+    for base, steps in zip(range(0, len(sids), size), itertools.product(*reversed(upper))):
+        climb = [0] * N
+        for table in steps:
+            climb = [d + climb[col] for d, col in table]
+        for sid, table in zip(sids[base:base + size], bottom):
+            yield sid, [ids[d + climb[col]] for d, col in table]
 
 
 def ring_successors(c: Composition) -> Iterator[tuple[int, list[int]]]:

@@ -172,6 +172,26 @@ def _reconstruct(residue: int, modulus: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
+def _reconstruct_vector(residues: Sequence[int], modulus: int) -> list[int] | None:
+    """Each residue's _reconstruct fraction, all scaled to coprime integers, or None
+    if one has none.  While the running common denominator d is within Wang's
+    bound, r * d within it (mod modulus, from -modulus/2) is the entry times d,
+    as such a fraction is unique; other entries run _reconstruct, and d grows."""
+    bound, half, d, scaled = isqrt(modulus >> 1), modulus >> 1, 1, []
+    for r in residues:
+        a = (r * d + half) % modulus - half
+        if abs(a) > bound or d > bound:
+            pair = _reconstruct(r, modulus)
+            if pair is None:
+                return None
+            d = lcm(d, pair[1])
+            a = pair[0] * (d // pair[1])
+        scaled.append((a, d))
+    ints = [a * (d // at) for a, at in scaled]
+    common = gcd(*ints)
+    return [v // common for v in ints]
+
+
 def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """Exact stationary vector at a rate point, as coprime positive integers.
 
@@ -182,9 +202,8 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     state.  An orbit's row is its first state's row with the columns summed per orbit;
     the first row is dropped, as the rows weighted by orbit sizes sum to
     zero.  The elimination is sparse and mod 2^127 - 1; further Mersenne
-    primes are CRT-combined only while rational reconstruction fails, and
-    the reconstructed pairs are scaled to integers by the lcm of their
-    denominators.
+    primes are CRT-combined only while _reconstruct_vector fails, which
+    reconstructs only the entries that bring a new common denominator.
 
     The result is certified, not trusted: each orbit's value goes to all its
     states, and the vector is returned only when residual_at_point on the
@@ -228,13 +247,10 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
         inverse = pow(total * modulus, -1, p)
         residues = [r + modulus * ((v - r * total) * inverse % p) for r, v in zip(residues, vector)]
         modulus *= p
-        candidate = [_reconstruct(r, modulus) for r in residues]
-        if None in candidate:
+        per_orbit = _reconstruct_vector(residues, modulus)
+        if per_orbit is None:
             continue
-        scale = lcm(*[b for _, b in candidate])
-        per_orbit = [a * (scale // b) for a, b in candidate]
-        common = gcd(*per_orbit)
-        ints = [per_orbit[block] // common for block in orbit]
+        ints = [per_orbit[block] for block in orbit]
         if any(residual_at_point(g, ints, rates)):
             continue
         bad = next((i for i, value in enumerate(ints) if value <= 0), None)

@@ -47,7 +47,12 @@ chain with verify's aggregation of every queue onto it, the oracle of the
 orbit representatives' word weights.  normalize_rationals scales a
 rational vector to coprime integers, the form stationary_solve returns;
 reference_reconstruct is Wang's reconstruction giving a Fraction, the
-oracle of solve._reconstruct's integer pairs.  bound_suite_inputs
+oracle of solve._reconstruct's integer pairs; reference_reconstruct_vector
+reconstructs every entry and scales by the lcm of the denominators, the
+oracle of solve._reconstruct_vector's running common denominator.
+reference_ring_walk climbs every ring through all upper rows, the oracle
+of core._ring_walk, which sums the climb once per choice of upper rows.
+bound_suite_inputs
 caps how many compositions a suite's predicate may take.  golden_form puts
 reports in the form of the benchmark's golden files under GOLDEN_DIR.
 """
@@ -58,11 +63,11 @@ import random
 import time
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, product
 from math import gcd, isqrt, lcm
 from operator import add
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
@@ -88,7 +93,7 @@ from mlqtasep.sim import (
     _float_rate,
     build_process_chain,
 )
-from mlqtasep.solve import point_vector, stationary_solve
+from mlqtasep.solve import _reconstruct, point_vector, stationary_solve
 from mlqtasep import verify
 
 
@@ -659,6 +664,36 @@ def reference_reconstruct(residue: int, modulus: int) -> Fraction | None:
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
+
+
+def reference_reconstruct_vector(residues: Sequence[int], modulus: int) -> list[int] | None:
+    """Each residue's _reconstruct pair, scaled by the lcm of their
+    denominators to coprime integers; None when a residue has no pair."""
+    candidate = [_reconstruct(r, modulus) for r in residues]
+    if None in candidate:
+        return None
+    scale = lcm(*[b for _, b in candidate])
+    per_orbit = [a * (scale // b) for a, b in candidate]
+    common = gcd(*per_orbit)
+    return [v // common for v in per_orbit]
+
+
+def reference_ring_walk(rows: list, sids: Iterable[int], ids: Sequence) -> Iterator[tuple[int, list]]:
+    """Ids sids (0, 1, ...) and ids[successor id] per ringing column.  A row's
+    ring table maps (rank, entry column) to (rank change times the row's
+    stride, exit column), so a ring adds up n - 1 entries, bottom row up."""
+    tables = [[[((rank[row] - k) * stride, out) for row, out in m] for k, m in enumerate(moves)]
+              for stride, rank, moves in rows]
+    for sid, steps in zip(sids, product(*reversed(tables))):
+        bottom, *upper = reversed(steps)
+        succ = []
+        for s, col in bottom:
+            s += sid
+            for table in upper:
+                d, col = table[col]
+                s += d
+            succ.append(ids[s])
+        yield sid, succ
 
 
 @functools.lru_cache(maxsize=None)

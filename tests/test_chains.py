@@ -536,6 +536,27 @@ def test_chain_graph_refuses_a_loop_record():
         ChainGraph("tasep", build_composition((1, 1)), TWO_WORDS, records, 1)
 
 
+@pytest.mark.parametrize(
+    "ends, message",
+    [
+        (((0, 1), (1, 1)), "transition 1, 1 -> 1, is a loop or leaves range(0, 2)"),
+        (((0, 1), (2, 0)), "transition 1, 2 -> 0, is a loop or leaves range(0, 2)"),
+        (((0, 1), (1, 2)), "transition 1, 1 -> 2, is a loop or leaves range(0, 2)"),
+        (((0, 1.5), (1, 0)), "transition 0, 0 -> 1.5, is a loop or leaves range(0, 2)"),
+        (((1, 0), (0, 5), (0, 0), (-1, 1)), "transition 1, 0 -> 5, is a loop or leaves range(0, 2)"),
+        (((1, 0), ([0], 1)), "transition 1, [0] -> 1, is a loop or leaves range(0, 2)"),
+    ],
+    ids=["loop", "source-out", "target-out", "float-target", "first-of-three", "unhashable-source"],
+)
+def test_chain_graph_names_its_first_bad_record(ends, message):
+    # each record's ends must differ and lie in range(states), a float
+    # such as 1.5 refused; the message names the first record that fails
+    records = tuple(TransitionRecord(src, dst, ONE, "a") for src, dst in ends)
+    with pytest.raises(ValueError) as refused:
+        ChainGraph("tasep", build_composition((1, 1)), TWO_WORDS, records, 1)
+    assert str(refused.value) == message
+
+
 def test_chain_graph_refuses_voltages_not_one_per_record():
     records = (TransitionRecord(0, 1, ONE, "a"),)
     with pytest.raises(ValueError, match="2 voltages for 1 transitions"):

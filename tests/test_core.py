@@ -39,6 +39,7 @@ from helpers import (
     conjectured_exponents,
     reference_project_row,
     reference_projection,
+    reference_ring_walk,
     reference_ringing,
     ringing_path,
     single_first_class_weight,
@@ -454,6 +455,38 @@ def test_orbit_ring_successors_turn_the_full_successors(m):
         for w, dst in zip(turned, full, strict=True):
             assert w == (dst if dst < B else B + index[rotate(states[dst])])
             assert states[w % B] == turn_to_representative(states[dst])
+
+
+@pytest.mark.parametrize("m", [c.m for c in iter_compositions(6)], ids=str)
+def test_ring_walks_equal_the_walk_that_climbs_every_ring(monkeypatch, m):
+    # every queue and column of every composition with N <= 6, (1^6)'s
+    # 162,000 queues too, and for m_1 = 1 the orbit walk with its
+    # ring-rotation certificate, against the walk that climbs each ring
+    # through all upper rows
+    import mlqtasep.core as core
+
+    c = build_composition(m)
+    rows, count = core._ring_rows(c)
+    ids = list(range(count))
+    pairs = [(ring_successors(c), reference_ring_walk(rows, ids, ids))]
+    if c.m[0] == 1:
+        walk, commutes = orbit_ring_successors(c)
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "_ring_walk", reference_ring_walk)
+            reference, reference_commutes = orbit_ring_successors(c)
+        assert commutes == reference_commutes
+        pairs.append((walk, reference))
+    for walked, expected in pairs:
+        assert next((a for a, b in zip(walked, expected, strict=True) if a != b), None) is None
+
+
+def test_row_patterns_are_the_sorted_rows_of_k_ones():
+    import mlqtasep.core as core
+
+    for N in range(1, 8):
+        rows = list(itertools.product((0, 1), repeat=N))
+        for k in range(N + 1):
+            assert core._row_patterns(N, k) == sorted(row for row in rows if sum(row) == k), (N, k)
 
 
 def test_orbit_walks_turn_no_loop_for_three_classes_or_more():

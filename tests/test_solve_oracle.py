@@ -9,7 +9,9 @@ rotation, where the solve eliminates one unknown per orbit.
 The solve's rational reconstruction gives coprime integer pairs; a
 property holds it to the Fraction reconstruction it replaced
 (reference_reconstruct), which accepts the same residues, so every solve
-tries the same primes.
+tries the same primes.  Another holds the running common denominator of
+_reconstruct_vector to the per-entry reconstruction scaled by the lcm
+(reference_reconstruct_vector).
 """
 
 from collections import Counter
@@ -27,7 +29,7 @@ from mlqtasep.core import build_composition
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.solve import ReducibleChainError, stationary_solve
 
-from helpers import normalize_rationals, reference_reconstruct
+from helpers import normalize_rationals, reference_reconstruct, reference_reconstruct_vector
 
 
 def _bareiss_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -247,6 +249,75 @@ def test_reconstruct_accepts_as_the_fraction_reconstruction_does(case):
     assert (pair is None) == (fraction is None)
     if pair is not None:
         assert pair == (fraction.numerator, fraction.denominator)
+
+
+_SOLVE_MODULI = (2**127 - 1, (2**127 - 1) * (2**521 - 1))
+
+
+@st.composite
+def rational_vectors(draw):
+    """One of the solve's first two moduli and a vector of 1 to 30
+    rationals, not all zero, whose numerators and denominators are small or
+    lie near the reconstruction bound, each denominator a unit modulo it."""
+    modulus = draw(st.sampled_from(_SOLVE_MODULI))
+    bound = isqrt(modulus >> 1)
+    sizes = st.integers(1, 1000) | st.integers(bound // 4, 2 * bound)
+    numerators = st.integers(-1000, 1000) | sizes.flatmap(lambda a: st.sampled_from((a, -a)))
+    denominators = sizes.filter(lambda b: gcd(b, modulus) == 1)
+    values = draw(st.lists(st.builds(Fraction, numerators, denominators), min_size=1, max_size=30))
+    assume(any(values))
+    return values, modulus
+
+
+def _residues(values, modulus):
+    return [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_vectors())
+@example(([Fraction(1, 2), Fraction(1, 3), Fraction(5, 7), Fraction(1)], 2**127 - 1))
+@example(([Fraction(4), Fraction(1, 3)], 2**127 - 1))
+def test_running_denominator_reconstructs_as_each_entry_does(case):
+    # where every entry reconstructs, the same coprime integers; else None,
+    # or the vector itself when its entries reconstruct scaled
+    values, modulus = case
+    residues = _residues(values, modulus)
+    expected, got = reference_reconstruct_vector(residues, modulus), solve._reconstruct_vector(residues, modulus)
+    if expected is not None:
+        assert got == expected
+    else:
+        assert got is None or got == normalize_rationals(values)
+
+
+def test_running_denominator_past_the_bound_stands_in_for_no_reconstruction():
+    # 1/p and 1/q leave the common denominator d = pq beyond the bound of
+    # 2^127 - 1, near 2^63; the third entry, a fraction within the bound, is
+    # congruent to 1/d, so its scaled residue is 1: read as the entry times
+    # d, it would give 1/d, so past the bound the entry is reconstructed
+    modulus = 2**127 - 1
+    p, q = 2**40 + 15, 2**40 + 21
+    third = Fraction(-140737488350720, 138063476078028287)
+    residues = _residues([Fraction(1, p), Fraction(1, q), third], modulus)
+    assert residues[2] * p * q % modulus == 1
+    solved = solve._reconstruct_vector(residues, modulus)
+    assert solved == reference_reconstruct_vector(residues, modulus)
+    assert solved == normalize_rationals([Fraction(1, p), Fraction(1, q), third])
+
+
+def test_running_denominator_reconstructs_only_entries_that_bring_a_new_one(monkeypatch):
+    # entries over one shared denominator, as a stationary vector scaled to
+    # sum 1 has them, run _reconstruct once; 1/2, 1/3 and 1/6 twice, as 1/6
+    # brings no denominator that 2 * 3 lacks
+    honest, calls = solve._reconstruct, []
+    monkeypatch.setattr(solve, "_reconstruct", lambda r, modulus: calls.append(r) or honest(r, modulus))
+    modulus = 2**127 - 1
+    shared = [Fraction(k, 97) for k in (3, 5, 7, 11, 13, 17, 19, 2)]
+    assert solve._reconstruct_vector(_residues(shared, modulus), modulus) == [3, 5, 7, 11, 13, 17, 19, 2]
+    assert len(calls) == 1
+    calls.clear()
+    thirds = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+    assert solve._reconstruct_vector(_residues(thirds, modulus), modulus) == [3, 2, 1]
+    assert len(calls) == 2
 
 
 def _spy_unknowns(monkeypatch) -> list[int]:
