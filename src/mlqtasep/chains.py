@@ -1,19 +1,20 @@
 """Finite generator graphs for the four ring processes.
 
-Each chain stores one TransitionRecord per state-changing event; loops are
-never stored and the diagonal of the generator is implied by column sums.
-Rates are exact polynomials in the per-class jump parameters x1..x_{n-1}.
-Each builder makes those rates (x1..x_{n-1}, and 1 for the ringing rules)
-and one mechanism label per kind and column once per chain, and its records
-share them; LaurentPoly is immutable, which makes the sharing safe.  One
-loop, ringing_chain, makes every ringing record, fm1's and uniform's
-orbit chains' too, whose records carry voltages: the turns from a
-destination to its orbit's representative.
+Each chain stores its state-changing events as Transitions, parallel
+columns of sources, targets, rate ids and mechanism ids; loops are never
+stored and the diagonal of the generator is implied by column sums.  Rates
+are exact polynomials in the per-class jump parameters x1..x_{n-1}; the ids
+index one tuple per chain of its distinct rate objects (x1..x_{n-1}, and 1
+for the ringing rules) and one of its mechanism labels, and reading the
+columns makes TransitionRecords from those shared objects.  One pass over
+all rings at once, ringing_chain, makes every ringing chain, fm1's and
+uniform's orbit chains too, whose records carry voltages: the turns from
+a destination to its orbit's representative.
 The queue chains whose rates or jumps read the projected word keep the
 projection of their states on the chain, so the suites that check them
 read it instead of projecting again.  The facts that do not depend on a
 rate point, strong connectivity with the potentials of its forward walk,
-the rotation orbits and the distinct rates, are properties of the chain,
+the rotation orbits and the state labels, are properties of the chain,
 each computed on first read.
 """
 
@@ -23,9 +24,10 @@ import functools
 import itertools
 import json
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from operator import eq, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from operator import add, eq, ne
+from typing import NamedTuple
 
 from .core import (
     Composition,
@@ -43,7 +45,6 @@ from .core import (
 from .poly import LaurentPoly, parse_poly, x_vars
 
 
-# builders make records by tuple.__new__, which skips the NamedTuple's Python-level __new__
 class TransitionRecord(NamedTuple):
     src: int
     dst: int
@@ -51,15 +52,50 @@ class TransitionRecord(NamedTuple):
     mechanism: str
 
 
+class Transitions(Sequence):
+    """A chain's records as parallel columns: per record its source, its target,
+    and the index of its rate in rates and of its label in mechanisms, one object
+    per distinct rate (by identity) and label.  Read, it makes TransitionRecords."""
+
+    __slots__ = ("sources", "targets", "rate_ids", "rates", "mechanism_ids", "mechanisms")
+
+    def __init__(self, sources, targets, rate_ids, rates, mechanism_ids, mechanisms):
+        self.sources, self.targets, self.rate_ids, self.rates = sources, targets, rate_ids, rates
+        self.mechanism_ids, self.mechanisms = mechanism_ids, mechanisms
+
+    @classmethod
+    def of(cls, records: Iterable) -> Transitions:
+        """The columns of (src, dst, rate, mechanism) records, ids in order of first use."""
+        sources, targets, rates, labels = map(list, zip(*records)) if records else ([], [], [], [])
+        distinct, mechanisms = {id(rate): rate for rate in rates}, {label: k for k, label in enumerate(dict.fromkeys(labels))}
+        rate_id = {key: k for k, key in enumerate(distinct)}
+        rate_ids, mechanism_ids = [rate_id[id(rate)] for rate in rates], list(map(mechanisms.__getitem__, labels))
+        return cls(sources, targets, rate_ids, tuple(distinct.values()), mechanism_ids, tuple(mechanisms))
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __iter__(self):
+        rates, labels = map(self.rates.__getitem__, self.rate_ids), map(self.mechanisms.__getitem__, self.mechanism_ids)
+        return map(TransitionRecord._make, zip(self.sources, self.targets, rates, labels))
+
+    def __getitem__(self, k):
+        return tuple(self)[k]  # reads every record: the kernels read the columns, not records by index
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (Transitions, tuple, list)) else NotImplemented
+
+
 @dataclass(frozen=True)
 class ChainGraph:
     """States and one record per state-changing event, whose ends are distinct state
-    ids: checked in builtins, and on a failure record by record to name the first."""
+    ids: checked in builtins, and on a failure record by record to name the first.
+    Records given as anything but Transitions are converted to its columns once."""
 
     kind: str
     composition: Composition
     states: tuple
-    transitions: tuple[TransitionRecord, ...]
+    transitions: Transitions
     nvars: int
     # the projection of the states of a projecting queue chain (fm under
     # three_species or one_first_class, coupe); else None
@@ -68,16 +104,17 @@ class ChainGraph:
     voltages: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.transitions, Transitions):
+            object.__setattr__(self, "transitions", Transitions.of(tuple(self.transitions)))
         if self.voltages and len(self.voltages) != len(self.transitions):
             raise ValueError(f"{len(self.voltages)} voltages for {len(self.transitions)} transitions")
-        ids, records = range(len(self.states)), self.transitions
-        sources, targets = list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
+        ids, sources, targets = range(len(self.states)), self.transitions.sources, self.transitions.targets
         try:
-            valid = not any(map(eq, sources, targets)) and set(sources).union(targets) <= set(ids)
+            valid = not any(map(eq, sources, targets)) and set(ids).issuperset(itertools.chain(sources, targets))
         except TypeError:  # an unhashable end, which the loop names
             valid = False
         if not valid:
-            for pos, (src, dst, _, _) in enumerate(records):
+            for pos, (src, dst) in enumerate(zip(sources, targets)):
                 if src == dst or src not in ids or dst not in ids:
                     raise ValueError(f"transition {pos}, {src} -> {dst}, is a loop or leaves {ids}")
 
@@ -100,6 +137,11 @@ class ChainGraph:
         return incoming
 
     @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each state's state_label."""
+        return tuple(map(self.state_label, range(len(self.states))))
+
+    @functools.cached_property
     def irreducible(self) -> bool:
         """True iff the transition digraph is strongly connected: state 0
         reaches every state, on the walk that gives the potentials, and then
@@ -119,42 +161,35 @@ class ChainGraph:
 
     def _walk(self, head: int, tail: int) -> list[int | None]:
         """Per state, None where state 0 does not reach it along the records
-        read from field head to field tail, (0, 1) forward and (1, 0)
-        backward; else its phi, with phi(u) - v = phi(w) on every record
-        u -> w of voltage v the walk crosses."""
-        n, records, voltages = len(self.states), self.transitions, self.voltages
+        read from column head to column tail, (0, 1) forward (sources to
+        targets) and (1, 0) backward; else its phi, with phi(u) - v = phi(w)
+        on every record u -> w of voltage v the walk crosses."""
+        n, voltages = len(self.states), self.voltages
+        ends = (self.transitions.sources, self.transitions.targets)
+        tails = ends[tail]
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        for k, rec in enumerate(records):
-            adjacency[rec[head]].append(k)
+        for k, u in enumerate(ends[head]):
+            adjacency[u].append(k)
         sign = 1 if head else -1  # backward, phi(u) = phi(w) + v
         phi: list[int | None] = [None] * n
         phi[0], stack = 0, [0]
         while stack:
             node = stack.pop()
             for k in adjacency[node]:
-                nxt = records[k][tail]
+                nxt = tails[k]
                 if phi[nxt] is None:
                     phi[nxt] = (phi[node] + sign * voltages[k]) if voltages else 0
                     stack.append(nxt)
         return phi
 
     @functools.cached_property
-    def distinct_rates(self) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
-        """The distinct rate objects, in order of first record, and each
-        record's index among them.  Rates are told apart by identity, as in
-        rotation_orbits."""
-        distinct = {id(rate): rate for _, _, rate, _ in self.transitions}
-        index = {key: i for i, key in enumerate(distinct)}
-        return tuple(distinct.values()), tuple(index[id(rate)] for _, _, rate, _ in self.transitions)
-
-    @functools.cached_property
     def rotation_orbits(self) -> tuple[int, ...]:
         """Each state's orbit under rotate, numbered in order of first state,
         when rotate maps every state to a state and the multiset of (src,
-        dst, rate object) records onto itself, which makes the generator
+        dst, rate id) records onto itself, which makes the generator
         invariant at every rate point; else each state is its own orbit.
-        Rates are compared by identity: the builders and from_json share one
-        object per distinct rate."""
+        Rate ids tell rates apart by identity: the builders and from_json
+        share one object per distinct rate."""
         n = len(self.states)
         index = {state: i for i, state in enumerate(self.states)}
         rot = []
@@ -162,7 +197,8 @@ class ChainGraph:
             rot.append(index.get(rotate(state)))
             if rot[-1] is None:
                 return tuple(range(n))
-        records = Counter((src, dst, id(rate)) for src, dst, rate, _ in self.transitions)
+        t = self.transitions
+        records = Counter(zip(t.sources, t.targets, t.rate_ids))
         if any(records[rot[s], rot[d], r] != count for (s, d, r), count in records.items()):
             return tuple(range(n))
         orbit, k = [-1] * n, 0
@@ -192,9 +228,7 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
     states = enumerate_words(c)
     index = {w: i for i, w in enumerate(states)}
     nvars = c.n - 1
-    x = x_vars(nvars)
-    mechanisms = [f"tasep-swap({i + 1})" for i in range(c.N)]
-    records = []
+    sources, targets, rate_ids, mechanism_ids = [], [], [], []  # mechanism id: the swapped column
     for sid, word in enumerate(states):
         for i in range(c.N):
             j = (i + 1) % c.N
@@ -202,8 +236,13 @@ def build_tasep_chain(c: Composition) -> ChainGraph:
             if a > b:
                 swapped = list(word)
                 swapped[i], swapped[j] = b, a
-                records.append(tuple.__new__(TransitionRecord, (sid, index[tuple(swapped)], x[b - 1], mechanisms[i])))
-    return ChainGraph("tasep", c, tuple(states), tuple(records), nvars)
+                sources.append(sid)
+                targets.append(index[tuple(swapped)])
+                rate_ids.append(b - 1)
+                mechanism_ids.append(i)
+    mechanisms = tuple(f"tasep-swap({i + 1})" for i in range(c.N))
+    records = Transitions(sources, targets, rate_ids, tuple(x_vars(nvars)), mechanism_ids, mechanisms)
+    return ChainGraph("tasep", c, tuple(states), records, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -241,36 +280,46 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
 def ringing_chain(
     c: Composition, rate_rule: str, walk: Iterable, states: QueueProjection | Sequence[Queue], words: Iterable[Word] = ()
 ) -> ChainGraph:
-    """The chain of walk's rings: each state id, from 0 on, with its
-    successors' ids as columns 0..N-1 ring (its own id for a loop, and
+    """The chain of walk's rings: each state id, 0 to B - 1 in order, with
+    its successors' ids as columns 0..N-1 ring (its own id for a loop, and
     B + w, past the B states, for a record to w of voltage 1).  The states
     are a projection's queues, or the queues given with the words their
-    rates read, uncovered (uniform rates read none).  Each record reads its
-    rate from one table per chain, keyed by class and covered bit."""
+    rates read, uncovered (uniform rates read none).  Each column is made
+    over all rings at once and compressed to the rings that move: a ring's
+    mechanism id is its column, its rate id read off its class and covered bit."""
     nvars = c.n - 1
     x, one = x_vars(nvars), LaurentPoly.one(nvars)
     rule = RATE_RULES[rate_rule]
-    table = [[rule(cls, bit, x, one) for bit in (0, 1)] for cls in range(c.n + 1)]  # row 0 unused
+    table = [rule(cls, bit, x, one) for bit in (0, 1) for cls in range(c.n + 1)]  # at cls + (n + 1) * bit; cls 0 unused
+    rates = tuple({id(rate): rate for rate in table}.values())
+    rate_id = {id(rate): k for k, rate in enumerate(rates)}
+    table = [rate_id[id(rate)] for rate in table]
     projection = states if isinstance(states, QueueProjection) else None
     if projection is None:  # with no words given, each ring reads an uncovered 1
         states = tuple(states)
-        words, covers = words or itertools.repeat((1,) * c.N, len(states)), itertools.repeat(0, len(states))
+        words, covers = words or itertools.repeat((1,) * c.N, len(states)), ()
     else:
         states, words, covers = projection.queues, projection.words, projection.covered
-    mechanisms = [f"ringing({i + 1})" for i in range(c.N)]
-    B, records, turned = len(states), [], []  # turned: the records of voltage 1
-    for (sid, successors), word, covered in zip(walk, words, covers, strict=True):
-        for i, dst in enumerate(successors):
-            if dst != sid:
-                if dst >= B:  # a turned loop, B + sid, stays a loop that ChainGraph refuses
-                    dst -= B
-                    turned.append(len(records))
-                rate = table[word[i]][covered >> i & 1]
-                records.append(tuple.__new__(TransitionRecord, (sid, dst, rate, mechanisms[i])))
-    voltages = [0] * len(records) if turned else []
-    for k in turned:
-        voltages[k] = 1
-    return ChainGraph(f"fm-{rate_rule}", c, states, tuple(records), nvars, projection, tuple(voltages))
+    flatten, compress, B = itertools.chain.from_iterable, itertools.compress, len(states)
+    sids, successors = zip(*walk)
+    ring_sources, ring_targets = list(flatten(zip(*[sids] * c.N))), list(flatten(successors))
+    moves = list(map(ne, ring_sources, ring_targets))
+    sources, targets = list(compress(ring_sources, moves)), list(compress(ring_targets, moves))
+    mechanism_ids = list(compress(itertools.cycle(range(c.N)), moves))
+    codes = compress(flatten(words), moves)  # each moving ring's class, plus n + 1 where the rule reads a covered bit
+    if covers and table[: c.n + 1] != table[c.n + 1 :]:
+        offsets = {mask: [(c.n + 1) * (mask >> col & 1) for col in range(c.N)] for mask in set(covers)}
+        codes = map(add, codes, compress(flatten(map(offsets.__getitem__, covers)), moves))
+    rate_ids = list(map(table.__getitem__, codes))
+    if len(sids) != B or len(rate_ids) != len(targets):
+        raise ValueError(f"{len(sids)} states walked, {B} states, and words for {len(rate_ids)} of {len(targets)} records")
+    voltages = ()
+    if targets and max(targets) >= B:  # B + w: a turned loop, B + sid, stays a loop that ChainGraph refuses
+        voltages = tuple(map(((0,) * B + (1,) * B).__getitem__, targets))
+        targets = list(map((sids + sids).__getitem__, targets))  # sids[w] is w
+    mechanisms = tuple(f"ringing({i + 1})" for i in range(c.N))
+    records = Transitions(sources, targets, rate_ids, rates, mechanism_ids, mechanisms)
+    return ChainGraph(f"fm-{rate_rule}", c, states, records, nvars, projection, voltages)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +418,8 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
     index = {q: i for i, q in enumerate(states)}
     cuts = {word: decompose_coupes(word) for word in set(words)}
     nvars = 2
-    x = x_vars(nvars)
-    regular = [f"coupe-regular({col + 1})" for col in range(c.N)]
-    pulling = [f"coupe-pulling({col + 1})" for col in range(c.N)]
-    records = []
+    # mechanism id: the front seat's column, past N for a pulling jump; rate id: the seat's class - 1
+    sources, targets, rate_ids, mechanism_ids = [], [], [], []
     for q, word, (sid, rings) in zip(states, words, ring_successors(c), strict=True):
         coupes = cuts[word]
         for which, coupe in enumerate(coupes):
@@ -384,15 +431,18 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
             if occupied:
                 # regular: the bottom, then the top cell moves left when
                 # free, which is the ring at the front seat
-                dst = rings[coupe.front]
-                mechanism = regular[coupe.front]
+                dst, mechanism = rings[coupe.front], coupe.front
             else:
-                dst = index[_pulling_jump(q, coupes, which)]
-                mechanism = pulling[coupe.front]
+                dst, mechanism = index[_pulling_jump(q, coupes, which)], c.N + coupe.front
             if dst == sid:
                 raise AssertionError("coupe jumps always change the queue")
-            records.append(tuple.__new__(TransitionRecord, (sid, dst, x[coupe.seat_class - 1], mechanism)))
-    return ChainGraph("coupe", c, states, tuple(records), nvars, projection)
+            sources.append(sid)
+            targets.append(dst)
+            rate_ids.append(coupe.seat_class - 1)
+            mechanism_ids.append(mechanism)
+    mechanisms = tuple(f"coupe-{kind}({col + 1})" for kind in ("regular", "pulling") for col in range(c.N))
+    records = Transitions(sources, targets, rate_ids, tuple(x_vars(nvars)), mechanism_ids, mechanisms)
+    return ChainGraph("coupe", c, states, records, nvars, projection)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +464,9 @@ def to_json(g: ChainGraph) -> str:
     payload = {
         "kind": g.kind,
         "m": list(g.composition.m),
-        "states": [g.state_label(i) for i in range(len(g.states))],
+        "states": list(g.labels),
         "transitions": [
-            {
-                "from": rec.src,
-                "to": rec.dst,
-                "rate": str(rec.rate),
-                "mechanism": rec.mechanism,
-            }
-            for rec in g.transitions
+            {"from": src, "to": dst, "rate": str(rate), "mechanism": mechanism} for src, dst, rate, mechanism in g.transitions
         ],
     }
     for item, voltage in zip(payload["transitions"], g.voltages):  # none but on an orbit chain
@@ -445,12 +489,9 @@ def from_json(text: str) -> ChainGraph:
         else:
             states.append(tuple(int(ch) for ch in label))
     # one polynomial per distinct rate text, shared like a built chain's
-    rate = functools.cache(functools.partial(parse_poly, nvars=nvars))
-    records = tuple(
-        tuple.__new__(TransitionRecord, (item["from"], item["to"], rate(item["rate"]), item["mechanism"]))
-        for item in payload["transitions"]
-    )
+    rate, items = functools.cache(functools.partial(parse_poly, nvars=nvars)), payload["transitions"]
+    records = Transitions.of([(item["from"], item["to"], rate(item["rate"]), item["mechanism"]) for item in items])
     # ChainGraph refuses voltages on some transitions but not all
-    voltages = tuple(item["voltage"] for item in payload["transitions"] if "voltage" in item)
+    voltages = tuple(item["voltage"] for item in items if "voltage" in item)
     return ChainGraph(payload["kind"], comp, tuple(states), records, nvars, voltages=voltages)
 

@@ -174,11 +174,7 @@ def cmd_chain(args) -> int:
         print(to_json(graph))
     if point is not None:
         weights = stationary_solve(graph, point)
-        print(
-            " ".join(
-                f"{graph.state_label(i)}:{weights[i]}" for i in range(len(graph.states))
-            )
-        )
+        print(" ".join(f"{label}:{weight}" for label, weight in zip(graph.labels, weights)))
     if not args.export and args.solve is None:
         print(
             f"{graph.kind}: {len(graph.states)} states, "

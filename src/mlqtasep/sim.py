@@ -87,23 +87,24 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph) -> EmpiricalDistribution:
     is cfg.process's graph on cfg.m, which the caller builds once
     (build_process_chain) and may sample many times; ValueError if it is not.
 
-    One jump table per run holds each state's cumulative float rates, their
-    total and its targets padded with the last (bisect_right may return the
-    length), or None when it has no out-records, the only absorbing case.
+    One jump table per run, read off the chain's record columns, holds each
+    state's cumulative float rates, their total and its targets padded with
+    the last (bisect_right may return the length), or None when it has no
+    out-records, the only absorbing case.  The labels are the chain's own.
     -log(1.0 - random()) / total is expovariate(total)'s body on Python
     3.10-3.13, so the draws and every float match a loop calling it.
     """
     check_config(cfg)
     if (PROCESSES.get(cfg.process, ("",))[0], tuple(cfg.m)) != (chain.kind, chain.composition.m):
         raise ValueError(f"config is {cfg.process} on m = {cfg.m}, chain is {chain.kind} on m = {chain.composition.m}")
-    out = chain.out_records()
-    distinct = {id(rate): rate for records in out for _, _, rate, _ in records}
-    floats = {key: _float_rate(rate, cfg.rates) for key, rate in distinct.items()}
-    table = []
-    for records in out:
-        sums = list(accumulate(floats[id(rate)] for _, _, rate, _ in records))
-        targets = [dst for _, dst, _, _ in records]
-        table.append((sums, sums[-1], targets + targets[-1:]) if records else None)
+    t = chain.transitions
+    floats = [_float_rate(rate, cfg.rates) for rate in t.rates]
+    rates, targets = [[] for _ in chain.states], [[] for _ in chain.states]  # per state, of its out-records
+    for src, dst, r in zip(t.sources, t.targets, t.rate_ids):
+        rates[src].append(floats[r])
+        targets[src].append(dst)
+    sums = [list(accumulate(row)) for row in rates]
+    table = [(row, row[-1], ends + ends[-1:]) if ends else None for row, ends in zip(sums, targets)]
     rand, log, bisect = random.Random(cfg.seed).random, math.log, bisect_right
     occupation = [0.0] * len(chain.states)
     state, clock, skip = 0, 0.0, int(cfg.burn_in * cfg.events)
@@ -126,9 +127,8 @@ def gillespie_run(cfg: SimConfig, chain: ChainGraph) -> EmpiricalDistribution:
     if clock <= 0.0:
         raise AbsorbingStateError("no simulated time accumulated after burn-in")
     fractions = [t / clock for t in occupation]
-    labels = [chain.state_label(i) for i in range(len(chain.states))]
     return EmpiricalDistribution(
-        labels=labels, fractions=fractions, total_time=clock, events=cfg.events
+        labels=list(chain.labels), fractions=fractions, total_time=clock, events=cfg.events
     )
 
 

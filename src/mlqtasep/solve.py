@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import add
 from typing import Sequence
@@ -49,47 +50,49 @@ def master_residual(g: ChainGraph, weights: Sequence[LaurentPoly]) -> list[Laure
     dict per state: every term of rate * weight added at the destination and
     subtracted at the source, and a term dropped as soon as it cancels to 0
     (the last one by clear(), which also frees the table an emptied dict keeps).
-    The terms of rate * weight are formed once per distinct pair of rate
-    and weight objects, as records share their chain's few rates and
-    states often share their weight; the records and weights keep both
-    objects alive, so their ids key the pairs for the whole call.
+    The terms of rate * weight are formed once per distinct pair of rate id
+    and weight object (the weights keep theirs alive, so ids key the pairs),
+    with each exponent tuple interned to a small-int code for the call, so
+    the per-state dicts hash ints, not tuples.
     """
     if len(weights) != len(g.states):
         raise ValueError("need one weight per state")
     heads = orbit_heads(g, weights)
     sums = [{} if head == state else None for state, head in enumerate(heads)]
-    products: dict[tuple[int, int], list] = {}  # (id(rate), id(weight)) -> terms of rate * weight
-    for src, dst, rate, _ in g.transitions:
+    t = g.transitions
+    products: list[dict[int, list]] = [{} for _ in t.rates]  # per rate id: id(weight) -> (code, coeff) terms
+    codes: dict[tuple[int, ...], int] = {}  # exponent tuple -> its code
+    for src, dst, r in zip(t.sources, t.targets, t.rate_ids):
         into, out = sums[dst], sums[src]
         if into is None and out is None:
             continue
         weight = weights[src]
-        terms = products.get((id(rate), id(weight)))
+        terms = products[r].get(id(weight))
         if terms is None:
-            terms = products[id(rate), id(weight)] = [
-                (tuple(map(add, e1, e2)), c1 * c2)
-                for e1, c1 in rate.terms.items()
+            terms = products[r][id(weight)] = [
+                (codes.setdefault(tuple(map(add, e1, e2)), len(codes)), c1 * c2)
+                for e1, c1 in t.rates[r].terms.items()
                 for e2, c2 in weight.terms.items()
             ]
-        for exps, coeff in terms:
+        for code, coeff in terms:
             if into is not None:
-                total = into.get(exps, 0) + coeff
+                total = into.get(code, 0) + coeff
                 if total:
-                    into[exps] = total
+                    into[code] = total
                 elif len(into) > 1:
-                    del into[exps]
+                    del into[code]
                 else:
                     into.clear()
             if out is not None:
-                total = out.get(exps, 0) - coeff
+                total = out.get(code, 0) - coeff
                 if total:
-                    out[exps] = total
+                    out[code] = total
                 elif len(out) > 1:
-                    del out[exps]
+                    del out[code]
                 else:
                     out.clear()
-    zero = LaurentPoly.zero(g.nvars)
-    residuals = [LaurentPoly(g.nvars, terms) if terms else zero for terms in sums]
+    exponents, zero = list(codes), LaurentPoly.zero(g.nvars)
+    residuals = [LaurentPoly(g.nvars, {exponents[k]: v for k, v in terms.items()}) if terms else zero for terms in sums]
     return [residuals[head] for head in heads]
 
 
@@ -101,8 +104,8 @@ def residual_at_point(
     rates holds each transition's rate evaluated at the point, in the order
     of g.transitions.  Integer values and rates give integer residuals.
     """
-    residuals = [0] * len(g.states)
-    for (src, dst, _, _), rate in zip(g.transitions, rates, strict=True):
+    residuals, t = [0] * len(g.states), g.transitions
+    for src, dst, rate in zip(t.sources, t.targets, rates, strict=True):
         flow = rate * values[src]
         residuals[dst] += flow
         residuals[src] -= flow
@@ -196,7 +199,7 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     """Exact stationary vector at a rate point, as coprime positive integers.
 
     Builds the integer generator, its rates the numerators of the chain's
-    distinct rate objects, g.distinct_rates, in one eval_common call, and
+    distinct rate objects, g.transitions.rates, in one eval_common call, and
     eliminates one unknown per orbit of g.rotation_orbits if the chain is
     strongly connected with every evaluated rate positive, else one per
     state.  An orbit's row is its first state's row with the columns summed per orbit;
@@ -216,16 +219,15 @@ def stationary_solve(g: ChainGraph, point: Sequence[Fraction]) -> list[int]:
     certified vector that is not positive).  ArithmeticError: no listed
     prime led to a certified vector.
     """
-    n = len(g.states)
+    n, t = len(g.states), g.transitions
     # records share their chain's few rate objects: evaluate each one once
-    distinct, index = g.distinct_rates
-    numerators, _ = eval_common(distinct, point)
-    rates = list(map(numerators.__getitem__, index))
-    connected = all(v > 0 for v in numerators) and g.irreducible
+    numerators, _ = eval_common(t.rates, point)
+    rates = list(map(numerators.__getitem__, t.rate_ids))
+    connected = min(rates, default=1) > 0 and g.irreducible
     orbit, heads = (g.rotation_orbits, g.rotation_heads) if connected else (range(n), range(n))
     k = max(orbit) + 1
     quotient: list[dict[int, int]] = [{} for _ in range(k)]
-    for (src, dst, _, _), value in zip(g.transitions, rates):
+    for src, dst, value in zip(t.sources, t.targets, rates):
         block, into = orbit[src], orbit[dst]
         if heads[dst] == dst:
             quotient[into][block] = quotient[into].get(block, 0) + value
@@ -310,7 +312,8 @@ def _rates_into_blocks(g: ChainGraph, blocks: Sequence[int]) -> list[dict[int, L
     """Per state, its total rate into each block but its own; flow inside a
     block is absorbed by the diagonal."""
     into: list[dict[int, LaurentPoly]] = [{} for _ in g.states]
-    for src, dst, rate, _ in g.transitions:
+    t = g.transitions
+    for src, dst, rate in zip(t.sources, t.targets, map(t.rates.__getitem__, t.rate_ids)):
         block = blocks[dst]
         if block != blocks[src]:
             rates = into[src]
@@ -332,8 +335,8 @@ def lifted_irreducible(g: ChainGraph) -> bool:
     once each way, and a later solve reads g.irreducible as computed."""
     if not g.irreducible:
         return False
-    phi, common = g.potentials, g.composition.N
-    for (src, dst, _, _), v in zip(g.transitions, g.voltages or (0,) * len(g.transitions), strict=True):
+    phi, common, t = g.potentials, g.composition.N, g.transitions
+    for src, dst, v in zip(t.sources, t.targets, g.voltages or repeat(0, len(t)), strict=True):
         common = gcd(common, phi[src] - v - phi[dst])
         if common == 1:
             return True

@@ -498,9 +498,8 @@ def check_uniform_stationarity(c: Composition) -> SuiteReport:
         chain = build_fm_chain(c, "uniform")
         failure = None if chain.irreducible else {"check": "irreducible"}
     if failure is None:
-        outs = [len(recs) for recs in chain.out_records()]
-        ins = [len(recs) for recs in chain.in_records()]
-        bad = next((i for i in range(len(outs)) if outs[i] != ins[i]), None)
+        outs, ins = Counter(chain.transitions.sources), Counter(chain.transitions.targets)
+        bad = next((i for i in range(len(chain.states)) if outs[i] != ins[i]), None)
         if bad is not None:
             failure = {"check": "degree-balance", "state": chain.state_label(bad), "out": outs[bad], "in": ins[bad]}
     if failure is None:
@@ -530,11 +529,10 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
     failure = None if chain.irreducible else {"check": "irreducible"}
 
     if failure is None:
-        bad = next(
-            (rec for rec in chain.transitions if words[rec.src] == words[rec.dst]), None
-        )
+        ends = zip(chain.transitions.sources, chain.transitions.targets)
+        bad = next((src for src, dst in ends if words[src] == words[dst]), None)
         if bad is not None:
-            failure = {"check": "minimality", "state": chain.state_label(bad.src)}
+            failure = {"check": "minimality", "state": chain.state_label(bad)}
 
     if failure is None:
         failure = _check_seat_bookkeeping(chain, words)
@@ -549,21 +547,27 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
 
 
 def _check_seat_bookkeeping(chain: ChainGraph, words) -> dict | None:
-    """Out-degree c1 + e2 and the landing sites of incoming jumps."""
-    N = chain.composition.N
-    out = chain.out_records()
-    incoming = chain.in_records()
+    """Out-degree c1 + e2 and the landing sites of incoming jumps, each
+    distinct mechanism's kind and landing column read off its label once."""
+    N, t = chain.composition.N, chain.transitions
+    # per mechanism id, its kind and landing column: "coupe-pulling(3)" lands ("pulling", 1)
+    labels = [label.partition("(") for label in t.mechanisms]
+    landing = [(mech.removeprefix("coupe-"), (int(col.rstrip(")")) - 2) % N) for mech, _, col in labels]
+    outs, landings = Counter(t.sources), [{"regular": [], "pulling": []} for _ in chain.states]
+    for dst, mechanism in zip(t.targets, t.mechanism_ids):
+        kind, col = landing[mechanism]
+        landings[dst][kind].append(col)
     cuts = {word: decompose_coupes(word) for word in set(words)}
     for sid, q in enumerate(chain.states):
         coupes = cuts[words[sid]]
         c1 = sum(1 for cp in coupes if cp.seat_class == 1)
         e2 = sum(1 for cp in coupes if cp.seat_class == 2 and not cp.full)
-        if len(out[sid]) != c1 + e2:
+        if outs[sid] != c1 + e2:
             return {
                 "check": "outgoing-count",
                 "state": chain.state_label(sid),
                 "expected": c1 + e2,
-                "got": len(out[sid]),
+                "got": outs[sid],
             }
         expected = {"regular": [], "pulling": []}
         for cp, nxt in zip(coupes, coupes[1:] + coupes[:1]):
@@ -571,17 +575,13 @@ def _check_seat_bookkeeping(chain: ChainGraph, words) -> dict | None:
                 expected["regular"].append(cp.back)
             if not (nxt.seat_class == 2 and nxt.full) and not q[0][nxt.back]:
                 expected["pulling"].append(cp.back)
-        landings = {kind: [] for kind in expected}
-        for rec in incoming[sid]:
-            mech, _, col = rec.mechanism.partition("(")
-            landings[mech.removeprefix("coupe-")].append((int(col.rstrip(")")) - 1 - 1) % N)
         for kind, backs in expected.items():
-            if sorted(landings[kind]) != sorted(backs):
+            if sorted(landings[sid][kind]) != sorted(backs):
                 return {
                     "check": f"incoming-{kind}",
                     "state": chain.state_label(sid),
                     "expected": sorted(col + 1 for col in backs),
-                    "got": sorted(col + 1 for col in landings[kind]),
+                    "got": sorted(col + 1 for col in landings[sid][kind]),
                 }
     return None
 

@@ -252,6 +252,24 @@ def test_chain_json_round_trip(capsys):
     assert parsed.transitions == direct.transitions
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("coupe", "-m", "1,2,3", "--export", "json"), "chain_coupe_1_2_3.json"),
+        (("fm1", "-m", "1,1,2,1", "--export", "json"), "chain_fm1_1_1_2_1.json"),
+        (("tasep", "-m", "1,1,2", "--export", "dot"), "chain_tasep_1_1_2.dot"),
+    ],
+)
+def test_chain_exports_equal_their_golden_files(capsys, argv, golden):
+    # the exports' bytes do not depend on how the chain stores its records
+    code, out, _ = run_cli(capsys, "chain", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_chain_incompatible_process(capsys):
     code, _, err = run_cli(capsys, "chain", "fm3", "-m", "1,1,1,1")
     assert code == 2

@@ -157,13 +157,14 @@ def test_stationary_solve_evaluates_each_distinct_rate_once(monkeypatch):
     assert stationary_solve(replace(g, transitions=copies), point) == solved
 
 
-def test_distinct_rates_index_every_record_once_per_chain():
-    # the 110 records of the three-species chain on (1,2,2) share x1 and x2
+def test_rate_ids_index_every_record_once_per_chain():
+    # the 110 records of the three-species chain on (1,2,2) share x1 and x2:
+    # the chain stores one rate id per record, into its two rate objects
     g = build_fm_chain(build_composition((1, 2, 2)), "three_species")
-    distinct, index = g.distinct_rates
-    assert len(distinct) == 2
-    assert all(distinct[i] is rec.rate for i, rec in zip(index, g.transitions, strict=True))
-    assert g.distinct_rates is g.distinct_rates
+    t = g.transitions
+    assert len(t.rates) == 2 and len(t.rate_ids) == len(t) == 110
+    assert all(t.rates[i] is rec.rate for i, rec in zip(t.rate_ids, t, strict=True))
+    assert g.transitions.rate_ids is t.rate_ids
 
 
 def test_stationary_solve_refuses_a_rotation_swapped_reducible_chain():
