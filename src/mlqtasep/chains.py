@@ -12,10 +12,11 @@ uniform's orbit chains too, whose records carry voltages: the turns from
 a destination to its orbit's representative.
 The queue chains whose rates or jumps read the projected word keep the
 projection of their states on the chain, so the suites that check them
-read it instead of projecting again.  The facts that do not depend on a
-rate point, strong connectivity with the potentials of its forward walk,
-the rotation orbits and the state labels, are properties of the chain,
-each computed on first read.
+read it instead of projecting again; the coupe chain also keeps the cut
+of each projected word, which its suite's seat bookkeeping reads.  The
+facts that do not depend on a rate point, strong connectivity with the
+potentials of its forward walk, the rotation orbits and the state labels,
+are properties of the chain, each computed on first read.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ class ChainGraph:
     projection: QueueProjection | None = field(default=None, compare=False, repr=False)
     # one voltage per record on an orbit chain with a turned record; else empty
     voltages: tuple[int, ...] = ()
+    # on a coupe chain, each projected word's decompose_coupes cut; else None
+    coupes: dict[Word, list[Coupe]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.transitions, Transitions):
@@ -123,18 +126,6 @@ class ChainGraph:
         if state and isinstance(state[0], tuple):
             return queue_label(state)
         return word_label(state)
-
-    def out_records(self) -> list[list[TransitionRecord]]:
-        out: list[list[TransitionRecord]] = [[] for _ in self.states]
-        for rec in self.transitions:
-            out[rec.src].append(rec)
-        return out
-
-    def in_records(self) -> list[list[TransitionRecord]]:
-        incoming: list[list[TransitionRecord]] = [[] for _ in self.states]
-        for rec in self.transitions:
-            incoming[rec.dst].append(rec)
-        return incoming
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
@@ -278,10 +269,10 @@ def build_fm_chain(c: Composition, rate_rule: str = "uniform") -> ChainGraph:
 
 
 def ringing_chain(
-    c: Composition, rate_rule: str, walk: Iterable, states: QueueProjection | Sequence[Queue], words: Iterable[Word] = ()
+    c: Composition, rate_rule: str, column: Sequence[int], states: QueueProjection | Sequence[Queue], words: Iterable[Word] = ()
 ) -> ChainGraph:
-    """The chain of walk's rings: each state id, 0 to B - 1 in order, with
-    its successors' ids as columns 0..N-1 ring (its own id for a loop, and
+    """The chain of the rings in column: N successor ids per state, states 0
+    to B - 1 in order, as columns 0..N-1 ring (its own id for a loop, and
     B + w, past the B states, for a record to w of voltage 1).  The states
     are a projection's queues, or the queues given with the words their
     rates read, uncovered (uniform rates read none).  Each column is made
@@ -301,22 +292,24 @@ def ringing_chain(
     else:
         states, words, covers = projection.queues, projection.words, projection.covered
     flatten, compress, B = itertools.chain.from_iterable, itertools.compress, len(states)
-    sids, successors = zip(*walk)
-    ring_sources, ring_targets = list(flatten(zip(*[sids] * c.N))), list(flatten(successors))
-    moves = list(map(ne, ring_sources, ring_targets))
-    sources, targets = list(compress(ring_sources, moves)), list(compress(ring_targets, moves))
+    if len(column) != B * c.N:
+        raise ValueError(f"{len(column)} successor ids for {B} states of {c.N} rings")
+    sids = list(range(B))
+    ring_sources = list(flatten(zip(*[sids] * c.N)))
+    moves = list(map(ne, ring_sources, column))
+    sources, targets = list(compress(ring_sources, moves)), list(compress(column, moves))
     mechanism_ids = list(compress(itertools.cycle(range(c.N)), moves))
     codes = compress(flatten(words), moves)  # each moving ring's class, plus n + 1 where the rule reads a covered bit
     if covers and table[: c.n + 1] != table[c.n + 1 :]:
         offsets = {mask: [(c.n + 1) * (mask >> col & 1) for col in range(c.N)] for mask in set(covers)}
         codes = map(add, codes, compress(flatten(map(offsets.__getitem__, covers)), moves))
     rate_ids = list(map(table.__getitem__, codes))
-    if len(sids) != B or len(rate_ids) != len(targets):
-        raise ValueError(f"{len(sids)} states walked, {B} states, and words for {len(rate_ids)} of {len(targets)} records")
+    if len(rate_ids) != len(targets):
+        raise ValueError(f"words for {len(rate_ids)} of {len(targets)} records")
     voltages = ()
     if targets and max(targets) >= B:  # B + w: a turned loop, B + sid, stays a loop that ChainGraph refuses
         voltages = tuple(map(((0,) * B + (1,) * B).__getitem__, targets))
-        targets = list(map((sids + sids).__getitem__, targets))  # sids[w] is w
+    targets = list(map((sids + sids).__getitem__, targets))  # sids[w] is w, the sources' own id object
     mechanisms = tuple(f"ringing({i + 1})" for i in range(c.N))
     records = Transitions(sources, targets, rate_ids, rates, mechanism_ids, mechanisms)
     return ChainGraph(f"fm-{rate_rule}", c, states, records, nvars, projection, voltages)
@@ -420,7 +413,8 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
     nvars = 2
     # mechanism id: the front seat's column, past N for a pulling jump; rate id: the seat's class - 1
     sources, targets, rate_ids, mechanism_ids = [], [], [], []
-    for q, word, (sid, rings) in zip(states, words, ring_successors(c), strict=True):
+    rings = zip(*[iter(ring_successors(c))] * c.N)  # each queue's N successor ids
+    for sid, (q, word, successors) in enumerate(zip(states, words, rings, strict=True)):
         coupes = cuts[word]
         for which, coupe in enumerate(coupes):
             if coupe.seat_class == 2 and coupe.full:
@@ -431,7 +425,7 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
             if occupied:
                 # regular: the bottom, then the top cell moves left when
                 # free, which is the ring at the front seat
-                dst, mechanism = rings[coupe.front], coupe.front
+                dst, mechanism = successors[coupe.front], coupe.front
             else:
                 dst, mechanism = index[_pulling_jump(q, coupes, which)], c.N + coupe.front
             if dst == sid:
@@ -442,7 +436,7 @@ def build_coupe_chain(c: Composition) -> ChainGraph:
             mechanism_ids.append(mechanism)
     mechanisms = tuple(f"coupe-{kind}({col + 1})" for kind in ("regular", "pulling") for col in range(c.N))
     records = Transitions(sources, targets, rate_ids, tuple(x_vars(nvars)), mechanism_ids, mechanisms)
-    return ChainGraph("coupe", c, states, records, nvars, projection)
+    return ChainGraph("coupe", c, states, records, nvars, projection, coupes=cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 from .poly import LaurentPoly
 
@@ -221,40 +222,46 @@ def _ring_rows(c: Composition) -> tuple[list, int]:
     return rows, stride
 
 
-def _ring_walk(rows: list, sids: Sequence[int], ids: Sequence) -> Iterator[tuple[int, list]]:
-    """Ids sids (0, 1, ...) and ids[successor id] per ringing column.  A row's
-    ring table maps (rank, entry column) to (the rank of the row after,
-    times the row's stride, exit column), so a successor's id is the sum of
-    the entries read along its ring.  Per choice of upper rows, the climb
-    through them from each entry column is summed once, top row down; each
-    queue then adds its bottom row's entry to the climb from its exit column."""
+def _ring_walk(rows: list, count: int, ids: Sequence) -> list:
+    """ids[successor id] per ringing column of the queues with ids 0..count-1:
+    N ids per queue, in id order, in one flat column.  A row's ring table
+    maps (rank, entry column) to (the rank of the row after, times the row's
+    stride, exit column), so a successor's id is the sum of the entries read
+    along its ring.  Per choice of upper rows, the climb through them from
+    each entry column is summed once, top row down; every bottom-row pattern
+    then adds its entry to the climb from its exit column, in one pass over
+    the bottom row's flattened tables."""
     bottom, *upper = [[[(rank[row] * stride, out) for row, out in m] for m in moves] for stride, rank, moves in rows]
     size, N = len(bottom), len(bottom[0])
-    for base, steps in zip(range(0, len(sids), size), itertools.product(*reversed(upper))):
+    # flat over (pattern, entry column); the orbit walk of one row reads only count < size patterns
+    drops = [d for table in bottom for d, _ in table][: count * N]
+    exits = [out for table in bottom for _, out in table][: count * N]
+    column: list = []
+    for steps in itertools.islice(itertools.product(*reversed(upper)), -(-count // size)):
         climb = [0] * N
         for table in steps:
             climb = [d + climb[col] for d, col in table]
-        for sid, table in zip(sids[base:base + size], bottom):
-            yield sid, [ids[d + climb[col]] for d, col in table]
+        column += map(ids.__getitem__, map(add, drops, map(climb.__getitem__, exits)))
+    return column
 
 
-def ring_successors(c: Composition) -> Iterator[tuple[int, list[int]]]:
-    """Each queue's id, in enumerate_mlqs order, and its successors' ids when
-    columns 0..N-1 ring (its own id for a loop), all from one shared list."""
+def ring_successors(c: Composition) -> list:
+    """Each queue's successors' ids when columns 0..N-1 ring (its own id for
+    a loop), N ids per queue in enumerate_mlqs order, in one flat column,
+    all from one shared list."""
     rows, count = _ring_rows(c)
-    ids = list(range(count))
-    yield from _ring_walk(rows, ids, ids)
+    return _ring_walk(rows, count, list(range(count)))
 
 
-def orbit_ring_successors(c: Composition) -> tuple[Iterator[tuple[int, list[int]]], bool]:
+def orbit_ring_successors(c: Composition) -> tuple[list, bool]:
     """For m_1 = 1, the rotation-orbit representatives, ids 0..B-1 whose
     top-row particle sits in column N - 1 (B = mlq_count / N), each with its
-    successor's id per ringing column: w for the representative w, and B + w
-    when the ring moves the particle and the destination turned one column
-    right is w.  And the certificate that each orbit rings as its
-    representative turned: _ring_row on each pattern turned one column right
-    (each turned once), entered one column on, gives the turned row and
-    exits one column on."""
+    successor's id per ringing column, N per representative in one flat
+    column: w for the representative w, and B + w when the ring moves the
+    particle and the destination turned one column right is w.  And the
+    certificate that each orbit rings as its representative turned:
+    _ring_row on each pattern turned one column right (each turned once),
+    entered one column on, gives the turned row and exits one column on."""
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")
     rows, count = _ring_rows(c)
@@ -270,7 +277,7 @@ def orbit_ring_successors(c: Composition) -> tuple[Iterator[tuple[int, list[int]
     # block 1's ids with each lower row turned one column right; beyond, IndexError
     lower = [[rank[turn[p]] * stride for p in rank] for (stride, rank, _), turn in zip(rows[:-1], turns)]
     turned = [B + sum(parts) for parts in itertools.product(*reversed(lower))]
-    return _ring_walk(rows, range(B), list(range(B)) + turned), commutes
+    return _ring_walk(rows, B, list(range(B)) + turned), commutes
 
 
 # ---------------------------------------------------------------------------
@@ -415,25 +422,32 @@ def project_queues(c: Composition) -> QueueProjection:
     return _project(c, _rows(c))[0]
 
 
-def _first_class_step(row: tuple[int, ...], col: int) -> tuple[int, int]:
-    """The class-1 path into row at col: the column of the row's first particle
-    at or right of col, circularly, and the vacancies it passes on the way."""
-    passed = (row[col:] + row[:col]).index(1)
-    return (col + passed) % len(row), passed
+def _first_class_steps(row: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Per entry column col, the class-1 path into row at col: the column of
+    the row's first particle at or right of col, circularly, and the
+    vacancies it passes on the way; one right-to-left scan of the row doubled."""
+    N, steps, landing = len(row), [], None
+    for k in range(2 * N - 1, -1, -1):
+        if row[k - N]:
+            landing = k
+        if k < N:
+            steps.append((landing % N, landing - k))
+    steps.reverse()
+    return steps
 
 
 def first_class_walk(c: Composition) -> tuple[list[tuple[int, int]], bool]:
     """For m_1 = 1, per orbit representative in orbit_representatives order,
     its bottom-row class-1 column and V_1 - z_1, stepped one lower row at a
     time from column N - 1, each distinct (column, exponent) once; and the
-    certificate that _first_class_step on each pattern turned one column
+    certificate that _first_class_steps of each pattern turned one column
     right, entered one column on, exits one column on past as many
     vacancies.  Paths go in class order, so the class-1 path meets no other."""
     if c.m[0] != 1:
         raise ValueError("orbit representatives need m_1 = 1")
     N, walked, commutes = c.N, [(c.N - 1, c.V[0])], True
     for patterns in _rows(c)[1:]:
-        steps = {p: [_first_class_step(p, col) for col in range(N)] for p in patterns}
+        steps = {p: _first_class_steps(p) for p in patterns}
         commutes = commutes and all(steps[rotate(p)] == [((out + 1) % N, k) for out, k in row[-1:] + row[:-1]]
                                     for p, row in steps.items())
         columns = list(zip(*steps.values()))  # per entry column, each pattern's step

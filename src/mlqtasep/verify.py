@@ -251,10 +251,11 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
     checked = 0
     projection = _once(project_queues, c)
     cuts = {word: decompose_coupes(word) for word in set(projection.words)}
-    # both in enumerate_mlqs order; strict, so a length mismatch raises
+    # both in enumerate_mlqs order, each queue's N successor ids; strict, so
+    # a length mismatch raises
     fields = (projection.queues, projection.words, projection.covered)
-    queues = zip(*fields, ring_successors(c), strict=True)
-    for q, word, mask, (sid, successors) in queues:
+    queues = zip(*fields, zip(*[iter(ring_successors(c))] * c.N), strict=True)
+    for sid, (q, word, mask, successors) in enumerate(queues):
         # the covered vacancies of the bottom row are the covered 3s
         covered = {i for i in range(c.N) if mask >> i & 1}
         k = len(covered)
@@ -320,10 +321,13 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     if failure is None and not commutes:
         failure = {"check": "ring-rotation"}
     if failure is None:
-        # a word with a 1 at the first-class column is all the rate reads
+        # a word with a 1 at the first-class column is all the rate reads,
+        # made once per column, and a weight once per exponent
+        columns, exponents = zip(*walked)
         ones = [(c.n,) * col + (1,) + (c.n,) * (c.N - 1 - col) for col in range(c.N)]
-        orbits = ringing_chain(c, "one_first_class", walk, orbit_representatives(c), [ones[col] for col, _ in walked])
-        weights = _monomials([(e,) + (0,) * (c.n - 2) for _, e in walked])
+        power = {e: LaurentPoly.monomial(1, (e,) + (0,) * (c.n - 2)) for e in set(exponents)}
+        orbits = ringing_chain(c, "one_first_class", walk, orbit_representatives(c), map(ones.__getitem__, columns))
+        weights = list(map(power.__getitem__, exponents))
         failure = _residual_failure(orbits, weights)
         if failure is None and not lifted_irreducible(orbits):
             failure = {"check": "irreducible"}
@@ -548,7 +552,8 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
 
 def _check_seat_bookkeeping(chain: ChainGraph, words) -> dict | None:
     """Out-degree c1 + e2 and the landing sites of incoming jumps, each
-    distinct mechanism's kind and landing column read off its label once."""
+    distinct mechanism's kind and landing column read off its label once,
+    and each word's coupes read off the cuts the chain was built from."""
     N, t = chain.composition.N, chain.transitions
     # per mechanism id, its kind and landing column: "coupe-pulling(3)" lands ("pulling", 1)
     labels = [label.partition("(") for label in t.mechanisms]
@@ -557,9 +562,8 @@ def _check_seat_bookkeeping(chain: ChainGraph, words) -> dict | None:
     for dst, mechanism in zip(t.targets, t.mechanism_ids):
         kind, col = landing[mechanism]
         landings[dst][kind].append(col)
-    cuts = {word: decompose_coupes(word) for word in set(words)}
     for sid, q in enumerate(chain.states):
-        coupes = cuts[words[sid]]
+        coupes = chain.coupes[words[sid]]
         c1 = sum(1 for cp in coupes if cp.seat_class == 1)
         e2 = sum(1 for cp in coupes if cp.seat_class == 2 and not cp.full)
         if outs[sid] != c1 + e2:

@@ -51,7 +51,11 @@ oracle of solve._reconstruct's integer pairs; reference_reconstruct_vector
 reconstructs every entry and scales by the lcm of the denominators, the
 oracle of solve._reconstruct_vector's running common denominator.
 reference_ring_walk climbs every ring through all upper rows, the oracle
-of core._ring_walk, which sums the climb once per choice of upper rows.
+of core._ring_walk, which sums the climb once per choice of upper rows
+and hands over one flat column; flat_walk flattens the oracle's per-queue
+lists into that column.  records_by_state groups a chain's records, read
+from its columns, by source or by target, as the tests and the sampler
+oracle read them.
 bound_suite_inputs
 caps how many compositions a suite's predicate may take.  golden_form puts
 reports in the form of the benchmark's golden files under GOLDEN_DIR.
@@ -496,6 +500,15 @@ def reference_eval(poly: LaurentPoly, point: Sequence[Fraction | int]) -> Fracti
     return total
 
 
+def records_by_state(g: ChainGraph, end: str = "src") -> list[list[TransitionRecord]]:
+    """Per state of g, in record order, the records read from its columns
+    whose end ("src" or "dst") is that state."""
+    grouped: list[list[TransitionRecord]] = [[] for _ in g.states]
+    for rec in g.transitions:
+        grouped[getattr(rec, end)].append(rec)
+    return grouped
+
+
 def reference_gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> EmpiricalDistribution:
     """Time-weighted occupation fractions after burn-in.
 
@@ -511,7 +524,7 @@ def reference_gillespie_run(cfg: SimConfig, chain: ChainGraph | None = None) -> 
         raise ValueError("event horizon must be positive")
     if not 0 <= cfg.burn_in < 1:
         raise ValueError(f"burn-in must lie in [0, 1), got {cfg.burn_in}")
-    out = chain.out_records()
+    out = records_by_state(chain)
     targets = [[rec.dst for rec in records] for records in out]
     cumulative = [
         list(accumulate(_float_rate(rec.rate, cfg.rates) for rec in records)) for records in out
@@ -586,8 +599,8 @@ def reference_uniform_stationarity(c: Composition) -> verify.SuiteReport:
     details: dict = {"states": len(chain.states)}
     failure = None if chain.irreducible else {"check": "irreducible"}
     if failure is None:
-        outs = [len(recs) for recs in chain.out_records()]
-        ins = [len(recs) for recs in chain.in_records()]
+        outs = [len(recs) for recs in records_by_state(chain, "src")]
+        ins = [len(recs) for recs in records_by_state(chain, "dst")]
         bad = next((i for i in range(len(outs)) if outs[i] != ins[i]), None)
         if bad is not None:
             failure = {
@@ -694,6 +707,11 @@ def reference_ring_walk(rows: list, sids: Iterable[int], ids: Sequence) -> Itera
                 s += d
             succ.append(ids[s])
         yield sid, succ
+
+
+def flat_walk(walk: Iterable[tuple[int, list]]) -> list:
+    """The successor ids of a per-queue walk, N per queue in id order, in one column."""
+    return [dst for _, succ in walk for dst in succ]
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from mlqtasep.core import (
     bully_projection,
     enumerate_mlqs,
     enumerate_words,
+    orbit_representatives,
     orbit_ring_successors,
     parse_queue,
     project_orbit_representatives,
@@ -37,6 +38,7 @@ from mlqtasep.verify import iter_compositions, rate_points
 from helpers import (
     bully_partition,
     compositions_up_to_six,
+    records_by_state,
     reference_decompose_coupes,
     reference_regular_jump,
     reference_ringing_rate,
@@ -145,8 +147,8 @@ def test_uniform_chain_same_edges_rate_one():
 def test_uniform_chain_in_out_balance():
     for m in [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 1, 1, 1)]:
         g = build_fm_chain(build_composition(m), "uniform")
-        outs = [len(recs) for recs in g.out_records()]
-        ins = [len(recs) for recs in g.in_records()]
+        outs = [len(recs) for recs in records_by_state(g, "src")]
+        ins = [len(recs) for recs in records_by_state(g, "dst")]
         assert outs == ins
 
 
@@ -239,8 +241,7 @@ def test_ringing_records_follow_the_per_ring_rate_rule(rule):
 
         expected = [
             (sid, dst, rate(sid, col), f"ringing({col + 1})")
-            for sid, successors in ring_successors(c)
-            for col, dst in enumerate(successors)
+            for (sid, col), dst in ((divmod(k, c.N), dst) for k, dst in enumerate(ring_successors(c)))
             if dst != sid
         ]
         assert [tuple(rec) for rec in g.transitions] == expected, c.m
@@ -480,7 +481,7 @@ def test_coupe_chain_minimality_and_degrees(m):
     words = [bully_projection(q).word for q in g.states]
     for rec in g.transitions:
         assert words[rec.src] != words[rec.dst]
-    out = g.out_records()
+    out = records_by_state(g)
     for sid, q in enumerate(g.states):
         coupes = decompose_coupes(words[sid])
         c1 = sum(1 for cp in coupes if cp.seat_class == 1)
@@ -499,9 +500,22 @@ def test_coupe_chain_cuts_each_word_once(monkeypatch):
         return original(word)
 
     monkeypatch.setattr(chains, "decompose_coupes", spy)
-    # 50 queues project to the 30 words of (1,2,2)
-    build_coupe_chain(build_composition((1, 2, 2)))
+    # 50 queues project to the 30 words of (1,2,2); the chain keeps each
+    # word's cut for the seat bookkeeping to read
+    g = build_coupe_chain(build_composition((1, 2, 2)))
     assert len(calls) == len(set(calls)) == 30
+    assert g.coupes == {word: reference_decompose_coupes(word) for word in g.projection.words}
+
+
+def test_coupe_chain_refuses_a_column_out_of_step_with_its_states(monkeypatch):
+    # the builder pairs each queue with its N ring successors by position;
+    # a column one queue short must raise, not drop the last queue
+    import mlqtasep.chains as chains
+
+    original = chains.ring_successors
+    monkeypatch.setattr(chains, "ring_successors", lambda c: original(c)[: -c.N])
+    with pytest.raises(ValueError, match="shorter"):
+        build_coupe_chain(build_composition((1, 1, 1)))
 
 
 def test_coupe_chain_needs_three_species():
@@ -570,10 +584,22 @@ def test_ringing_chain_refuses_a_turned_loop():
     c = build_composition((1, 1, 1))
     projection, _ = project_orbit_representatives(c)
     B = len(projection.queues)
-    walk, _ = orbit_ring_successors(c)
-    doctored = ((sid, [B + sid] + succ[1:] if sid == 1 else succ) for sid, succ in walk)
+    doctored, _ = orbit_ring_successors(c)
+    doctored[1 * c.N] = B + 1  # the ring at column 1 of representative 1
     with pytest.raises(ValueError, match=r"transition \d+, 1 -> 1, is a loop"):
         ringing_chain(c, "one_first_class", doctored, projection)
+
+
+@pytest.mark.parametrize("orbits", [False, True], ids=["full", "orbit"])
+def test_ringing_chain_refuses_a_column_one_id_short(orbits):
+    # N successor ids per state: a column one id short of a whole queue is
+    # refused by its length, not read as one queue fewer
+    c = build_composition((1, 1, 2))
+    column = orbit_ring_successors(c)[0] if orbits else ring_successors(c)
+    states = orbit_representatives(c) if orbits else enumerate_mlqs(c)
+    assert ringing_chain(c, "uniform", column, states).states == tuple(states)
+    with pytest.raises(ValueError, match=rf"^{len(column) - 1} successor ids for {len(states)} states of 4 rings$"):
+        ringing_chain(c, "uniform", column[:-1], states)
 
 
 def test_only_the_orbit_chain_carries_voltages():
@@ -676,10 +702,11 @@ def test_json_round_trip_of_every_process(g):
 @settings(max_examples=100, deadline=None)
 @given(process_chains())
 def test_in_records_invert_out_records(g):
-    # every record sits once in out_records at its source and once in
-    # in_records at its target; each read makes its own records, so the two
-    # groupings hold equal records, compared as multisets per state
-    out, incoming = g.out_records(), g.in_records()
+    # every record sits once in the grouping by source at its source and
+    # once in the grouping by target at its target; each read of the columns
+    # makes its own records, so the two groupings hold equal records,
+    # compared as multisets per state
+    out, incoming = records_by_state(g, "src"), records_by_state(g, "dst")
     assert all(rec.src == s for s, recs in enumerate(out) for rec in recs)
     rebuilt = [Counter() for _ in g.states]
     for recs in out:

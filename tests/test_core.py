@@ -37,6 +37,8 @@ from mlqtasep.verify import iter_compositions
 from helpers import (
     compositions_up_to_six,
     conjectured_exponents,
+    flat_walk,
+    records_by_state,
     reference_project_row,
     reference_projection,
     reference_ring_walk,
@@ -236,7 +238,7 @@ def test_inverse_matches_exhaustive_forward_sweep(m):
     c = build_composition(m)
     truth = _forward_edges(c)
     chain = build_fm_chain(c)
-    for q, incoming in zip(chain.states, chain.in_records()):
+    for q, incoming in zip(chain.states, records_by_state(chain, "dst")):
         preds = [
             (chain.states[rec.src], int(rec.mechanism[len("ringing(") : -1]) - 1)
             for rec in incoming
@@ -249,7 +251,7 @@ def test_inverse_matches_exhaustive_forward_sweep(m):
 def test_degree_balance(m):
     c = build_composition(m)
     chain = build_fm_chain(c)
-    for q, incoming in zip(chain.states, chain.in_records()):
+    for q, incoming in zip(chain.states, records_by_state(chain, "dst")):
         successors = sum(
             1 for i in range(c.N) if ringing_transition(q, i) != q
         )
@@ -409,14 +411,14 @@ def _mixed_radix_queue(c, sid):
 
 
 def _assert_ring_successors_match_the_oracle(c, sids):
+    # queue sid's N successor ids sit at sid * N .. sid * N + N - 1 of the column
     states = enumerate_mlqs(c)
-    successors = list(itertools.islice(ring_successors(c), max(sids) + 1))
-    assert [sid for sid, _ in successors] == list(range(len(successors)))
+    column = ring_successors(c)
+    assert len(column) == c.N * len(states)
     for sid in sids:
         q = states[sid]
         assert q == _mixed_radix_queue(c, sid)
-        assert len(successors[sid][1]) == c.N
-        for i, dst in enumerate(successors[sid][1]):
+        for i, dst in enumerate(column[sid * c.N : (sid + 1) * c.N]):
             ringed = reference_ringing(q, i)
             assert states[dst] == ringed
             assert (dst == sid) == (ringed == q)
@@ -426,7 +428,7 @@ def _assert_ring_successors_match_the_oracle(c, sids):
 def test_ring_successors_match_the_oracle(m):
     # every queue and column of every composition with N <= 5
     c = build_composition(m)
-    assert sum(1 for _ in ring_successors(c)) == mlq_count(c)
+    assert len(ring_successors(c)) == c.N * mlq_count(c)
     _assert_ring_successors_match_the_oracle(c, range(mlq_count(c)))
 
 
@@ -440,44 +442,43 @@ def test_ring_successors_match_the_oracle_on_drawn_queues(c, draws):
     "m", [c.m for c in iter_compositions(6) if c.m[0] == 1 and c.n <= 4], ids=str
 )
 def test_orbit_ring_successors_turn_the_full_successors(m):
-    # the representatives are the first mlq_count / N ids, and each ring's
-    # id is its full successor's when that stays in block 0, else B + w
-    # for the successor turned one column right, w
+    # the representatives are the first mlq_count / N ids, so their rings
+    # are the first B * N of the full column, and each ring's id is its
+    # full successor's when that stays in block 0, else B + w for the
+    # successor turned one column right, w
     c = build_composition(m)
     states = enumerate_mlqs(c)
     index = {q: i for i, q in enumerate(states)}
     B = mlq_count(c) // c.N
     assert all(q[0][-1] for q in states[:B]) and not any(q[0][-1] for q in states[B:])
-    successors, commutes = orbit_ring_successors(c)
-    orbits = list(successors)
-    assert commutes and [sid for sid, _ in orbits] == list(range(B))
-    for (sid, turned), (_, full) in zip(orbits, ring_successors(c)):
-        for w, dst in zip(turned, full, strict=True):
-            assert w == (dst if dst < B else B + index[rotate(states[dst])])
-            assert states[w % B] == turn_to_representative(states[dst])
+    column, commutes = orbit_ring_successors(c)
+    assert commutes
+    for w, dst in zip(column, ring_successors(c)[: B * c.N], strict=True):
+        assert w == (dst if dst < B else B + index[rotate(states[dst])])
+        assert states[w % B] == turn_to_representative(states[dst])
 
 
 @pytest.mark.parametrize("m", [c.m for c in iter_compositions(6)], ids=str)
 def test_ring_walks_equal_the_walk_that_climbs_every_ring(monkeypatch, m):
     # every queue and column of every composition with N <= 6, (1^6)'s
     # 162,000 queues too, and for m_1 = 1 the orbit walk with its
-    # ring-rotation certificate, against the walk that climbs each ring
-    # through all upper rows
+    # ring-rotation certificate: the flat column against the walk that
+    # climbs each ring through all upper rows, flattened
     import mlqtasep.core as core
 
     c = build_composition(m)
     rows, count = core._ring_rows(c)
     ids = list(range(count))
-    pairs = [(ring_successors(c), reference_ring_walk(rows, ids, ids))]
+    pairs = [(ring_successors(c), flat_walk(reference_ring_walk(rows, ids, ids)))]
     if c.m[0] == 1:
-        walk, commutes = orbit_ring_successors(c)
+        column, commutes = orbit_ring_successors(c)
         with monkeypatch.context() as patched:
-            patched.setattr(core, "_ring_walk", reference_ring_walk)
+            patched.setattr(core, "_ring_walk", lambda rows, count, ids: flat_walk(reference_ring_walk(rows, range(count), ids)))
             reference, reference_commutes = orbit_ring_successors(c)
         assert commutes == reference_commutes
-        pairs.append((walk, reference))
+        pairs.append((column, reference))
     for walked, expected in pairs:
-        assert next((a for a, b in zip(walked, expected, strict=True) if a != b), None) is None
+        assert next((k for k, (a, b) in enumerate(zip(walked, expected, strict=True)) if a != b), None) is None
 
 
 def test_row_patterns_are_the_sorted_rows_of_k_ones():
@@ -495,12 +496,12 @@ def test_orbit_walks_turn_no_loop_for_three_classes_or_more():
     # one particle, and for n >= 3 the second row holds M_2 >= 2 of them
     for c in [c for c in iter_compositions(6) if c.m[0] == 1 and c.n >= 3]:
         B = mlq_count(c) // c.N
-        walk, _ = orbit_ring_successors(c)
-        assert all(B + sid not in successors for sid, successors in walk), c.m
+        column, _ = orbit_ring_successors(c)
+        assert all(B + sid not in column[sid * c.N : (sid + 1) * c.N] for sid in range(B)), c.m
     # with two classes a ring can: column 2 of (1,1) rings its one queue
     # onto its own turn, B + 0 = 1, and column 1 is a plain loop
-    walk, _ = orbit_ring_successors(build_composition((1, 1)))
-    assert list(walk) == [(0, [0, 1])]
+    column, _ = orbit_ring_successors(build_composition((1, 1)))
+    assert column == [0, 1]
 
 
 def test_orbit_certificate_turns_each_row_pattern_once(monkeypatch):
@@ -594,16 +595,19 @@ def test_first_class_walk_is_the_projection_of_the_representatives(m):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=8).filter(any).map(tuple), st.integers(0, 7))
-def test_first_class_step_commutes_with_turning(row, col):
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=8).filter(any).map(tuple))
+def test_first_class_steps_commute_with_turning(row):
     # the row turned one column right, entered one column on, exits one
-    # column on past as many vacancies, each of them a vacancy of the row
+    # column on past as many vacancies, each of them a vacancy of the row;
+    # each step is the row's first particle at or right of the entry column,
+    # found by slicing the row there
     import mlqtasep.core as core
 
-    N, col = len(row), col % len(row)
-    out, passed = core._first_class_step(row, col)
-    assert core._first_class_step(rotate(row), (col + 1) % N) == ((out + 1) % N, passed)
-    assert row[out] and not any(row[(col + k) % N] for k in range(passed))
+    N, steps = len(row), core._first_class_steps(row)
+    assert core._first_class_steps(rotate(row)) == [((out + 1) % N, passed) for out, passed in steps[-1:] + steps[:-1]]
+    for col, (out, passed) in enumerate(steps):
+        assert row[out] and not any(row[(col + k) % N] for k in range(passed))
+        assert passed == (row[col:] + row[:col]).index(1) and out == (col + passed) % N
 
 
 def _row_steps(monkeypatch, project):

@@ -42,6 +42,7 @@ from helpers import (
     full_word_weights,
     golden_form,
     h_bruteforce,
+    records_by_state,
     reference_block_sums,
     reference_fm1_theorem,
     reference_uniform_stationarity,
@@ -110,12 +111,12 @@ def test_fm3_lemma():
 
 
 def test_fm3_lemma_refuses_successors_out_of_step_with_the_projection(monkeypatch):
-    # the lemma pairs each projected queue with its ring successors by
-    # position; one successor row short must raise, not drop the last queue
+    # the lemma pairs each projected queue with its N ring successors by
+    # position; a column one queue short must raise, not drop the last queue
     import mlqtasep.verify as verify
 
     original = verify.ring_successors
-    monkeypatch.setattr(verify, "ring_successors", lambda c: list(original(c))[:-1])
+    monkeypatch.setattr(verify, "ring_successors", lambda c: original(c)[: -c.N])
     with pytest.raises(ValueError, match="shorter"):
         check_three_species_lemma(build_composition((1, 1, 1)))
 
@@ -130,11 +131,9 @@ def _redirect_ring(monkeypatch, c, queue, col, target):
     original = verify.ring_successors
 
     def redirected(c):
-        for s, successors in original(c):
-            if s == sid:
-                successors = list(successors)
-                successors[col] = dst
-            yield s, successors
+        column = list(original(c))
+        column[sid * c.N + col] = dst
+        return column
 
     monkeypatch.setattr(verify, "ring_successors", redirected)
 
@@ -410,7 +409,7 @@ def test_fm1_lifts_every_ring_of_the_representatives(monkeypatch, m):
     (g,) = seen
     B, records = len(g.states), len(g.transitions)
     assert B * c.N == mlq_count(c) and len(g.voltages) == records and set(g.voltages) == {0, 1}
-    loops = sum(successors.count(sid) for sid, successors in orbit_ring_successors(c)[0])
+    loops = sum(dst == k // c.N for k, dst in enumerate(orbit_ring_successors(c)[0]))
     assert records + loops == B * c.N
     assert c.N * records == len(build_fm_chain(c, "one_first_class").transitions)
 
@@ -448,13 +447,11 @@ def test_fm1_orbit_chain_is_the_full_chain_turned_to_representatives(monkeypatch
     full = build_fm_chain(c, "one_first_class")
     B = mlq_count(c) // c.N
     index = {q: i for i, q in enumerate(full.states)}
-    out = full.out_records()
+    out, column = records_by_state(full), ring_successors(c)
     records, voltages = [], []
-    for sid, successors in ring_successors(c):
-        if sid == B:
-            break
+    for sid in range(B):
         rings = iter(out[sid])
-        for dst in successors:
+        for dst in column[sid * c.N : (sid + 1) * c.N]:
             rate, mechanism = (None, None) if dst == sid else next(rings)[2:]
             representative, turns = _turned_to_representative(full.states[dst])
             w = index[representative]
@@ -577,13 +574,15 @@ def test_partition_function_prints_a_wrong_enumeration_in_a(monkeypatch):
     assert report.details["partition_function"] == failure["enumerated"]
 
 
-def _mutate_first_class_step(monkeypatch, change):
-    """From now on: _first_class_step's (exit column, vacancies passed) for
-    (row, entry column) as change(row, col, out, passed) gives it."""
+def _mutate_first_class_steps(monkeypatch, change):
+    """From now on: each (exit column, vacancies passed) of _first_class_steps(row),
+    at entry column col, as change(row, col, out, passed) gives it."""
     import mlqtasep.core as core
 
-    original = core._first_class_step
-    monkeypatch.setattr(core, "_first_class_step", lambda row, col: change(row, col, *original(row, col)))
+    original = core._first_class_steps
+    monkeypatch.setattr(
+        core, "_first_class_steps", lambda row: [change(row, col, *step) for col, step in enumerate(original(row))]
+    )
 
 
 @pytest.mark.parametrize("m", [(1, 2, 2), (1, 1, 2, 1)], ids=str)
@@ -591,7 +590,7 @@ def test_fm1_and_zpart_fail_when_a_first_class_step_breaks_rotation(monkeypatch,
     # a vacancy in column 1 is never counted, so a step turned across it
     # passes one vacancy fewer than the step turned: the certificate fails
     # both reports
-    _mutate_first_class_step(
+    _mutate_first_class_steps(
         monkeypatch, lambda row, col, out, passed: (out, passed - (0 in {(col + k) % len(row) for k in range(passed)}))
     )
     c = build_composition(m)
@@ -605,7 +604,7 @@ def test_fm1_and_zpart_fail_when_a_first_class_step_is_turned_but_wrong(monkeypa
     # a particle straight below the path counted as a passed cell: the
     # tables still commute with turning, so the certificate holds, and the
     # weights are off on the queues where the path drops straight down
-    _mutate_first_class_step(monkeypatch, lambda row, col, out, passed: (out, passed + row[col]))
+    _mutate_first_class_steps(monkeypatch, lambda row, col, out, passed: (out, passed + row[col]))
     c = build_composition(m)
     fm1, zpart = check_fm1_theorem(c), check_partition_function(c)
     assert fm1.status == zpart.status == "fail"
@@ -617,7 +616,7 @@ def test_only_zpart_catches_a_first_class_step_that_counts_its_landing_cell(monk
     # every step one more: each of (1,1,2,1)'s queues passes two lower rows,
     # so every weight is x1^-2 times its own, a constant factor stationarity
     # cannot see, and only the partition function's normalization can
-    _mutate_first_class_step(monkeypatch, lambda row, col, out, passed: (out, passed + 1))
+    _mutate_first_class_steps(monkeypatch, lambda row, col, out, passed: (out, passed + 1))
     c = build_composition((1, 1, 2, 1))
     assert check_fm1_theorem(c).ok
     report = check_partition_function(c)
@@ -929,14 +928,14 @@ def test_uniform_orbit_degrees_are_the_full_chains(monkeypatch, m):
     full = build_fm_chain(c, "uniform")
     B = mlq_count(c) // c.N
     assert g.states == full.states[:B] and len(g.voltages) == len(g.transitions)
-    for degrees in ("out_records", "in_records"):
-        assert [len(recs) for recs in getattr(g, degrees)()] == [
-            len(recs) for recs in getattr(full, degrees)()[:B]
+    for end in ("src", "dst"):
+        assert [len(recs) for recs in records_by_state(g, end)] == [
+            len(recs) for recs in records_by_state(full, end)[:B]
         ]
 
 
 def _uniform_with_walk(monkeypatch, doctor, commutes=True):
-    """Make the uniform suite read its orbit walk through doctor, and its
+    """Make the uniform suite read its orbit column through doctor, and its
     ring-rotation certificate as commutes."""
     import mlqtasep.verify as verify
 
@@ -945,7 +944,7 @@ def _uniform_with_walk(monkeypatch, doctor, commutes=True):
 
 
 def test_uniform_fails_when_the_rings_break_rotation(monkeypatch):
-    _uniform_with_walk(monkeypatch, lambda walk: walk, commutes=False)
+    _uniform_with_walk(monkeypatch, lambda column: column, commutes=False)
     report = check_uniform_stationarity(build_composition((1, 1, 2)))
     assert report.status == "fail"
     assert report.counterexample == {"check": "ring-rotation"}
@@ -973,9 +972,7 @@ def test_uniform_degree_balance_fails_when_a_ring_is_dropped(monkeypatch):
     # the ring at column 4 of representative 0 of (1,1,2) made a loop: one
     # arc fewer out of 0001/0011, and one fewer into 0001/1001, its
     # destination turned to a representative
-    _uniform_with_walk(
-        monkeypatch, lambda walk: ((sid, succ[:-1] + [sid] if sid == 0 else succ) for sid, succ in walk)
-    )
+    _uniform_with_walk(monkeypatch, lambda column: column[:3] + [0] + column[4:])
     report = check_uniform_stationarity(build_composition((1, 1, 2)))
     assert report.status == "fail"
     assert report.counterexample == {"check": "degree-balance", "state": "0001/0011", "out": 1, "in": 2}
@@ -1006,8 +1003,8 @@ def test_coupe_theorem(m):
     assert report.ok, report.counterexample
 
 
-def test_coupe_theorem_cuts_each_word_once_per_use(monkeypatch):
-    # once in the chain build and once in the seat bookkeeping
+def test_coupe_theorem_cuts_each_word_once(monkeypatch):
+    # in the chain build; the seat bookkeeping reads the chain's cuts
     import mlqtasep.chains as chains
     import mlqtasep.verify as verify
 
@@ -1022,7 +1019,7 @@ def test_coupe_theorem_cuts_each_word_once_per_use(monkeypatch):
     monkeypatch.setattr(verify, "decompose_coupes", spy)
     # 50 queues project to the 30 words of (1,2,2)
     assert check_coupe_theorem(build_composition((1, 2, 2))).ok
-    assert len(calls) == 30 and set(calls.values()) == {2}
+    assert len(calls) == 30 and set(calls.values()) == {1}
 
 
 def _edit_coupe_record(monkeypatch, source, mechanism, target=None):
