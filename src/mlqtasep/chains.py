@@ -136,8 +136,8 @@ class ChainGraph:
     def irreducible(self) -> bool:
         """True iff the transition digraph is strongly connected: state 0
         reaches every state, on the walk that gives the potentials, and then
-        every state reaches state 0.  One direction's adjacency lists are
-        held at a time."""
+        every state reaches state 0, one direction's adjacency lists at a time.
+        Where a positive stationary vector is certified, potentials suffice."""
         if len(self.states) <= 1:
             return len(self.states) == 1
         return None not in self.potentials and None not in self._walk(1, 0)
@@ -147,7 +147,8 @@ class ChainGraph:
         """Per state, phi from the forward walk from state 0, or None where
         that walk does not reach: phi(0) = 0, and phi(u) - v = phi(w) on the
         record u -> w of voltage v (0 on a chain with none) that first
-        reaches w."""
+        reaches w.  With a positive stationary vector at positive rates no
+        state is transient, and reaching every state is strong connectivity."""
         return tuple(self._walk(0, 1))
 
     def _walk(self, head: int, tail: int) -> list[int | None]:

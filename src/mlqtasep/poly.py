@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import add
 from typing import Sequence
 
 
@@ -143,7 +144,7 @@ class LaurentPoly:
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 new = terms.get(exps, 0) + c1 * c2
                 if new:
                     terms[exps] = new

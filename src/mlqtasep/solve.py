@@ -1,4 +1,4 @@
-"""Stationarity, lumpability and lifted irreducibility, all in exact arithmetic.
+"""Stationarity, lumpability and the voltage cover's connectivity, all in exact arithmetic.
 
 The generator convention follows column sums: M[to][from] holds the rate
 of from -> to, and each diagonal entry is minus the total rate leaving the
@@ -322,19 +322,15 @@ def _rates_into_blocks(g: ChainGraph, blocks: Sequence[int]) -> list[dict[int, L
 
 
 # ---------------------------------------------------------------------------
-# Irreducibility
+# Connectivity of the voltage cover
 # ---------------------------------------------------------------------------
 
 
-def lifted_irreducible(g: ChainGraph) -> bool:
-    """Whether the N-fold cover of g is strongly connected, N the ring's
-    size: states (u, a), a mod N, (u, a) -> (w, a - v) per record u -> w of
-    voltage v = g.voltages[k] (0 on a chain with none).  Exactly when g is,
-    and gcd(N, phi(u) - v - phi(w)) = 1 over its records, phi = g.potentials,
-    which the forward walk of g.irreducible carries: so the chain is walked
-    once each way, and a later solve reads g.irreducible as computed."""
-    if not g.irreducible:
-        return False
+def voltages_generate(g: ChainGraph) -> bool:
+    """Whether gcd(N, phi(u) - v - phi(w)) = 1 over g's records u -> w of
+    voltage v (0 on a chain with none), N the ring's size, phi = g.potentials
+    reaching every state: on a strongly connected g, exactly when its N-fold
+    cover, (u, a) -> (w, a - v) on states (u, a) for a mod N, is."""
     phi, common, t = g.potentials, g.composition.N, g.transitions
     for src, dst, v in zip(t.sources, t.targets, g.voltages or repeat(0, len(t)), strict=True):
         common = gcd(common, phi[src] - v - phi[dst])

@@ -6,9 +6,9 @@ conjectured statements ("conjecture" kind) are reported as agree/disagree.
 All randomness is a seeded drawing of small positive rational rate points,
 so each report is reproducible from (composition, seed).  run_suites lists
 the compositions once and runs every chosen suite on one composition before
-the next; the word chain, projections, first-class walk and word weights the
-suites of one composition read are built once for it through _once, and
-dropped after it.
+the next; the word chain, projections, ring and first-class walks and word
+weights the suites of one composition read are built once for it through
+_once, and dropped after it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .chains import (
@@ -47,12 +48,12 @@ from .core import (
 )
 from .poly import LaurentPoly, q_int_derivative
 from .solve import (
-    lifted_irreducible,
     lump,
     master_residual,
     orbit_heads,
     point_vector,
     stationary_solve,
+    voltages_generate,
 )
 
 DEFAULT_SEED = 20240
@@ -223,7 +224,7 @@ def check_fm3_theorem(c: Composition, seed: int = DEFAULT_SEED) -> SuiteReport:
     started = time.perf_counter()
     if c.n != 3:
         raise ValueError("three-species suite needs n = 3")
-    chain = ringing_chain(c, "three_species", ring_successors(c), _once(project_queues, c))
+    chain = ringing_chain(c, "three_species", _once(ring_successors, c), _once(project_queues, c))
     weights = _monomials(chain.projection.exponents)
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
     failure = _residual_failure(chain, weights)
@@ -254,7 +255,7 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
     # both in enumerate_mlqs order, each queue's N successor ids; strict, so
     # a length mismatch raises
     fields = (projection.queues, projection.words, projection.covered)
-    queues = zip(*fields, zip(*[iter(ring_successors(c))] * c.N), strict=True)
+    queues = zip(*fields, zip(*[iter(_once(ring_successors, c))] * c.N), strict=True)
     for sid, (q, word, mask, successors) in enumerate(queues):
         # the covered vacancies of the bottom row are the covered 3s
         covered = {i for i in range(c.N) if mask >> i & 1}
@@ -283,11 +284,7 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
         # a 2, so each block is the head of one coupe, the 3s before its front
         for cp in cuts[word]:
             block = cp.columns[:cp.columns.index(cp.front)]
-            effective = [
-                l
-                for l in block
-                if l not in covered and successors[l] != sid
-            ]
+            effective = [l for l in block if l not in covered and successors[l] != sid]
             if len(effective) > 1:
                 failure = {"part": 3, "word": word_label(word), "sites": [l + 1 for l in effective]}
                 break
@@ -309,7 +306,9 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     on one queue per rotation orbit, once rates and weights are certified
     rotation-invariant: the residual at a representative is the full
     chain's, and as every orbit holds N queues, the orbit chain's
-    stationary vector is the full one on representatives.
+    stationary vector is the full one on representatives.  Positive weights
+    with a zero residual leave no state transient, so the forward walk from
+    state 0 reaching every state is strong connectivity.
     """
     started = time.perf_counter()
     if c.m[0] != 1 or c.n < 3:
@@ -329,7 +328,7 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
         orbits = ringing_chain(c, "one_first_class", walk, orbit_representatives(c), map(ones.__getitem__, columns))
         weights = list(map(power.__getitem__, exponents))
         failure = _residual_failure(orbits, weights)
-        if failure is None and not lifted_irreducible(orbits):
+        if failure is None and (None in orbits.potentials or not voltages_generate(orbits)):
             failure = {"check": "irreducible"}
     if failure is None and details["states"] <= SOLVE_CAP:
         for x1 in (Fraction(2), Fraction(3), Fraction(5, 2)):
@@ -361,7 +360,7 @@ def check_partition_function(c: Composition) -> SuiteReport:
     # V1 - z1 once per rotation orbit of N queues, on which the certificate
     # makes it constant
     walked, equivariant = _once(first_class_walk, c)
-    counts = Counter(e for _, e in walked)
+    counts = Counter(map(itemgetter(1), walked))
     enumerated = LaurentPoly(1, {(e,): c.N * count for e, count in counts.items()})
     explicit = q_form = h_form = LaurentPoly.constant(c.N, 1)
     # q_form stays multiplied by the (M_r - 1)! each derivative is divided by
@@ -489,27 +488,29 @@ def check_uniform_stationarity(c: Composition) -> SuiteReport:
     """Strong connectivity, degree balance, and the uniform stationary law;
     for m_1 = 1 and n >= 3 on the certified orbit chain, whose records in and
     out of a representative are its arcs in the full chain, one for one, as
-    rotation acts freely and no ring turns a representative onto itself."""
+    rotation acts freely and no ring turns a representative onto itself.
+    Balance makes the ones vector stationary, so no state is transient and
+    the forward walk from state 0 reaching every state is strong connectivity."""
     started = time.perf_counter()
     details: dict = {"states": mlq_count(c)}
-    if c.m[0] == 1 and c.n >= 3:
+    orbit = c.m[0] == 1 and c.n >= 3
+    if orbit:
         walk, commutes = orbit_ring_successors(c)
         chain = ringing_chain(c, "uniform", walk, orbit_representatives(c))
         failure = None if commutes else {"check": "ring-rotation"}
-        if failure is None and not lifted_irreducible(chain):
-            failure = {"check": "irreducible"}
     else:
-        chain = build_fm_chain(c, "uniform")
-        failure = None if chain.irreducible else {"check": "irreducible"}
+        chain, failure = build_fm_chain(c, "uniform"), None
+    if failure is None and None in chain.potentials:
+        failure = {"check": "irreducible"}
     if failure is None:
         outs, ins = Counter(chain.transitions.sources), Counter(chain.transitions.targets)
         bad = next((i for i in range(len(chain.states)) if outs[i] != ins[i]), None)
         if bad is not None:
             failure = {"check": "degree-balance", "state": chain.state_label(bad), "out": outs[bad], "in": ins[bad]}
+    if failure is None and orbit and not voltages_generate(chain):
+        failure = {"check": "irreducible"}
     if failure is None:
-        # degree balance is exactly the master equation for the uniform
-        # vector at rate one; with irreducibility this pins uniqueness, and
-        # up to SOLVE_CAP queues the solve at ones confirms it
+        # balance and irreducibility pin the law; up to SOLVE_CAP queues the solve at ones confirms it
         direct = details["states"] <= SOLVE_CAP
         details["method"] = "direct-solve" if direct else "balance-certificate"
         if direct and stationary_solve(chain, (Fraction(1),) * chain.nvars) != [1] * len(chain.states):

@@ -36,7 +36,8 @@ the uniform check on the whole rate-one chain, the oracle of
 check_uniform_stationarity's orbit chain; reference_rotation_orbits
 finds the rotation orbits from the generator's rows at a rate point, the
 oracle of ChainGraph.rotation_orbits; unrolled_chain spells out the
-cover of a voltage graph, the oracle of solve.lifted_irreducible, and
+cover of a voltage graph, the oracle of ChainGraph.irreducible plus
+solve.voltages_generate, and
 turn_to_representative turns a queue with m_1 = 1 to its orbit's
 representative.  reference_block_sums adds up fm3's block sums queue by
 queue, the oracle of verify's word aggregation.

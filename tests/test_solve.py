@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,12 +26,12 @@ from mlqtasep.core import (
 from mlqtasep.poly import LaurentPoly
 from mlqtasep.solve import (
     ReducibleChainError,
-    lifted_irreducible,
     lump,
     master_residual,
     point_vector,
     residual_at_point,
     stationary_solve,
+    voltages_generate,
 )
 from helpers import (
     bully_partition,
@@ -368,9 +369,35 @@ def voltage_graphs(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(voltage_graphs())
-def test_lifted_irreducible_is_the_unrolled_chains_irreducible(case):
+def test_irreducible_and_generating_voltages_are_the_unrolled_chains_irreducible(case):
     g = _voltage_graph(*case)
-    assert lifted_irreducible(g) == unrolled_chain(g).irreducible
+    assert (g.irreducible and voltages_generate(g)) == unrolled_chain(g).irreducible
+
+
+@st.composite
+def balanced_voltage_graphs(draw):
+    """1-5 states, a ring of 2-6 columns, and up to 4 closed walks with a
+    voltage on each arc: every state has as many arcs in as out, so the
+    all-ones vector is stationary at rate one."""
+    size, order = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    arcs = []
+    for walk in draw(st.lists(st.lists(st.integers(0, size - 1), min_size=1, max_size=6), max_size=4)):
+        arcs += [(u, w, draw(st.integers(0, order - 1))) for u, w in zip(walk, walk[1:] + walk[:1])]
+    return size, order, arcs
+
+
+@settings(max_examples=500, deadline=None)
+@given(balanced_voltage_graphs())
+def test_forward_reach_is_strong_connectivity_on_a_balanced_chain(case):
+    # a positive stationary vector leaves no state transient, so reaching
+    # every state from state 0 is strong connectivity, and with generating
+    # voltages the cover's
+    g = _voltage_graph(*case)
+    outs, ins = Counter(g.transitions.sources), Counter(g.transitions.targets)
+    assert outs == ins
+    reach = None not in g.potentials
+    assert reach == g.irreducible
+    assert (reach and voltages_generate(g)) == unrolled_chain(g).irreducible
 
 
 @pytest.mark.parametrize(
@@ -391,28 +418,30 @@ def test_lifted_irreducible_is_the_unrolled_chains_irreducible(case):
         (2, 6, [(0, 1, 1), (1, 0, 1), (0, 1, 5), (1, 0, 2)], True),
     ],
 )
-def test_lifted_irreducible_controls(size, order, arcs, expected):
+def test_irreducible_and_generating_voltages_controls(size, order, arcs, expected):
     g = _voltage_graph(size, order, arcs)
-    assert lifted_irreducible(g) is expected
+    assert (g.irreducible and voltages_generate(g)) is expected
     assert unrolled_chain(g).irreducible is expected
 
 
-def test_lifted_irreducible_and_a_later_solve_walk_the_chain_once_each_way(monkeypatch):
-    # the forward walk of g.irreducible carries the potentials that
-    # lifted_irreducible reads, and the solve reads g.irreducible as computed
+def test_voltages_generate_walks_forward_and_a_later_solve_once_backward(monkeypatch):
+    # voltages_generate reads the potentials of the forward walk alone; the
+    # solve's g.irreducible reuses them and adds the backward walk, and a
+    # second solve reads g.irreducible as computed
     c = build_composition((1, 1, 2, 1))
     walk, _ = orbit_ring_successors(c)
     g = ringing_chain(c, "one_first_class", walk, project_orbit_representatives(c)[0])
     honest, walks = ChainGraph._walk, []
     monkeypatch.setattr(ChainGraph, "_walk", lambda g, head, tail: walks.append((head, tail)) or honest(g, head, tail))
-    assert lifted_irreducible(g)
-    assert walks == [(0, 1), (1, 0)]
-    stationary_solve(g, (Fraction(2), Fraction(1), Fraction(1)))
-    assert walks == [(0, 1), (1, 0)]
+    assert voltages_generate(g)
+    assert walks == [(0, 1)]
+    for x1 in (2, 3):
+        stationary_solve(g, (Fraction(x1), Fraction(1), Fraction(1)))
+        assert walks == [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("N", range(2, 7))
-def test_a_quotient_with_no_voltages_is_not_lifted_irreducible(N):
+def test_a_quotient_with_no_voltages_has_no_generating_voltages(N):
     # with no turned record every record lifts to N copies of itself, so
     # the cover of a strongly connected quotient is N disjoint copies of it
     g = ChainGraph(
@@ -423,7 +452,7 @@ def test_a_quotient_with_no_voltages_is_not_lifted_irreducible(N):
         nvars=2,
     )
     assert g.voltages == () and g.irreducible
-    assert not lifted_irreducible(g)
+    assert not voltages_generate(g)
     assert not unrolled_chain(g).irreducible
 
 

@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from mlqtasep.chains import ChainGraph, build_fm_chain, build_tasep_chain
+from mlqtasep.chains import ChainGraph, TransitionRecord, build_fm_chain, build_tasep_chain
 from mlqtasep.core import (
     build_composition,
     bully_projection,
@@ -345,7 +345,7 @@ def test_main_finds_its_word_chains_facts_once(monkeypatch):
 
 
 def test_fm1_walks_its_orbit_chain_once(monkeypatch):
-    # lifted_irreducible and the 3 point solves share one walk of the
+    # voltages_generate and the 3 point solves share one walk of the
     # 50-state orbit chain of (1,1,2,1); its rotation search stops at the
     # first representative, whose turn is not a representative
     solved, walks, turned = _spy_chain_facts(monkeypatch)
@@ -397,13 +397,13 @@ def test_fm1_lifts_every_ring_of_the_representatives(monkeypatch, m):
     # the full chain's records
     import mlqtasep.verify as verify
 
-    lifted, seen = verify.lifted_irreducible, []
+    generate, seen = verify.voltages_generate, []
 
     def spy(g):
         seen.append(g)
-        return lifted(g)
+        return generate(g)
 
-    monkeypatch.setattr(verify, "lifted_irreducible", spy)
+    monkeypatch.setattr(verify, "voltages_generate", spy)
     c = build_composition(m)
     assert check_fm1_theorem(c).ok
     (g,) = seen
@@ -434,13 +434,13 @@ def test_fm1_orbit_chain_is_the_full_chain_turned_to_representatives(monkeypatch
     # is the ringing queue itself, never a turned one
     import mlqtasep.verify as verify
 
-    lifted, seen = verify.lifted_irreducible, []
+    generate, seen = verify.voltages_generate, []
 
     def spy(g):
         seen.append(g)
-        return lifted(g)
+        return generate(g)
 
-    monkeypatch.setattr(verify, "lifted_irreducible", spy)
+    monkeypatch.setattr(verify, "voltages_generate", spy)
     c = build_composition(m)
     assert check_fm1_theorem(c).ok
     (g,) = seen
@@ -472,13 +472,13 @@ def test_fm1_irreducible_fails_when_the_voltages_miss_a_generator(monkeypatch):
     # the even turns, so the full chain splits in two
     import mlqtasep.verify as verify
 
-    lifted, bases = verify.lifted_irreducible, []
+    generate, bases = verify.voltages_generate, []
 
     def doubled(g):
         bases.append(g.irreducible)
-        return lifted(replace(g, voltages=tuple(2 * v for v in g.voltages)))
+        return generate(replace(g, voltages=tuple(2 * v for v in g.voltages)))
 
-    monkeypatch.setattr(verify, "lifted_irreducible", doubled)
+    monkeypatch.setattr(verify, "voltages_generate", doubled)
     report = check_fm1_theorem(build_composition((1, 1, 1, 1)))
     assert bases == [True]
     assert report.status == "fail"
@@ -915,13 +915,13 @@ def test_uniform_orbit_degrees_are_the_full_chains(monkeypatch, m):
     # and out of the orbit chain count its arcs in and out of the full chain
     import mlqtasep.verify as verify
 
-    lifted, seen = verify.lifted_irreducible, []
+    generate, seen = verify.voltages_generate, []
 
     def spy(g):
         seen.append(g)
-        return lifted(g)
+        return generate(g)
 
-    monkeypatch.setattr(verify, "lifted_irreducible", spy)
+    monkeypatch.setattr(verify, "voltages_generate", spy)
     c = build_composition(m)
     assert check_uniform_stationarity(c).ok
     (g,) = seen
@@ -955,13 +955,13 @@ def test_uniform_irreducible_fails_when_the_voltages_are_zeroed(monkeypatch):
     # cover falls apart into N copies
     import mlqtasep.verify as verify
 
-    lifted, bases = verify.lifted_irreducible, []
+    generate, bases = verify.voltages_generate, []
 
     def zeroed(g):
         bases.append(g.irreducible)
-        return lifted(replace(g, voltages=(0,) * len(g.transitions)))
+        return generate(replace(g, voltages=(0,) * len(g.transitions)))
 
-    monkeypatch.setattr(verify, "lifted_irreducible", zeroed)
+    monkeypatch.setattr(verify, "voltages_generate", zeroed)
     report = check_uniform_stationarity(build_composition((1, 1, 1, 1)))
     assert bases == [True]
     assert report.status == "fail"
@@ -976,6 +976,65 @@ def test_uniform_degree_balance_fails_when_a_ring_is_dropped(monkeypatch):
     report = check_uniform_stationarity(build_composition((1, 1, 2)))
     assert report.status == "fail"
     assert report.counterexample == {"check": "degree-balance", "state": "0001/0011", "out": 1, "in": 2}
+
+
+def _custom_chain(c, edges, voltages=()):
+    """A rate-one chain of c on states 0..k-1 with the given (src, dst) records."""
+    one = LaurentPoly.one(c.n - 1)
+    states = tuple((u,) for u in range(1 + max(max(edge) for edge in edges)))
+    records = tuple(TransitionRecord(u, w, one, "a") for u, w in edges)
+    return ChainGraph("custom", c, states, records, c.n - 1, voltages=voltages)
+
+
+@pytest.mark.parametrize(
+    "edges, checks",
+    [
+        # two disjoint cycles: the ones vector is stationary, and state 0
+        # does not reach the second cycle
+        (((0, 1), (1, 0), (2, 3), (3, 2)), {"uniform": "irreducible", "fm1": "irreducible"}),
+        # state 0 reaches every state, but none reaches state 0: no
+        # stationary vector is positive, so the ones vector is not
+        # stationary and degree balance, or the residual, fails at state 0
+        (((0, 1), (1, 2), (2, 1)), {"uniform": "degree-balance", "fm1": "residual"}),
+    ],
+)
+@pytest.mark.parametrize(
+    "suite, m, builder",
+    [("uniform", (2, 1, 1), "build_fm_chain"), ("uniform", (1, 1, 2), "ringing_chain"), ("fm1", (1, 1, 2), "ringing_chain")],
+)
+def test_certified_suites_fail_on_a_chain_that_is_not_strongly_connected(monkeypatch, edges, checks, suite, m, builder):
+    # on uniform's full and orbit paths and on fm1's orbit chain, forward
+    # reach proves strong connectivity only together with the certificate
+    # of a positive stationary vector: fm1's weights are all x1^0 here
+    import mlqtasep.verify as verify
+
+    c = build_composition(m)
+    chain = _custom_chain(c, edges, (1,) * len(edges) if builder == "ringing_chain" else ())
+    assert not chain.irreducible
+    monkeypatch.setattr(verify, builder, lambda *args: chain)
+    monkeypatch.setattr(verify, "first_class_walk", lambda c: ([(0, 0)] * len(chain.states), True))
+    report = (check_fm1_theorem if suite == "fm1" else check_uniform_stationarity)(c)
+    assert report.status == "fail"
+    assert report.counterexample["check"] == checks[suite]
+
+
+@pytest.mark.parametrize(
+    "check, m",
+    [(check_fm1_theorem, (1, 1, 2, 1, 1)), (check_uniform_stationarity, (1, 1, 1, 1, 1)),
+     (check_uniform_stationarity, (2, 1, 1, 1))],
+    ids=["fm1-11211", "uniform-11111", "uniform-2111"],
+)
+def test_certified_suites_walk_their_chain_once(monkeypatch, check, m):
+    # above SOLVE_CAP no point solve runs: the stationarity certificate
+    # makes the forward walk of the potentials the whole connectivity proof
+    import mlqtasep.verify as verify
+
+    walk, walks = ChainGraph._walk, []
+    monkeypatch.setattr(ChainGraph, "_walk", lambda g, head, tail: walks.append((head, tail)) or walk(g, head, tail))
+    c = build_composition(m)
+    assert mlq_count(c) > verify.SOLVE_CAP
+    assert check(c).ok
+    assert walks == [(0, 1)]
 
 
 def test_uniform_solve_failure_is_reported(monkeypatch):
@@ -1249,6 +1308,17 @@ def test_run_suites_builds_what_a_composition_shares_once(monkeypatch):
     assert max(built.values()) == 1
     # every composition's word chain is built once, by fm3, main or coupe
     assert {m for name, m in built if name == "build_tasep_chain"} == {r.composition for r in reports}
+
+
+def test_fm3_and_its_lemma_share_one_ring_walk_per_composition(monkeypatch):
+    import mlqtasep.core as core
+
+    walk, walks = core._ring_walk, []
+    monkeypatch.setattr(core, "_ring_walk", lambda *args: walks.append(args[1]) or walk(*args))
+    reports = run_suites(["fm3"], 5)
+    compositions = [c for c in iter_compositions(5) if c.n == 3]
+    assert len(reports) == 2 * len(compositions)
+    assert walks == [mlq_count(c) for c in compositions]
 
 
 def test_run_suites_drops_what_it_shares_when_a_check_raises(monkeypatch):
