@@ -11,7 +11,6 @@ from .core import (
     Composition,
     build_composition,
     bully_projection,
-    conjectured_weight,
     enumerate_mlqs,
     enumerate_words,
     parse_queue,

@@ -21,12 +21,12 @@ from .chains import to_dot, to_json
 from .core import (
     build_composition,
     bully_projection,
-    conjectured_weight,
     parse_queue,
     queue_label,
     word_label,
     word_to_text,
 )
+from .poly import LaurentPoly
 from .sim import (
     PROCESSES,
     AbsorbingStateError,
@@ -160,7 +160,7 @@ def cmd_project(args) -> int:
     print(f"z1 = {labeling.z1()}")
     if labeling.composition.n == 3:
         print(f"covered_threes = {labeling.covered_three_count()}")
-    print(f"weight: {conjectured_weight(labeling)}")
+    print(f"weight: {LaurentPoly.monomial(1, labeling.exponents)}")
     return 0
 
 

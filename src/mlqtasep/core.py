@@ -19,8 +19,6 @@ from math import comb, factorial, prod
 from operator import add
 from typing import Iterable, Sequence
 
-from .poly import LaurentPoly
-
 Word = tuple[int, ...]
 Queue = tuple[tuple[int, ...], ...]
 
@@ -523,16 +521,6 @@ def _project(c: Composition, rows: list) -> tuple[QueueProjection, list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Stationary-weight statistics
-# ---------------------------------------------------------------------------
-
-
-def conjectured_weight(labeling: BullyLabeling) -> LaurentPoly:
-    """x_1^V_1 ... x_{n-2}^V_{n-2} * prod (x_row / x_class)^z, coefficient 1."""
-    return LaurentPoly.monomial(1, labeling.exponents)
-
-
-# ---------------------------------------------------------------------------
 # Text formats
 # ---------------------------------------------------------------------------
 
@@ -555,10 +543,6 @@ def word_label(word: Word) -> str:
     if max(word) <= 9:
         return "".join(str(cls) for cls in word)
     return word_to_text(word)
-
-
-def queue_to_text(q: Queue) -> str:
-    return "\n".join("".join("1" if cell else "0" for cell in row) for row in q)
 
 
 def queue_label(q: Queue) -> str:

@@ -6,9 +6,9 @@ conjectured statements ("conjecture" kind) are reported as agree/disagree.
 All randomness is a seeded drawing of small positive rational rate points,
 so each report is reproducible from (composition, seed).  run_suites lists
 the compositions once and runs every chosen suite on one composition before
-the next; the word chain, projections, ring and first-class walks and word
-weights the suites of one composition read are built once for it through
-_once, and dropped after it.
+the next; the word chain, projections, ring and first-class walks, orbit
+chain and word weights the suites of one composition read are built once
+for it through _once, and dropped after it.
 """
 
 from __future__ import annotations
@@ -298,6 +298,20 @@ def check_three_species_lemma(c: Composition) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
+def _orbit_chain(c: Composition) -> tuple[ChainGraph | None, list[tuple[int, int]], bool, bool]:
+    """fm1's chain of c's orbit representatives (m_1 = 1, n >= 3), x1 at the
+    first-class column, or None when the rings break rotation; first_class_walk's
+    steps and certificate; and the ring-rotation certificate.  At x1 = 1 it is
+    the rate-one chain, so fm1 and uniform check one chain."""
+    walked, equivariant = _once(first_class_walk, c)
+    walk, commutes = orbit_ring_successors(c)
+    # a word with a 1 at the first-class column is all the rate reads, made once per column
+    ones = [(c.n,) * col + (1,) + (c.n,) * (c.N - 1 - col) for col in range(c.N)]
+    words = map(ones.__getitem__, map(itemgetter(0), walked))
+    chain = ringing_chain(c, "one_first_class", walk, orbit_representatives(c), words) if commutes else None
+    return chain, walked, equivariant, commutes
+
+
 def check_fm1_theorem(c: Composition) -> SuiteReport:
     """Weights x1^(V1 - z1) are stationary when m_1 = 1 and x_i = 1 for i >= 2.
 
@@ -313,19 +327,14 @@ def check_fm1_theorem(c: Composition) -> SuiteReport:
     started = time.perf_counter()
     if c.m[0] != 1 or c.n < 3:
         raise ValueError("single-first-class suite needs m_1 = 1 and n >= 3")
-    walked, equivariant = _once(first_class_walk, c)
-    walk, commutes = orbit_ring_successors(c)
+    orbits, walked, equivariant, commutes = _once(_orbit_chain, c)
     details: dict = {"states": mlq_count(c)}
     failure = None if equivariant else {"check": "projection-rotation"}
     if failure is None and not commutes:
         failure = {"check": "ring-rotation"}
     if failure is None:
-        # a word with a 1 at the first-class column is all the rate reads,
-        # made once per column, and a weight once per exponent
-        columns, exponents = zip(*walked)
-        ones = [(c.n,) * col + (1,) + (c.n,) * (c.N - 1 - col) for col in range(c.N)]
+        exponents = list(map(itemgetter(1), walked))
         power = {e: LaurentPoly.monomial(1, (e,) + (0,) * (c.n - 2)) for e in set(exponents)}
-        orbits = ringing_chain(c, "one_first_class", walk, orbit_representatives(c), map(ones.__getitem__, columns))
         weights = list(map(power.__getitem__, exponents))
         failure = _residual_failure(orbits, weights)
         if failure is None and (None in orbits.potentials or not voltages_generate(orbits)):
@@ -486,17 +495,16 @@ def check_identity_count(c: Composition) -> SuiteReport:
 
 def check_uniform_stationarity(c: Composition) -> SuiteReport:
     """Strong connectivity, degree balance, and the uniform stationary law;
-    for m_1 = 1 and n >= 3 on the certified orbit chain, whose records in and
-    out of a representative are its arcs in the full chain, one for one, as
-    rotation acts freely and no ring turns a representative onto itself.
+    for m_1 = 1 and n >= 3 on fm1's orbit chain at x1 = 1, whose records in
+    and out of a representative are its arcs in the full chain, one for one,
+    as rotation acts freely and no ring turns a representative onto itself.
     Balance makes the ones vector stationary, so no state is transient and
     the forward walk from state 0 reaching every state is strong connectivity."""
     started = time.perf_counter()
     details: dict = {"states": mlq_count(c)}
     orbit = c.m[0] == 1 and c.n >= 3
-    if orbit:
-        walk, commutes = orbit_ring_successors(c)
-        chain = ringing_chain(c, "uniform", walk, orbit_representatives(c))
+    if orbit:  # degree balance, reach and voltages read no rate; first_class_walk's certificate is fm1's
+        chain, _, _, commutes = _once(_orbit_chain, c)
         failure = None if commutes else {"check": "ring-rotation"}
     else:
         chain, failure = build_fm_chain(c, "uniform"), None
@@ -531,7 +539,8 @@ def check_coupe_theorem(c: Composition) -> SuiteReport:
     chain = build_coupe_chain(c)
     words = chain.projection.words
     details: dict = {"states": len(chain.states), "transitions": len(chain.transitions)}
-    failure = None if chain.irreducible else {"check": "irreducible"}
+    # a pass certifies positive weights stationary, so forward reach is strong connectivity
+    failure = {"check": "irreducible"} if None in chain.potentials else None
 
     if failure is None:
         ends = zip(chain.transitions.sources, chain.transitions.targets)

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -1021,12 +1022,13 @@ def test_certified_suites_fail_on_a_chain_that_is_not_strongly_connected(monkeyp
 @pytest.mark.parametrize(
     "check, m",
     [(check_fm1_theorem, (1, 1, 2, 1, 1)), (check_uniform_stationarity, (1, 1, 1, 1, 1)),
-     (check_uniform_stationarity, (2, 1, 1, 1))],
-    ids=["fm1-11211", "uniform-11111", "uniform-2111"],
+     (check_uniform_stationarity, (2, 1, 1, 1)), (check_coupe_theorem, (2, 2, 3))],
+    ids=["fm1-11211", "uniform-11111", "uniform-2111", "coupe-223"],
 )
 def test_certified_suites_walk_their_chain_once(monkeypatch, check, m):
-    # above SOLVE_CAP no point solve runs: the stationarity certificate
-    # makes the forward walk of the potentials the whole connectivity proof
+    # above SOLVE_CAP no point solve runs (coupe solves nothing): the
+    # stationarity certificate makes the forward walk of the potentials the
+    # whole connectivity proof
     import mlqtasep.verify as verify
 
     walk, walks = ChainGraph._walk, []
@@ -1281,7 +1283,7 @@ def test_all_reports_match_the_golden_sweep():
     assert golden_form(run_suites(["all"], max_n=5)) == golden
 
 
-SHARED = ("build_tasep_chain", "project_queues", "project_orbit_representatives", "first_class_walk", "_word_weights")
+SHARED = ("build_tasep_chain", "project_queues", "project_orbit_representatives", "first_class_walk", "_orbit_chain", "_word_weights")
 
 
 def _spy_builds(monkeypatch) -> Counter:
@@ -1335,11 +1337,53 @@ def test_run_suites_drops_what_it_shares_when_a_check_raises(monkeypatch):
 
 
 def test_nothing_is_shared_outside_run_suites(monkeypatch):
-    # two direct calls, two first-class walks: nothing outlives a composition
+    # two direct calls, two orbit chains and two first-class walks, one
+    # each: nothing outlives a composition
     built = _spy_builds(monkeypatch)
     c = build_composition((1, 1, 2))
     assert check_fm1_theorem(c).ok and check_fm1_theorem(c).ok
-    assert built == {("first_class_walk", (1, 1, 2)): 2}
+    assert built == {("first_class_walk", (1, 1, 2)): 2, ("_orbit_chain", (1, 1, 2)): 2}
+
+
+def test_verify_all_checks_one_orbit_chain_per_composition(monkeypatch):
+    # fm1 and uniform check one chain per m1 = 1, n >= 3 composition: one
+    # ring walk of its representatives, one first-class walk and one orbit
+    # chain, at fm1's rates; and the reports are the golden ones
+    import mlqtasep.verify as verify
+
+    calls = Counter()
+    for name in ("orbit_ring_successors", "first_class_walk"):
+        def spy(c, name=name, original=getattr(verify, name)):
+            calls[name, c.m] += 1
+            return original(c)
+
+        monkeypatch.setattr(verify, name, spy)
+    ringing = verify.ringing_chain
+    monkeypatch.setattr(verify, "ringing_chain", lambda c, rule, *args: calls.update([(rule, c.m)]) or ringing(c, rule, *args))
+    reports = run_suites(["all"], 6)
+    orbit = [c.m for c in iter_compositions(6) if c.m[0] == 1 and c.n >= 3]
+    assert [r.composition for r in reports if r.suite == "uniform" and r.composition in orbit] == orbit
+    made = {(name, m): count for (name, m), count in calls.items() if name != "three_species"}
+    assert made == {(name, m): 1 for m in orbit for name in ("orbit_ring_successors", "first_class_walk", "one_first_class")}
+    golden = (Path(__file__).parent / "golden" / "verify_all_6.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [{k: v for k, v in r.to_dict().items() if k != "elapsed"} for r in reports] == list(map(json.loads, golden))
+
+
+def test_uniform_reads_no_first_class_certificate(monkeypatch):
+    # with first_class_walk's certificate failing, fm1 fails on it, and
+    # uniform, which reads the same orbit chain, passes as before, in
+    # verify all and alone
+    import mlqtasep.verify as verify
+
+    expected = golden_form(run_suites(["uniform"], 5))
+    original = verify.first_class_walk
+    monkeypatch.setattr(verify, "first_class_walk", lambda c: (original(c)[0], False))
+    reports = run_suites(["fm1", "uniform"], 5)
+    fm1 = [r for r in reports if r.suite == "fm1"]
+    assert fm1 and all(r.counterexample == {"check": "projection-rotation"} for r in fm1)
+    assert golden_form([r for r in reports if r.suite == "uniform"]) == expected
+    c = build_composition((1, 1, 2, 1))
+    assert golden_form([check_uniform_stationarity(c)]) == {"uniform:1,1,2,1": expected["uniform:1,1,2,1"]}
 
 
 def test_run_suites_rejects_unknown():
